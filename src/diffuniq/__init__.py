@@ -7,7 +7,6 @@ sampling and a conservative Fokker-Planck solver.
 """
 
 from .errors import (
-    BudgetExceeded,
     ConfigError,
     DiffuniqError,
     DomainError,
@@ -36,6 +35,7 @@ from .uniqueness import (
     endpoint_condition,
     entrance_test,
     monotone_solution,
+    nd_verdicts,
     uniqueness_1d,
     uniqueness_nd,
 )
@@ -54,7 +54,7 @@ from .montecarlo import FKEstimate, coupled_radial_comparison, feynman_kac
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABSORBING", "BudgetExceeded", "Budget", "ConfigError", "DiffuniqError",
+    "ABSORBING", "Budget", "ConfigError", "DiffuniqError",
     "DomainError", "ExprSyntaxError", "FKEstimate", "FPState", "FellerPair",
     "GridFunction", "Grid1D", "INCONCLUSIVE", "IntegralVerdict", "NOT_UNIQUE",
     "Operator1D", "OperatorND", "PROOF_FAITHFUL", "RadialBound",
@@ -63,6 +63,6 @@ __all__ = [
     "coupled_radial_comparison", "duality_check", "endpoint_condition",
     "entrance_test", "eval_expr", "feynman_kac", "format_expr", "fp_solve",
     "free_vars", "gaussian_state", "improper_integral", "make_operator_1d",
-    "make_operator_nd", "monotone_solution", "parse_expr", "parse_expr_multi",
-    "radial_bound", "uniqueness_1d", "uniqueness_nd",
+    "make_operator_nd", "monotone_solution", "nd_verdicts", "parse_expr",
+    "parse_expr_multi", "radial_bound", "uniqueness_1d", "uniqueness_nd",
 ]

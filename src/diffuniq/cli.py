@@ -16,10 +16,11 @@ from importlib.metadata import version as _pkg_version
 
 import numpy as np
 
+from . import expr as ex
 from . import fdsolver, montecarlo, quadrature, uniqueness
 from .errors import ConfigError, DiffuniqError, ValidationError
 from .gridfn import GridFunction
-from .operator import make_operator_1d, make_operator_nd
+from .operator import Coefficient, make_operator_1d, make_operator_nd
 
 MODES = ("classify1d", "classifynd", "entrance", "fp", "fk", "xval")
 
@@ -53,6 +54,61 @@ def _number(v, pointer):
     return float(v)
 
 
+def _real(v):
+    """A finite JSON number (booleans excluded)."""
+    return type(v) in (int, float) and abs(v) < 1e308
+
+
+def _positive(v):
+    return _real(v) and v > 0
+
+
+def _at_least(n):
+    return lambda v: _real(v) and float(v).is_integer() and v >= n
+
+
+def _profile(u0):
+    if not isinstance(u0, dict):
+        return False
+    if u0.get("type") == "gaussian":
+        return _real(u0.get("center", 0.0)) and _positive(u0.get("var", 0.1))
+    xs, vs = u0.get("xs"), u0.get("values")
+    return (u0.get("type") == "table" and isinstance(xs, list)
+            and isinstance(vs, list) and len(xs) == len(vs) >= 2
+            and all(map(_real, xs + vs))
+            and all(x < y for x, y in zip(xs, xs[1:])))
+
+
+# JSON pointer -> (test of the resolved value, what it expects)
+_RULES = {
+    "/lambda_set": (lambda v: isinstance(v, list) and v and all(map(_positive, v)),
+                    "a nonempty list of positive numbers"),
+    "/c": (lambda v: v is None or _real(v), "a number or null"),
+    "/out": (lambda v: v is None or isinstance(v, str), "a path or null"),
+    "/seed": (lambda v: _at_least(0)(v) and v < 2 ** 128, "an integer >= 0"),
+    "/nd_mode": (lambda v: v in (uniqueness.PROOF_FAITHFUL,
+                                 uniqueness.STRICT_THEOREM),
+                 "'ProofFaithful' or 'StrictTheorem'"),
+    **dict.fromkeys(("/fp/T", "/fp/dt", "/fk/T", "/fk/dt", "/fk/r_explode",
+                     "/probe/T", "/probe/core_radius"),
+                    (_positive, "a positive number")),
+    "/fp/m": (_at_least(16), "an integer >= 16"),
+    "/fp/window": (lambda w: isinstance(w, list) and len(w) == 2
+                   and all(map(_real, w)) and w[0] < w[1], "[lo, hi], lo < hi"),
+    "/fp/bc": (lambda v: v in (fdsolver.REFLECTING, fdsolver.ABSORBING),
+               "'Reflecting' or 'Absorbing'"),
+    "/fp/u0": (_profile, "a gaussian {center, var > 0} or a table {xs "
+               "(strictly increasing), values} of one length >= 2"),
+    "/fp/csv": (lambda v: v is None or isinstance(v, str), "a path or null"),
+    "/fk/x0": (_real, "a number"),
+    "/fk/n_paths": (_at_least(100), "an integer >= 100"),
+    "/fk/f": (lambda v: isinstance(v, str), "an expression string"),
+    "/probe/windows": (lambda v: isinstance(v, list) and v
+                       and all(map(_positive, v)),
+                       "a nonempty list of positive numbers"),
+}
+
+
 def resolve_config(raw):
     """Fill defaults and validate shape; the result is echoed in the report."""
     if not isinstance(raw, dict):
@@ -66,6 +122,8 @@ def resolve_config(raw):
         raise ConfigError("/operator", "missing operator specification")
     cfg["operator"] = dict(opspec)
     if "d" in opspec:  # multidimensional
+        if mode not in ("classify1d", "classifynd"):
+            raise ConfigError("/operator", f"{mode} mode takes a 1D operator")
         d = opspec.get("d")
         if not isinstance(d, int) or d < 2:
             raise ConfigError("/operator/d", "dimension must be an integer >= 2")
@@ -90,12 +148,6 @@ def resolve_config(raw):
 
     for key in ("lambda_set", "c", "seed", "nd_mode", "out"):
         cfg[key] = raw.get(key, DEFAULTS[key])
-    if (not isinstance(cfg["lambda_set"], list) or not cfg["lambda_set"]
-            or any(not isinstance(l, (int, float)) or l <= 0
-                   for l in cfg["lambda_set"])):
-        raise ConfigError("/lambda_set", "need a nonempty list of positive numbers")
-    if cfg["nd_mode"] not in (uniqueness.PROOF_FAITHFUL, uniqueness.STRICT_THEOREM):
-        raise ConfigError("/nd_mode", f"unknown mode {cfg['nd_mode']!r}")
     for section in ("fp", "fk", "probe"):
         merged = dict(DEFAULTS[section])
         user = raw.get(section, {})
@@ -103,6 +155,15 @@ def resolve_config(raw):
             raise ConfigError(f"/{section}", "expected an object")
         merged.update(user)
         cfg[section] = merged
+    for pointer, (ok, expected) in _RULES.items():
+        value = cfg
+        for part in pointer.split("/")[1:]:
+            value = value[part]
+        if not ok(value):
+            raise ConfigError(pointer, f"expected {expected}, got {value!r}")
+    for section in ("fp", "fk"):
+        if cfg[section]["dt"] > cfg[section]["T"]:
+            raise ConfigError(f"/{section}/dt", "time step exceeds the run time T")
     return cfg
 
 
@@ -117,42 +178,29 @@ def _build_operator(cfg):
 
 def _initial_state(fp_cfg, grid, bc):
     u0 = fp_cfg["u0"]
-    if u0.get("type") == "gaussian":
+    if u0["type"] == "gaussian":
         return fdsolver.gaussian_state(grid, u0.get("center", 0.0),
                                        u0.get("var", 0.1), bc)
-    if u0.get("type") == "table":
-        gf = GridFunction(np.asarray(u0["xs"], float), np.asarray(u0["values"], float))
-        vals = gf(grid.centers)
-        vals = np.where((grid.centers < gf.x_min) | (grid.centers > gf.x_max),
-                        0.0, vals)
-        return fdsolver.FPState(grid, vals, 0.0, bc)
-    raise ConfigError("/fp/u0/type", f"unknown initial profile {u0.get('type')!r}")
+    gf = GridFunction(np.asarray(u0["xs"], float), np.asarray(u0["values"], float))
+    return fdsolver.FPState(grid, gf.zero_outside(grid.centers), 0.0, bc)
 
 
-def _run_classify(cfg, report):
-    op = _build_operator(cfg)
+def _run_classify(cfg, op, report):
     if "d" in cfg["operator"]:
-        verdict = uniqueness.uniqueness_nd(op, cfg["lambda_set"],
-                                           mode=cfg["nd_mode"],
-                                           seed=cfg["seed"])
+        verdicts = uniqueness.nd_verdicts(op, cfg["lambda_set"],
+                                          seed=cfg["seed"])
         other = (uniqueness.STRICT_THEOREM
                  if cfg["nd_mode"] == uniqueness.PROOF_FAITHFUL
                  else uniqueness.PROOF_FAITHFUL)
-        sub = uniqueness.uniqueness_nd(op, cfg["lambda_set"], mode=other,
-                                       seed=cfg["seed"])
-        report["verdict"] = verdict.to_dict()
-        report["verdict"]["mode"] = cfg["nd_mode"]
-        report["sub_verdict"] = sub.to_dict()
-        report["sub_verdict"]["mode"] = other
+        for key, mode in (("verdict", cfg["nd_mode"]), ("sub_verdict", other)):
+            report[key] = verdicts[mode].to_dict()
+            report[key]["mode"] = mode
     else:
         verdict = uniqueness.uniqueness_1d(op, cfg["lambda_set"], c=cfg["c"])
         report["verdict"] = verdict.to_dict()
 
 
-def _run_entrance(cfg, report):
-    op = _build_operator(cfg)
-    if "d" in cfg["operator"]:
-        raise ConfigError("/operator", "entrance mode takes a 1D operator")
+def _run_entrance(cfg, op, report):
     c = cfg["c"] if cfg["c"] is not None else uniqueness.default_base_point(op)
     fp = quadrature.build_feller(op, c)
     report["entrance"] = {
@@ -162,8 +210,7 @@ def _run_entrance(cfg, report):
     }
 
 
-def _run_fp(cfg, report):
-    op = _build_operator(cfg)
+def _run_fp(cfg, op, report):
     f = cfg["fp"]
     grid = fdsolver.Grid1D(f["window"][0], f["window"][1], int(f["m"]))
     state = _initial_state(f, grid, f["bc"])
@@ -178,19 +225,21 @@ def _run_fp(cfg, report):
     }
 
 
-def _run_fk(cfg, report):
-    op = _build_operator(cfg)
+def _feynman_kac(cfg, op):
+    """The parsed terminal function of the ``fk`` section and its estimate."""
     k = cfg["fk"]
-    from . import expr as ex
     f = ex.parse_expr(k["f"], cfg["operator"].get("var", "x"))
     est = montecarlo.feynman_kac(op, f, k["T"], k["x0"], int(k["n_paths"]),
                                  k["dt"], seed=cfg["seed"],
                                  r_explode=k["r_explode"])
-    report["feynman_kac"] = est.to_dict()
+    return f, est
 
 
-def _run_probe(cfg, report):
-    op = _build_operator(cfg)
+def _run_fk(cfg, op, report):
+    report["feynman_kac"] = _feynman_kac(cfg, op)[1].to_dict()
+
+
+def _run_probe(cfg, op, report):
     p, f = cfg["probe"], cfg["fp"]
     grid = fdsolver.Grid1D(-min(p["windows"]), min(p["windows"]), int(f["m"]))
     u0 = _initial_state(f, grid, fdsolver.REFLECTING)
@@ -202,30 +251,16 @@ def _run_probe(cfg, report):
     report["bc_probe"] = table
 
 
-def _run_xval(cfg, report):
-    _run_classify(cfg, report)
-    _run_probe(cfg, report)
+def _run_xval(cfg, op, report):
+    _run_classify(cfg, op, report)
+    _run_probe(cfg, op, report)
     # MC vs FD agreement at the FK settings
-    op = _build_operator(cfg)
     k, f = cfg["fk"], cfg["fp"]
-    from . import expr as ex
-    fexpr = ex.parse_expr(k["f"], cfg["operator"].get("var", "x"))
-    est = montecarlo.feynman_kac(op, fexpr, k["T"], k["x0"], int(k["n_paths"]),
-                                 k["dt"], seed=cfg["seed"],
-                                 r_explode=k["r_explode"])
+    fexpr, est = _feynman_kac(cfg, op)
     grid = fdsolver.Grid1D(f["window"][0], f["window"][1], int(f["m"]))
-    vals = np.asarray(ex.eval_numpy(fexpr, {cfg["operator"].get("var", "x"):
-                                            grid.centers}), dtype=float)
-    vals = np.broadcast_to(vals, grid.centers.shape).copy()
-    state = fdsolver.FPState(grid, vals, 0.0, fdsolver.ABSORBING)
-    # evolve f backward in distribution sense: evolve the density adjointly is
-    # equivalent here to evaluating the FD semigroup at x0 via a delta start;
-    # instead evolve f under the backward discretization
-    bwd = fdsolver.BackwardDiscretization(op, grid)
-    n_steps = int(round(k["T"] / f["dt"]))
-    fb = vals.copy()
-    for _ in range(n_steps):
-        fb = bwd.step(fb, f["dt"], 0.5)
+    vals = Coefficient.from_expr(fexpr, cfg["operator"].get("var", "x")).array(
+        grid.centers)
+    fb = fdsolver.backward_evolve(op, grid, vals, k["T"], f["dt"])
     fd_value = float(np.interp(k["x0"], grid.centers, fb))
     agree = abs(est.mean - fd_value) <= 3.0 * est.stderr + 5e-3
     report["cross_validation"] = {
@@ -260,7 +295,7 @@ def run(raw_config):
         "version": ver,
         "resolved_config": _jsonable(cfg),
     }
-    _RUNNERS[cfg["mode"]](cfg, report)
+    _RUNNERS[cfg["mode"]](cfg, _build_operator(cfg), report)
     report["wall_clock_s"] = time.perf_counter() - t0
     return report
 
@@ -308,19 +343,24 @@ def main(argv=None):
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if args.lambdas:
+            lambdas = [float(s) for s in args.lambdas.split(",")]
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.mode_default is not None:
-        raw["mode"] = args.mode_default
-    elif raw.get("mode") not in ("classify1d", "classifynd"):
-        raw["mode"] = "classifynd" if "d" in raw.get("operator", {}) else "classify1d"
-    if args.lambdas:
-        raw["lambda_set"] = [float(s) for s in args.lambdas.split(",")]
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out:
-        raw["out"] = args.out
+    if isinstance(raw, dict):  # run() rejects anything else
+        if args.mode_default is not None:
+            raw["mode"] = args.mode_default
+        elif raw.get("mode") not in ("classify1d", "classifynd"):
+            opspec = raw.get("operator")
+            raw["mode"] = ("classifynd" if isinstance(opspec, dict)
+                           and "d" in opspec else "classify1d")
+        if args.lambdas:
+            raw["lambda_set"] = lambdas
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        if args.out:
+            raw["out"] = args.out
 
     try:
         report = run(raw)

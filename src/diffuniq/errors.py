@@ -53,7 +53,3 @@ class ConfigError(DiffuniqError):
     def __init__(self, pointer, message):
         super().__init__(f"{pointer}: {message}")
         self.pointer = pointer
-
-
-class BudgetExceeded(DiffuniqError):
-    """Internal signal: an integration budget ran out (mapped to Inconclusive)."""

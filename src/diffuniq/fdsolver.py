@@ -15,7 +15,7 @@ when positivity is violated) with a tridiagonal solve per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -66,10 +66,6 @@ class FPState:
         return GridFunction(self.grid.centers, self.values)
 
 
-def state_from_callable(grid, f, bc=REFLECTING):
-    return FPState(grid, np.asarray([float(f(x)) for x in grid.centers]), 0.0, bc)
-
-
 def gaussian_state(grid, center=0.0, var=0.1, bc=REFLECTING):
     x = grid.centers
     u = np.exp(-((x - center) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
@@ -113,12 +109,12 @@ class Discretization:
 
         # wall faces
         if bc == REFLECTING:
-            self.w_lo_coeff = 0.0     # G at the lo wall
-            self.w_hi_coeff = 0.0     # G at the hi wall
+            w_lo_coeff = 0.0     # G at the lo wall
+            w_hi_coeff = 0.0     # G at the hi wall
         elif bc == ABSORBING:
             # ghost cell with u = 0 one dx outside each wall
-            self.w_lo_coeff = a_c[0] / dx - b_f[0] * (1.0 - delta[0]) * a_c[0] / a_f[0]
-            self.w_hi_coeff = -a_c[-1] / dx - b_f[-1] * delta[-1] * a_c[-1] / a_f[-1]
+            w_lo_coeff = a_c[0] / dx - b_f[0] * (1.0 - delta[0]) * a_c[0] / a_f[0]
+            w_hi_coeff = -a_c[-1] / dx - b_f[-1] * delta[-1] * a_c[-1] / a_f[-1]
         else:
             raise ValueError(f"unknown boundary condition {bc!r}")
 
@@ -131,22 +127,16 @@ class Discretization:
         upper[:] = self.c_right / dx        # ... of u_{i+1}
         diag[1:] -= self.c_right / dx       # -G_{i-1/2} contribution of u_i
         lower[:] = -self.c_left / dx        # ... of u_{i-1}
-        diag[0] -= self.w_lo_coeff / dx     # -G_{lo} acting on u_0
-        diag[-1] += self.w_hi_coeff / dx    # +G_{hi} acting on u_{m-1}
+        diag[0] -= w_lo_coeff / dx     # -G_{lo} acting on u_0
+        diag[-1] += w_hi_coeff / dx    # +G_{hi} acting on u_{m-1}
         diag -= V_c
         self.diag, self.lower, self.upper = diag, lower, upper
-        self.V_c = V_c
-        self.a_c = a_c
 
     def apply(self, u):
         out = self.diag * u
         out[:-1] += self.upper * u[1:]
         out[1:] += self.lower * u[:-1]
         return out
-
-    def wall_flux(self, u):
-        """(G_lo, G_hi) for the current profile (zero under reflecting walls)."""
-        return self.w_lo_coeff * u[0], self.w_hi_coeff * u[-1]
 
     def step_matrixfree(self, u, dt, theta):
         """One theta step: solve (I - theta dt A) u+ = (I + (1-theta) dt A) u."""
@@ -217,6 +207,16 @@ class BackwardDiscretization:
         return solve_banded((1, 1), ab, rhs)
 
 
+def backward_evolve(op, grid, values, T, dt, theta=0.5):
+    """Evolve grid values of f to time T under the backward discretization
+    (absorbing walls), i.e. approximate the semigroup applied to f."""
+    bwd = BackwardDiscretization(op, grid)
+    f = np.asarray(values, dtype=float)
+    for _ in range(int(round(T / dt))):
+        f = bwd.step(f, dt, theta)
+    return f
+
+
 def duality_check(op, f, g, T, dt, grid=None, theta=0.5):
     """|<forward-evolved g, f> - <g, backward-evolved f>| on a shared grid.
 
@@ -228,20 +228,15 @@ def duality_check(op, f, g, T, dt, grid=None, theta=0.5):
 
     def sample(h):
         if isinstance(h, GridFunction):
-            out = h(x)
-            out = np.where((x < h.x_min) | (x > h.x_max), 0.0, out)
-            return out
+            return h.zero_outside(x)
         return np.asarray([float(h(xi)) for xi in x])
 
     fv, gv = sample(f), sample(g)
     fwd = Discretization(op, grid, ABSORBING)
-    bwd = BackwardDiscretization(op, grid)
-    n_steps = int(round(T / dt))
     gf = gv.copy()
-    fb = fv.copy()
-    for _ in range(n_steps):
+    for _ in range(int(round(T / dt))):
         gf = fwd.step_matrixfree(gf, dt, theta)
-        fb = bwd.step(fb, dt, theta)
+    fb = backward_evolve(op, grid, fv, T, dt, theta)
     pair_fwd = float(np.sum(gf * fv) * grid.dx)
     pair_bwd = float(np.sum(gv * fb) * grid.dx)
     return abs(pair_fwd - pair_bwd)
@@ -281,8 +276,7 @@ def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0,
         grid = Grid1D(center - R, center + R, m)
         x = grid.centers
         core = np.abs(x - center) <= core_radius
-        vals = u0_fn(x)
-        vals = np.where((x < u0_fn.x_min) | (x > u0_fn.x_max), 0.0, vals)
+        vals = u0_fn.zero_outside(x)
         s_abs, _ = fp_solve(op, FPState(grid, vals.copy(), 0.0, ABSORBING), T,
                             dt, record_mass=False)
         s_ref, _ = fp_solve(op, FPState(grid, vals.copy(), 0.0, REFLECTING), T,

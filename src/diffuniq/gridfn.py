@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,8 +12,7 @@ class GridFunction:
     """Values sampled on strictly increasing abscissae.
 
     Evaluation between nodes is linear interpolation; outside the table the
-    nearest value is held (callers that care about extrapolation check
-    ``x_min``/``x_max`` themselves).
+    nearest value is held (``zero_outside`` gives 0 there instead).
     """
 
     xs: np.ndarray
@@ -39,3 +38,6 @@ class GridFunction:
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.values)
+
+    def zero_outside(self, x):
+        return np.where((x < self.x_min) | (x > self.x_max), 0.0, self(x))

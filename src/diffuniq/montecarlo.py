@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .gridfn import GridFunction
-from .operator import Operator1D, OperatorND
+from .operator import Operator1D
 
 R_EXPLODE_DEFAULT = 1e6
 GUARD_BAND = 1e-9  # relative band beyond a finite interval endpoint
@@ -105,10 +105,7 @@ def simulate_path(op, x0, T, dt, seed=0, path_index=0,
 
 def _terminal_function(f):
     if isinstance(f, GridFunction):
-        def g(x):
-            out = f(x)
-            return np.where((x < f.x_min) | (x > f.x_max), 0.0, out)
-        return g
+        return f.zero_outside
     if isinstance(f, str):
         raise TypeError("pass a parsed expression or GridFunction, not text")
     if callable(f) and not isinstance(f, (ex.Num, ex.Var, ex.Neg, ex.BinOp, ex.Call)):
@@ -147,11 +144,11 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
         x = np.full(nb, float(x0))
         alive = np.ones(nb, dtype=bool)
         vint = np.zeros(nb)
-        v_prev = _coef_array(op.V, x)
+        v_prev = op.V.array(x)
         sdt = math.sqrt(dt)
         for k in range(n_steps):
-            bx = _coef_array(op.b, x)
-            ax = _coef_array(op.a, x)
+            bx = op.b.array(x)
+            ax = op.a.array(x)
             x = np.where(alive, x + bx * dt + np.sqrt(2.0 * ax) * sdt * xi[:, k], x)
             out = np.abs(x) > r_explode
             if math.isfinite(op.x0):
@@ -160,7 +157,7 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
                 out |= x > op.y0 + GUARD_BAND * max(1.0, abs(op.y0))
             newly = alive & out
             alive &= ~out
-            v_new = _coef_array(op.V, x)
+            v_new = op.V.array(x)
             vint = np.where(alive, vint + 0.5 * (v_prev + v_new) * dt, vint)
             v_prev = v_new
         w = np.exp(-np.minimum(vint, 700.0))
@@ -173,11 +170,6 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
     var = float(np.sum((contribs - mean) ** 2) / max(1, n_paths - 1))
     stderr = math.sqrt(var / n_paths)
     return FKEstimate(mean, stderr, n_paths, exploded_total / n_paths)
-
-
-def _coef_array(coef, x):
-    vals = coef.array(x)
-    return vals
 
 
 def coupled_radial_comparison(op_nd, beta_fn, x0, T, dt, seed=0, n_paths=100):

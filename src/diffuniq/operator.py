@@ -7,7 +7,7 @@ Intervals use plain floats with ``math.inf`` encoding infinite endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri  # inverse normal CDF, for sphere mapping

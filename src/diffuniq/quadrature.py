@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -169,7 +169,49 @@ class _WindowJudge:
             f"(total so far {self.total:.6g})", windows=len(self.increments))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+class WindowStop(Exception):
+    """Ends a :func:`windowed_verdict` walk early: ``Diverges`` with the
+    message as evidence when ``diverges``, else an out-of-budget
+    ``Inconclusive`` with the message as its reason."""
+
+    def __init__(self, reason, diverges=False):
+        super().__init__(reason)
+        self.diverges = diverges
+
+
+def windowed_verdict(endpoint, anchor, integrate_window, budget=DEFAULT_BUDGET):
+    """Three-valued verdict for an integral from ``anchor`` toward ``endpoint``.
+
+    ``integrate_window(lo, hi)`` is called per window in marching order (so
+    ``lo > hi`` when marching down) and returns ``(increment, err_est)`` or
+    raises :class:`WindowStop`."""
+    n = (budget.n_windows_infinite if math.isinf(endpoint)
+         else budget.n_windows_finite)
+    try:
+        bounds = window_bounds(endpoint, anchor, n)
+    except ValueError as exc:
+        return IntegralVerdict.inconclusive(str(exc))
+
+    judge = _WindowJudge(budget)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        try:
+            inc, err = integrate_window(lo, hi)
+        except WindowStop as stop:
+            if stop.diverges:
+                return IntegralVerdict.diverges(
+                    str(stop), windows=len(judge.increments) + 1)
+            return judge.out_of_budget(str(stop))
+        if not math.isfinite(inc):
+            return IntegralVerdict.diverges(
+                "integrand overflowed inside a window",
+                windows=len(judge.increments) + 1)
+        verdict = judge.feed(inc, err)
+        if verdict is not None:
+            return verdict
+    return judge.out_of_budget()
+
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def gauss_window(f, lo, hi, max_panels=64, rel_tol=1e-12):
@@ -182,8 +224,8 @@ def gauss_window(f, lo, hi, max_panels=64, rel_tol=1e-12):
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            ys = f(mid + half * _GL_NODES)
-            total += half * float(np.dot(_GL_WEIGHTS, ys))
+            ys = f(mid + half * GL_NODES)
+            total += half * float(np.dot(GL_WEIGHTS, ys))
         if not math.isfinite(total):
             return total, math.inf
         if prev is not None:
@@ -197,29 +239,15 @@ def gauss_window(f, lo, hi, max_panels=64, rel_tol=1e-12):
 def improper_integral(f, endpoint, anchor, budget=DEFAULT_BUDGET):
     """Three-valued verdict for the integral of a nonnegative ``f`` from
     ``anchor`` toward ``endpoint`` (finite or infinite)."""
-    n = (budget.n_windows_infinite if math.isinf(endpoint)
-         else budget.n_windows_finite)
-    try:
-        bounds = window_bounds(endpoint, anchor, n)
-    except ValueError as exc:
-        return IntegralVerdict.inconclusive(str(exc))
-
     fv = np.vectorize(f, otypes=[float])
-    judge = _WindowJudge(budget)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        a, b = (lo, hi) if lo <= hi else (hi, lo)
+
+    def window(lo, hi):
         try:
-            inc, err = gauss_window(fv, a, b)
+            return gauss_window(fv, min(lo, hi), max(lo, hi))
         except DomainError as exc:
-            return judge.out_of_budget(f"integrand evaluation failed: {exc}")
-        if not math.isfinite(inc):
-            return IntegralVerdict.diverges(
-                "integrand overflowed inside a window",
-                windows=len(judge.increments) + 1)
-        verdict = judge.feed(inc, err)
-        if verdict is not None:
-            return verdict
-    return judge.out_of_budget()
+            raise WindowStop(f"integrand evaluation failed: {exc}") from exc
+
+    return windowed_verdict(endpoint, anchor, window, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +312,6 @@ class FellerPair:
     def rho(self, x):
         a = self.op.a(x)
         return math.exp(self.log_alpha(x)) / a
-
-    def log_rho(self, x):
-        return self.log_alpha(x) - math.log(self.op.a(x))
 
     def log_alpha_array(self, xs):
         """L on a sorted array, chaining quadrature between neighbours."""

@@ -11,19 +11,23 @@ code marches the equivalent linear system in the flux variables
 which needs no derivative of a, stays finite whenever the integrand
 rho u = h / a does, and is solved implicitly (stiff-safe) for strong
 drifts.  The truncated series is kept as an independent cross-check.
+
+Both integral tests share one march (``_March``, BDF window by window up
+to an overflow guard) judged by ``quadrature.windowed_verdict``: the
+endpoint test integrates h / a, the entrance test (V = 0) marches (L, K, g)
+and integrates g / a.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
 
 from . import quadrature as qd
 from .errors import DomainError, ValidationError
-from .gridfn import GridFunction
 from .operator import Coefficient, Operator1D, RadialBound, SAMPLED, as_coefficient, make_operator_1d
 from . import expr as ex
 
@@ -99,58 +103,54 @@ class MonotoneSolution:
     def u(self):
         return np.exp(self.log_u)
 
-    def grid_function(self):
-        order = np.argsort(self.xs)
-        return GridFunction(self.xs[order], np.exp(self.log_u[order]))
 
+class _March:
+    """Incremental stiff-safe BDF march of y' = rhs(x, y) away from the base
+    point, stopped early when a ``guarded`` component reaches the guard."""
 
-class _FluxMarch:
-    """Incremental stiff-safe integration of (h, W) away from the base point."""
-
-    def __init__(self, op, lam, c, extra_potential=None):
-        self.op = op
-        self.lam = lam
-        self.x_last = c
-        self.y_last = np.array([1.0, 0.0])  # h(c)=alpha(c)u(c)=1, W(c)=0
-        self.guard_tripped = False
+    def __init__(self, rhs, jac, x, y, guarded):
+        self.rhs, self.jac, self.guarded = rhs, jac, guarded
+        self.x_last = x
+        self.y_last = np.asarray(y, dtype=float)
         self.failed = None
 
-    def _rhs(self, x, y):
-        a = self.op.a(x)
-        r = self.op.b(x) / a
-        s = (self.lam + self.op.V(x)) / a
-        return [r * y[0] + y[1], s * y[0]]
-
-    def _jac(self, x, y):
-        a = self.op.a(x)
-        return [[self.op.b(x) / a, 1.0], [(self.lam + self.op.V(x)) / a, 0.0]]
+    def _guard(self, x, y):
+        return _OVERFLOW_GUARD - max(abs(y[i]) for i in self.guarded)
+    _guard.terminal = True
+    _guard.direction = -1
 
     def advance(self, x_to):
-        """March to x_to; returns a dense solution segment or None on guard/failure."""
-        if self.guard_tripped or self.failed:
-            return None
-
-        def guard(x, y):
-            return _OVERFLOW_GUARD - max(abs(y[0]), abs(y[1]))
-        guard.terminal = True
-        guard.direction = -1
-
+        """March to x_to; returns the dense solution segment, which ends
+        early with ``status == 1`` when the guard fired, or None on failure
+        (the reason is left in ``failed``)."""
         try:
-            sol = solve_ivp(self._rhs, (self.x_last, x_to), self.y_last,
-                            method="BDF", jac=self._jac, dense_output=True,
-                            rtol=1e-10, atol=1e-14, events=guard)
+            sol = solve_ivp(self.rhs, (self.x_last, x_to), self.y_last,
+                            method="BDF", jac=self.jac, dense_output=True,
+                            rtol=1e-10, atol=1e-14, events=self._guard)
         except (DomainError, OverflowError) as exc:
             self.failed = str(exc)
             return None
-        if sol.status == 1:  # guard event
-            self.guard_tripped = True
-            return sol
         if not sol.success:
             self.failed = sol.message
             return None
         self.x_last = x_to
         self.y_last = sol.y[:, -1]
         return sol
+
+
+def _flux_march(op, lam, c):
+    """(h, W) = (alpha u, alpha u') from h(c) = 1, W(c) = 0."""
+    def rhs(x, y):
+        a = op.a(x)
+        r = op.b(x) / a
+        s = (lam + op.V(x)) / a
+        return [r * y[0] + y[1], s * y[0]]
+
+    def jac(x, y):
+        a = op.a(x)
+        return [[op.b(x) / a, 1.0], [(lam + op.V(x)) / a, 0.0]]
+
+    return _March(rhs, jac, c, [1.0, 0.0], guarded=(0, 1))
 
 
 def monotone_solution(op, fp, lam, direction, span=None, x_end=None, n_grid=513):
@@ -163,11 +163,11 @@ def monotone_solution(op, fp, lam, direction, span=None, x_end=None, n_grid=513)
         if span is None:
             span = 1.0
         x_end = c + sgn * span
-    march = _FluxMarch(op, lam, c)
+    march = _flux_march(op, lam, c)
     sol = march.advance(x_end)
-    truncated = march.guard_tripped or march.failed is not None
     if sol is None:
         raise DomainError(f"monotone solution march failed: {march.failed}")
+    truncated = sol.status == 1
     hi = sol.t[-1] if truncated else x_end
     xs = np.linspace(c, hi, n_grid)
     y = sol.sol(xs)
@@ -181,66 +181,44 @@ def monotone_solution(op, fp, lam, direction, span=None, x_end=None, n_grid=513)
 # ---------------------------------------------------------------------------
 # endpoint conditions
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+def _march_verdict(op, fp, endpoint, march, component, guard_evidence, budget):
+    """Windowed verdict on the integral of ``y[component] / a`` toward
+    ``endpoint``: per window, 32-point Gauss-Legendre on the dense segment
+    with a split-in-two refinement as the error estimate.  A fired guard
+    certifies divergence with ``guard_evidence`` (formatted with ``x``)."""
+    def window(lo, hi):
+        sol = march.advance(hi)
+        if sol is None:
+            raise qd.WindowStop(
+                f"ODE march failed ({march.failed}); domain truncated")
+        if sol.status == 1:
+            raise qd.WindowStop(guard_evidence.format(x=sol.t[-1]),
+                                diverges=True)
 
+        def gl(a, b):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            xs = mid + half * qd.GL_NODES
+            return half * float(np.dot(qd.GL_WEIGHTS,
+                                       sol.sol(xs)[component] / op.a.array(xs)))
+        a, b = min(lo, hi), max(lo, hi)
+        mid = 0.5 * (a + b)
+        fine = gl(a, mid) + gl(mid, b)
+        return fine, abs(fine - gl(a, b))
 
-def _window_increment(segment_eval, a_coeff, lo, hi):
-    """Integral of h/a over [lo, hi] using a dense ODE segment (32-pt GL,
-    with a split-in-two refinement as the error estimate)."""
-    def one(lo_, hi_):
-        mid, half = 0.5 * (lo_ + hi_), 0.5 * (hi_ - lo_)
-        xs = mid + half * _GL_NODES
-        hv = segment_eval(xs)
-        av = a_coeff.array(xs)
-        return half * float(np.dot(_GL_WEIGHTS, hv / av))
-    coarse = one(lo, hi)
-    mid = 0.5 * (lo + hi)
-    fine = one(lo, mid) + one(mid, hi)
-    return fine, abs(fine - coarse)
+    return qd.windowed_verdict(endpoint, fp.c, window, budget)
 
 
 def endpoint_condition(op, fp, lam, endpoint, budget=qd.DEFAULT_BUDGET):
     """Verdict on divergence of the integral of rho * u toward ``endpoint``,
     u being the monotone solution marched from the base point."""
-    c = fp.c
-    if endpoint == op.y0:
-        n = (budget.n_windows_infinite if math.isinf(op.y0)
-             else budget.n_windows_finite)
-    elif endpoint == op.x0:
-        n = (budget.n_windows_infinite if math.isinf(op.x0)
-             else budget.n_windows_finite)
-    else:
+    if endpoint not in (op.x0, op.y0):
         raise ValueError(f"{endpoint!r} is not an endpoint of the operator")
-    try:
-        bounds = qd.window_bounds(endpoint, c, n)
-    except ValueError as exc:
-        return qd.IntegralVerdict.inconclusive(str(exc))
-
-    march = _FluxMarch(op, lam, c)
-    judge = qd._WindowJudge(budget)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sol = march.advance(hi)
-        if sol is None:
-            return judge.out_of_budget(
-                f"ODE march failed ({march.failed}); domain truncated")
-        seg_hi = sol.t[-1]
-        a, b = (lo, seg_hi) if lo <= seg_hi else (seg_hi, lo)
-        inc, err = _window_increment(lambda xs: sol.sol(xs)[0], op.a, a, b)
-        if march.guard_tripped:
-            # W = integral of rho (lam+V) u >= lam * integral of rho u, so a
-            # flux beyond the guard already certifies divergence
-            return qd.IntegralVerdict.diverges(
-                f"flux exceeded {_OVERFLOW_GUARD:g} at x={seg_hi:.6g} "
-                "(integral of rho*u dominated from below)",
-                windows=len(judge.increments) + 1)
-        if not math.isfinite(inc):
-            return qd.IntegralVerdict.diverges(
-                "integrand overflowed inside a window",
-                windows=len(judge.increments) + 1)
-        verdict = judge.feed(inc, err)
-        if verdict is not None:
-            return verdict
-    return judge.out_of_budget()
+    # W = integral of rho (lam+V) u >= lam * integral of rho u, so a flux
+    # beyond the guard already certifies divergence
+    return _march_verdict(
+        op, fp, endpoint, _flux_march(op, lam, fp.c), 0,
+        f"flux exceeded {_OVERFLOW_GUARD:g} at x={{x:.6g}} "
+        "(integral of rho*u dominated from below)", budget)
 
 
 def entrance_test(op, fp, endpoint, budget=qd.DEFAULT_BUDGET,
@@ -262,12 +240,6 @@ def entrance_test(op, fp, endpoint, budget=qd.DEFAULT_BUDGET,
             raise ValidationError(ValidationError.NONZERO_POTENTIAL, float(x),
                                   "entrance test requires V identically zero")
 
-    n = budget.n_windows_infinite if math.isinf(endpoint) else budget.n_windows_finite
-    try:
-        bounds = qd.window_bounds(endpoint, c, n)
-    except ValueError as exc:
-        return qd.IntegralVerdict.inconclusive(str(exc))
-
     def rhs(x, y):
         L, K, g = y
         a = op.a(x)
@@ -281,38 +253,13 @@ def entrance_test(op, fp, endpoint, budget=qd.DEFAULT_BUDGET,
         rho = math.exp(min(y[0], 700.0)) / a
         return [[0.0, 0.0, 0.0], [sgn * rho, 0.0, 0.0], [0.0, sgn, r]]
 
-    def guard(x, y):
-        return _OVERFLOW_GUARD - max(abs(y[1]), abs(y[2]))
-    guard.terminal = True
-    guard.direction = -1
-
-    y = np.array([0.0, 0.0, 0.0])
-    x_last = c
-    judge = qd._WindowJudge(budget)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sol = solve_ivp(rhs, (x_last, hi), y, method="BDF", jac=jac,
-                        dense_output=True, rtol=1e-10, atol=1e-14,
-                        events=guard)
-        if sol.status == 1:
-            # K = int rho beyond the guard: since J is positive and
-            # nondecreasing past any interior point, int rho J diverges with it
-            return qd.IntegralVerdict.diverges(
-                f"speed-measure integral exceeded {_OVERFLOW_GUARD:g} "
-                f"at x={sol.t[-1]:.6g}", windows=len(judge.increments) + 1)
-        if not sol.success:
-            return judge.out_of_budget(f"ODE march failed ({sol.message})")
-        x_last = hi
-        y = sol.y[:, -1]
-        a, b = (lo, hi) if lo <= hi else (hi, lo)
-        inc, err = _window_increment(lambda xs: sol.sol(xs)[2], op.a, a, b)
-        if not math.isfinite(inc):
-            return qd.IntegralVerdict.diverges(
-                "integrand overflowed inside a window",
-                windows=len(judge.increments) + 1)
-        verdict = judge.feed(inc, err)
-        if verdict is not None:
-            return verdict
-    return judge.out_of_budget()
+    # K = int rho beyond the guard: since J is positive and nondecreasing
+    # past any interior point, int rho J diverges with it
+    march = _March(rhs, jac, c, [0.0, 0.0, 0.0], guarded=(1, 2))
+    return _march_verdict(
+        op, fp, endpoint, march, 2,
+        f"speed-measure integral exceeded {_OVERFLOW_GUARD:g} at x={{x:.6g}}",
+        budget)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +371,14 @@ def radial_reduce(beta: RadialBound, d, V):
     return op
 
 
-def uniqueness_nd(op_nd, lam_set=(0.5, 1.0, 2.0), mode=PROOF_FAITHFUL,
-                  r_grid=None, n_dirs=None, seed=0, budget=qd.DEFAULT_BUDGET):
-    """Sufficiency verdict for the multidimensional operator via the radial
-    comparison.  ProofFaithful uses only divergence of the upper-endpoint
-    integral (what the comparison argument consumes); StrictTheorem demands
-    the literal full 1D classification on (0, inf).  Never asserts NotUnique.
+def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), r_grid=None, n_dirs=None,
+                seed=0, budget=qd.DEFAULT_BUDGET):
+    """Both multidimensional verdicts, ``{mode: Verdict}``, from one radial
+    bound and one 1D classification of the comparison operator on (0, inf).
+
+    ProofFaithful uses only the upper-endpoint records (what the comparison
+    argument consumes); StrictTheorem demands the full 1D classification.
+    Neither asserts NotUnique.
     """
     from .operator import radial_bound
 
@@ -438,7 +387,7 @@ def uniqueness_nd(op_nd, lam_set=(0.5, 1.0, 2.0), mode=PROOF_FAITHFUL,
     rb = radial_bound(op_nd, r_grid, n_dirs=n_dirs, seed=seed)
     op1 = radial_reduce(rb, op_nd.d, op_nd.V)
     c = 1.0
-    fp = qd.build_feller(op1, c)
+    v1 = uniqueness_1d(op1, lam_set, c=c, budget=budget)
 
     diagnostics = []
     if op1.tail_extended:
@@ -446,27 +395,17 @@ def uniqueness_nd(op_nd, lam_set=(0.5, 1.0, 2.0), mode=PROOF_FAITHFUL,
             f"sampled radial bound held constant beyond r={rb.r_max:g}; "
             "verdicts leaning on that tail carry extra risk")
 
-    if mode == PROOF_FAITHFUL:
-        records = []
-        all_diverge = True
-        for lam in lam_set:
-            v = endpoint_condition(op1, fp, lam, math.inf, budget)
-            records.append((lam, "upper", v))
-            all_diverge = all_diverge and v.is_diverges
-        kind = UNIQUE if all_diverge else INCONCLUSIVE
-        if kind == INCONCLUSIVE:
-            diagnostics.append(
-                "comparison integral did not certify divergence at infinity; "
-                "the sufficiency theorem is one-directional, so nothing follows")
-        return Verdict(kind, tuple(records), tuple(lam_set), c,
-                       tuple(diagnostics))
+    upper = tuple(rec for rec in v1.per_endpoint if rec[1] == "upper")
+    proof_diag = list(diagnostics)
+    if all(v.is_diverges for _, _, v in upper):
+        proof_kind = UNIQUE
+    else:
+        proof_kind = INCONCLUSIVE
+        proof_diag.append(
+            "comparison integral did not certify divergence at infinity; "
+            "the sufficiency theorem is one-directional, so nothing follows")
+    proof = Verdict(proof_kind, upper, v1.lambdas, c, tuple(proof_diag))
 
-    if mode != STRICT_THEOREM:
-        raise ValueError(f"unknown mode {mode!r}")
-    v1 = uniqueness_1d(op1, lam_set, c=c, budget=budget)
-    if v1.kind == UNIQUE:
-        return Verdict(UNIQUE, v1.per_endpoint, v1.lambdas, c,
-                       tuple(diagnostics) + v1.diagnostics)
     if v1.kind == NOT_UNIQUE:
         lower_conv = any(which == "lower" and v.is_converges
                          for _, which, v in v1.per_endpoint)
@@ -475,5 +414,16 @@ def uniqueness_nd(op_nd, lam_set=(0.5, 1.0, 2.0), mode=PROOF_FAITHFUL,
                                "hypothesis fails at the origin")
         diagnostics.append("1D comparison operator is not unique on (0, inf); "
                            "the ND theorem still proves nothing")
-    return Verdict(INCONCLUSIVE, v1.per_endpoint, v1.lambdas, c,
-                   tuple(diagnostics) + v1.diagnostics)
+    strict = Verdict(UNIQUE if v1.kind == UNIQUE else INCONCLUSIVE,
+                     v1.per_endpoint, v1.lambdas, c,
+                     tuple(diagnostics) + v1.diagnostics)
+    return {PROOF_FAITHFUL: proof, STRICT_THEOREM: strict}
+
+
+def uniqueness_nd(op_nd, lam_set=(0.5, 1.0, 2.0), mode=PROOF_FAITHFUL,
+                  r_grid=None, n_dirs=None, seed=0, budget=qd.DEFAULT_BUDGET):
+    """Sufficiency verdict for the multidimensional operator via the radial
+    comparison, under ``mode`` (see :func:`nd_verdicts`)."""
+    if mode not in (PROOF_FAITHFUL, STRICT_THEOREM):
+        raise ValueError(f"unknown mode {mode!r}")
+    return nd_verdicts(op_nd, lam_set, r_grid, n_dirs, seed, budget)[mode]

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from diffuniq import cli
+from diffuniq import cli, operator, uniqueness
 from diffuniq.errors import ConfigError
 
 
@@ -129,3 +129,40 @@ def test_classify_dispatches_nd(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"]["mode"] == "ProofFaithful"
     assert "sub_verdict" in rep
+
+
+def test_classifynd_makes_one_radial_pass(monkeypatch):
+    calls = {"radial_bound": 0, "endpoint_condition": 0}
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(operator, "radial_bound")
+    counted(uniqueness, "endpoint_condition")
+    rep = cli.run({"mode": "classifynd", "lambda_set": [1.0],
+                   "operator": {"d": 3, "b": ["-x1", "-x2", "-x3"],
+                                "V": "0", "beta": "-r"}})
+    assert rep["verdict"]["kind"] == "Unique"
+    assert rep["sub_verdict"]["mode"] == "StrictTheorem"
+    assert calls == {"radial_bound": 1, "endpoint_condition": 2}
+
+
+@pytest.mark.parametrize("command, config, args", [
+    ("classify", [ou_config()], []),
+    ("classify", ou_config(), ["--lambda", "abc"]),
+    ("fk", ou_config(fk={"n_paths": 10}), []),
+    ("fp", ou_config(fp={"m": "x"}), []),
+    ("xval", ou_config(probe={"windows": []}), []),
+    ("fp", ou_config(fp={"dt": -1}), []),
+], ids=["array-config", "lambda-abc", "fk-n_paths", "fp-m", "probe-windows",
+        "fp-dt"])
+def test_malformed_input_exits_2(tmp_path, capsys, command, config, args):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)] + args) == 2
+    assert "config error" in capsys.readouterr().err

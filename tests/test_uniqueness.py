@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from diffuniq import quadrature as Q, uniqueness as U
-from diffuniq.errors import ValidationError
-from diffuniq.operator import make_operator_1d, make_operator_nd
+from diffuniq.errors import DomainError, ValidationError
+from diffuniq.operator import (Coefficient, Operator1D, make_operator_1d,
+                               make_operator_nd)
 
 INF = math.inf
 
@@ -190,6 +191,22 @@ def test_entrance_agrees_with_uniqueness_for_v0():
         no_entrance = (U.entrance_test(op, fp, -INF).is_diverges
                        and U.entrance_test(op, fp, INF).is_diverges)
         assert no_entrance == unique
+
+
+def test_march_domain_error_is_inconclusive():
+    # a leaves its domain past x = 5, inside the third window toward +inf;
+    # built directly because validation would reject it
+    def a(x):
+        if x > 5.0:
+            raise DomainError(f"a undefined at {x}")
+        return 0.5
+    zero = Coefficient(lambda x: 0.0)
+    op = Operator1D(Coefficient(a), zero, zero, -INF, INF)
+    fp = Q.build_feller(op, 0.0)
+    for v in (U.entrance_test(op, fp, INF),
+              U.endpoint_condition(op, fp, 1.0, INF)):
+        assert v.is_inconclusive
+        assert "ODE march failed" in v.evidence
 
 
 # base point defaults -------------------------------------------------------
