@@ -164,6 +164,15 @@ def resolve_config(raw):
     for section in ("fp", "fk"):
         if cfg[section]["dt"] > cfg[section]["T"]:
             raise ConfigError(f"/{section}/dt", "time step exceeds the run time T")
+    if mode == "xval":  # fp.dt also steps the FD cross-check and the probe
+        for section in ("fk", "probe"):
+            if cfg["fp"]["dt"] > cfg[section]["T"]:
+                raise ConfigError("/fp/dt", f"time step exceeds /{section}/T")
+        try:
+            fdsolver.probe_windows(cfg["probe"]["windows"],
+                                   cfg["probe"]["core_radius"])
+        except ValueError as exc:
+            raise ConfigError("/probe/core_radius", str(exc)) from None
     return cfg
 
 

@@ -242,6 +242,26 @@ def duality_check(op, f, g, T, dt, grid=None, theta=0.5):
     return abs(pair_fwd - pair_bwd)
 
 
+def probe_windows(windows, core_radius, dx=None, center=0.0):
+    """The grid of each probe window [center - R, center + R], cells about
+    ``dx`` wide (default: 1/800 of the widest window), and the mask of its
+    core cells |x - center| <= core_radius.  Raises ``ValueError`` when a
+    core holds no cell centre, i.e. core_radius is below half a cell."""
+    if dx is None:
+        dx = (2.0 * max(windows)) / 800.0
+    out = []
+    for R in windows:
+        grid = Grid1D(center - R, center + R, max(16, int(round(2.0 * R / dx))))
+        core = np.abs(grid.centers - center) <= core_radius
+        if not core.any():
+            raise ValueError(
+                f"core_radius {core_radius:g} holds no cell of the window "
+                f"R={R:g} (cell width {grid.dx:.3g}); it must be at least "
+                "half a cell")
+        out.append((grid, core))
+    return out
+
+
 def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0,
                          dx=None, center=None):
     """Boundary inflow into the core region vs truncation radius.
@@ -263,27 +283,24 @@ def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0,
     ``sup_differences`` is a diagnostic that does not decide the label: the
     sup over the core of |absorbing - reflecting| at time T for the solution
     started from u0, i.e. whether interior mass reaches the walls.
+
+    The window grids come from :func:`probe_windows`, which raises
+    ``ValueError`` before any solve when a core holds no cell.
     """
     if center is None:
         center = 0.0
-    if dx is None:
-        dx = (2.0 * max(windows)) / 800.0
     u0_fn = u0.grid_function() if isinstance(u0, FPState) else u0
 
     sups, core_masses = [], []
-    for R in windows:
-        m = max(16, int(round(2.0 * R / dx)))
-        grid = Grid1D(center - R, center + R, m)
-        x = grid.centers
-        core = np.abs(x - center) <= core_radius
-        vals = u0_fn.zero_outside(x)
+    for grid, core in probe_windows(windows, core_radius, dx, center):
+        vals = u0_fn.zero_outside(grid.centers)
         s_abs, _ = fp_solve(op, FPState(grid, vals.copy(), 0.0, ABSORBING), T,
                             dt, record_mass=False)
         s_ref, _ = fp_solve(op, FPState(grid, vals.copy(), 0.0, REFLECTING), T,
                             dt, record_mass=False)
         sups.append(float(np.max(np.abs(s_abs.values - s_ref.values)[core])))
 
-        inflow = np.zeros(m)
+        inflow = np.zeros(grid.m)
         inflow[[0, -1]] = 0.5 / grid.dx
         s_in, _ = fp_solve(op, FPState(grid, inflow, 0.0, REFLECTING), T, dt,
                            record_mass=False)

@@ -26,6 +26,7 @@ class IntegralVerdict:
     err: float | None = None
     evidence: str = ""
     windows_used: int = 0
+    rhs_evals: int = 0  # ODE right-hand-side evaluations behind the verdict
 
     @classmethod
     def converges(cls, value, err, evidence="", windows=0):
@@ -53,7 +54,8 @@ class IntegralVerdict:
 
     def to_dict(self):
         return {"kind": self.kind, "value": self.value, "err": self.err,
-                "evidence": self.evidence, "windows_used": self.windows_used}
+                "evidence": self.evidence, "windows_used": self.windows_used,
+                "rhs_evals": self.rhs_evals}
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,8 @@ def windowed_verdict(endpoint, anchor, integrate_window, budget=DEFAULT_BUDGET):
 
     ``integrate_window(lo, hi)`` is called per window in marching order (so
     ``lo > hi`` when marching down) and returns ``(increment, err_est)`` or
-    raises :class:`WindowStop`."""
+    raises :class:`WindowStop`.  An infinite increment (overflow) ends
+    ``Diverges``; a NaN one ends ``Inconclusive``, as it bounds nothing."""
     n = (budget.n_windows_infinite if math.isinf(endpoint)
          else budget.n_windows_finite)
     try:
@@ -201,6 +204,8 @@ def windowed_verdict(endpoint, anchor, integrate_window, budget=DEFAULT_BUDGET):
                 return IntegralVerdict.diverges(
                     str(stop), windows=len(judge.increments) + 1)
             return judge.out_of_budget(str(stop))
+        if math.isnan(inc):
+            return judge.out_of_budget("integrand undefined (NaN) inside a window")
         if not math.isfinite(inc):
             return IntegralVerdict.diverges(
                 "integrand overflowed inside a window",

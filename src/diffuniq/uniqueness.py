@@ -1,27 +1,41 @@
 """Uniqueness classification for 1D operators and the radial reduction.
 
 The decisive identity: the series sum(phi_n) equals the solution u of
-(alpha u')' = rho (lambda + V) u with u(c) = 1, (alpha u')(c) = 0.  The
-code marches the equivalent linear system in the flux variables
+(alpha u')' = rho (lambda + V) u with u(c) = 1, (alpha u')(c) = 0.  In the
+flux variables h = alpha u, W = alpha u' that is the linear system
 
-    h = alpha u,   W = alpha u'
-    h' = (b/a) h + W
-    W' = (lambda + V) h / a
+    h' = p h + W,   W' = q h,      p = b/a,  q = (lambda + V)/a,
 
-which needs no derivative of a, stays finite whenever the integrand
-rho u = h / a does, and is solved implicitly (stiff-safe) for strong
+which needs no derivative of a.  Its solution grows like exp(x^4) on rows
+such as b = -x^3, V = x^6, so the code marches the Liouville-Green scaled
+state (h_hat, W_hat, sigma) with (h, W) = e^sigma (h_hat, W_hat):
+
+    mu = (p + s sqrt(p^2 + 4q)) / 2      (s = +1 marching up, -1 down)
+    h_hat' = (p - mu) h_hat + W_hat
+    W_hat' = q h_hat - mu W_hat
+    sigma' = mu
+
+mu is the eigenvalue of the frozen matrix [[p, 1], [q, 0]] that grows in the
+marching direction, so the exponential factor lives in sigma and h_hat,
+W_hat stay of polynomial size.  The system keeps the flux system's
+conditioning and is solved implicitly (BDF, analytic Jacobian) for strong
 drifts.  The truncated series is kept as an independent cross-check.
 
-Both integral tests share one march (``_March``, BDF window by window up
-to an overflow guard) judged by ``quadrature.windowed_verdict``: the
-endpoint test integrates h / a, the entrance test (V = 0) marches (L, K, g)
-and integrates g / a.
+Both integral tests share one march (``_March``, BDF window by window) and
+one window helper (``_march_verdict``), which integrates a log-integrand
+with Gauss-Legendre sums taken in log space and hands the increments to
+``quadrature.windowed_verdict``.  Once the log of the running sum passes
+log(cum_cap) the walk ends ``Diverges``: a true lower bound on a positive
+integrand.  The endpoint test integrates rho u = exp(sigma + log h_hat -
+log a) and needs no overflow guard.  The entrance test (V = 0) marches
+(L, K, g), integrates g / a, and keeps a guard on K and g: K = int rho
+beyond it already forces the iterated integral to diverge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
@@ -98,7 +112,6 @@ class MonotoneSolution:
     xs: np.ndarray
     log_u: np.ndarray
     ratio: np.ndarray  # u'/u at the nodes
-    truncated: bool = False
 
     def u(self):
         return np.exp(self.log_u)
@@ -106,13 +119,15 @@ class MonotoneSolution:
 
 class _March:
     """Incremental stiff-safe BDF march of y' = rhs(x, y) away from the base
-    point, stopped early when a ``guarded`` component reaches the guard."""
+    point, stopped early when a ``guarded`` component reaches the guard.
+    ``nfev`` counts the right-hand-side evaluations of all segments."""
 
-    def __init__(self, rhs, jac, x, y, guarded):
+    def __init__(self, rhs, jac, x, y, guarded=()):
         self.rhs, self.jac, self.guarded = rhs, jac, guarded
         self.x_last = x
         self.y_last = np.asarray(y, dtype=float)
         self.failed = None
+        self.nfev = 0
 
     def _guard(self, x, y):
         return _OVERFLOW_GUARD - max(abs(y[i]) for i in self.guarded)
@@ -126,10 +141,12 @@ class _March:
         try:
             sol = solve_ivp(self.rhs, (self.x_last, x_to), self.y_last,
                             method="BDF", jac=self.jac, dense_output=True,
-                            rtol=1e-10, atol=1e-14, events=self._guard)
+                            rtol=1e-10, atol=1e-14,
+                            events=self._guard if self.guarded else None)
         except (DomainError, OverflowError) as exc:
             self.failed = str(exc)
             return None
+        self.nfev += sol.nfev
         if not sol.success:
             self.failed = sol.message
             return None
@@ -138,19 +155,42 @@ class _March:
         return sol
 
 
-def _flux_march(op, lam, c):
-    """(h, W) = (alpha u, alpha u') from h(c) = 1, W(c) = 0."""
-    def rhs(x, y):
+def _scaled_march(op, lam, c, toward_upper):
+    """(h_hat, W_hat, sigma) with (alpha u, alpha u') = e^sigma (h_hat, W_hat),
+    from u(c) = 1, (alpha u')(c) = 0; sigma' = mu is the eigenvalue of the
+    frozen flux matrix [[p, 1], [q, 0]] that grows in the marching direction
+    (p = b/a, q = (lambda+V)/a).  Any smooth mu keeps the transform exact;
+    this one leaves h_hat and W_hat of polynomial size."""
+    s = 1.0 if toward_upper else -1.0
+
+    def coeffs(x):
         a = op.a(x)
-        r = op.b(x) / a
-        s = (lam + op.V(x)) / a
-        return [r * y[0] + y[1], s * y[0]]
+        p = op.b(x) / a
+        q = (lam + op.V(x)) / a
+        root = s * math.hypot(p, 2.0 * math.sqrt(max(q, 0.0)))
+        # the two roots multiply to -q: take the sum without cancellation
+        mu = 0.5 * (p + root) if s * p >= 0.0 else 2.0 * q / (root - p)
+        return p, q, mu
+
+    def rhs(x, y):
+        p, q, mu = coeffs(x)
+        return [(p - mu) * y[0] + y[1], q * y[0] - mu * y[1], mu]
 
     def jac(x, y):
-        a = op.a(x)
-        return [[op.b(x) / a, 1.0], [(lam + op.V(x)) / a, 0.0]]
+        p, q, mu = coeffs(x)
+        return [[p - mu, 1.0, 0.0], [q, -mu, 0.0], [0.0, 0.0, 0.0]]
 
-    return _March(rhs, jac, c, [1.0, 0.0], guarded=(0, 1))
+    return _March(rhs, jac, c, [1.0, 0.0, 0.0])
+
+
+def _log_rho_u(op):
+    """log(rho u) = sigma + log h_hat - log a on the scaled state; NaN where
+    h_hat <= 0, which the exact solution never reaches."""
+    def log_integrand(y, xs):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            log_h = np.where(y[0] > 0.0, np.log(y[0]), np.nan)
+        return y[2] + log_h - np.log(op.a.array(xs))
+    return log_integrand
 
 
 def monotone_solution(op, fp, lam, direction, span=None, x_end=None, n_grid=513):
@@ -163,30 +203,40 @@ def monotone_solution(op, fp, lam, direction, span=None, x_end=None, n_grid=513)
         if span is None:
             span = 1.0
         x_end = c + sgn * span
-    march = _flux_march(op, lam, c)
+    march = _scaled_march(op, lam, c, direction == TOWARD_UPPER)
     sol = march.advance(x_end)
     if sol is None:
         raise DomainError(f"monotone solution march failed: {march.failed}")
-    truncated = sol.status == 1
-    hi = sol.t[-1] if truncated else x_end
-    xs = np.linspace(c, hi, n_grid)
-    y = sol.sol(xs)
-    h, W = y[0], y[1]
-    L = fp.log_alpha_array(xs)
-    log_u = np.log(np.maximum(h, 1e-300)) - L
-    ratio = W / h
-    return MonotoneSolution(direction, lam, xs, log_u, ratio, truncated)
+    xs = np.linspace(c, x_end, n_grid)
+    h_hat, W_hat, sigma = sol.sol(xs)
+    if not np.all(h_hat > 0.0):
+        raise DomainError("monotone solution march lost positivity")
+    log_u = sigma + np.log(h_hat) - fp.log_alpha_array(xs)
+    return MonotoneSolution(direction, lam, xs, log_u, W_hat / h_hat)
 
 
 # ---------------------------------------------------------------------------
 # endpoint conditions
 
-def _march_verdict(op, fp, endpoint, march, component, guard_evidence, budget):
-    """Windowed verdict on the integral of ``y[component] / a`` toward
-    ``endpoint``: per window, 32-point Gauss-Legendre on the dense segment
-    with a split-in-two refinement as the error estimate.  A fired guard
-    certifies divergence with ``guard_evidence`` (formatted with ``x``)."""
+_LOG_GL_WEIGHTS = np.log(qd.GL_WEIGHTS)
+
+
+def _march_verdict(endpoint, anchor, march, log_integrand, budget,
+                   guard_evidence=None):
+    """Windowed verdict on the integral of exp(log_integrand(y, xs)) toward
+    ``endpoint``, y being the dense march solution at the nodes xs: per
+    window, 32-point Gauss-Legendre summed in log space, with a
+    split-in-two refinement as the error estimate.  The walk ends
+    ``Diverges`` once the log of the running sum passes log(cum_cap), and
+    ``Inconclusive`` on a NaN log-integrand.  A fired guard certifies
+    divergence with ``guard_evidence`` (formatted with ``x``).  The verdict
+    carries the march's right-hand-side evaluation count."""
+    log_cap = math.log(budget.cum_cap)
+    log_total, n_windows = -math.inf, 0
+
     def window(lo, hi):
+        nonlocal log_total, n_windows
+        n_windows += 1
         sol = march.advance(hi)
         if sol is None:
             raise qd.WindowStop(
@@ -195,17 +245,29 @@ def _march_verdict(op, fp, endpoint, march, component, guard_evidence, budget):
             raise qd.WindowStop(guard_evidence.format(x=sol.t[-1]),
                                 diverges=True)
 
-        def gl(a, b):
+        def log_gl(a, b):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             xs = mid + half * qd.GL_NODES
-            return half * float(np.dot(qd.GL_WEIGHTS,
-                                       sol.sol(xs)[component] / op.a.array(xs)))
+            logs = _LOG_GL_WEIGHTS + log_integrand(sol.sol(xs), xs)
+            if np.isnan(logs).any():
+                raise qd.WindowStop("log-integrand undefined (NaN or a "
+                                    f"non-positive state) in [{a:.6g}, {b:.6g}]")
+            return math.log(half) + float(np.logaddexp.reduce(logs))
         a, b = min(lo, hi), max(lo, hi)
         mid = 0.5 * (a + b)
-        fine = gl(a, mid) + gl(mid, b)
-        return fine, abs(fine - gl(a, b))
+        log_fine = float(np.logaddexp(log_gl(a, mid), log_gl(mid, b)))
+        log_total = float(np.logaddexp(log_total, log_fine))
+        if log_total > log_cap:
+            raise qd.WindowStop(
+                f"cumulative integral exceeded {budget.cum_cap:g} after "
+                f"{n_windows} windows (log-space sum to x={hi:.6g} is "
+                f"e^{log_total:.6g}; a lower bound, the integrand being "
+                "positive)", diverges=True)
+        fine = math.exp(log_fine)
+        return fine, abs(fine - math.exp(log_gl(a, b)))
 
-    return qd.windowed_verdict(endpoint, fp.c, window, budget)
+    v = qd.windowed_verdict(endpoint, anchor, window, budget)
+    return replace(v, rhs_evals=march.nfev)
 
 
 def endpoint_condition(op, fp, lam, endpoint, budget=qd.DEFAULT_BUDGET):
@@ -213,12 +275,8 @@ def endpoint_condition(op, fp, lam, endpoint, budget=qd.DEFAULT_BUDGET):
     u being the monotone solution marched from the base point."""
     if endpoint not in (op.x0, op.y0):
         raise ValueError(f"{endpoint!r} is not an endpoint of the operator")
-    # W = integral of rho (lam+V) u >= lam * integral of rho u, so a flux
-    # beyond the guard already certifies divergence
-    return _march_verdict(
-        op, fp, endpoint, _flux_march(op, lam, fp.c), 0,
-        f"flux exceeded {_OVERFLOW_GUARD:g} at x={{x:.6g}} "
-        "(integral of rho*u dominated from below)", budget)
+    march = _scaled_march(op, lam, fp.c, endpoint == op.y0)
+    return _march_verdict(endpoint, fp.c, march, _log_rho_u(op), budget)
 
 
 def entrance_test(op, fp, endpoint, budget=qd.DEFAULT_BUDGET,
@@ -256,10 +314,13 @@ def entrance_test(op, fp, endpoint, budget=qd.DEFAULT_BUDGET,
     # K = int rho beyond the guard: since J is positive and nondecreasing
     # past any interior point, int rho J diverges with it
     march = _March(rhs, jac, c, [0.0, 0.0, 0.0], guarded=(1, 2))
+
+    def log_integrand(y, xs):  # log(g / a); g vanishes at the base point
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.log(y[2]) - np.log(op.a.array(xs))
     return _march_verdict(
-        op, fp, endpoint, march, 2,
-        f"speed-measure integral exceeded {_OVERFLOW_GUARD:g} at x={{x:.6g}}",
-        budget)
+        endpoint, c, march, log_integrand, budget,
+        f"speed-measure integral exceeded {_OVERFLOW_GUARD:g} at x={{x:.6g}}")
 
 
 # ---------------------------------------------------------------------------

@@ -159,10 +159,26 @@ def test_classifynd_makes_one_radial_pass(monkeypatch):
     ("fp", ou_config(fp={"m": "x"}), []),
     ("xval", ou_config(probe={"windows": []}), []),
     ("fp", ou_config(fp={"dt": -1}), []),
+    ("xval", ou_config(fp={"dt": 0.2}, fk={"T": 0.05}), []),
+    ("xval", ou_config(fp={"dt": 0.2}, probe={"T": 0.1}), []),
+    ("xval", ou_config(probe={"core_radius": 1e-4}), []),
 ], ids=["array-config", "lambda-abc", "fk-n_paths", "fp-m", "probe-windows",
-        "fp-dt"])
+        "fp-dt", "fp-dt-over-fk-T", "fp-dt-over-probe-T", "probe-core_radius"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, config, args):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert cli.main([command, "--config", str(path)] + args) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, pointer", [
+    ({"fp": {"dt": 0.2}, "fk": {"T": 0.05}}, "/fp/dt"),
+    ({"fp": {"dt": 0.2}, "probe": {"T": 0.1}}, "/fp/dt"),
+    ({"probe": {"core_radius": 1e-4}}, "/probe/core_radius"),
+])
+def test_xval_cross_section_limits(extra, pointer):
+    with pytest.raises(ConfigError) as e:
+        cli.resolve_config(ou_config("xval", **extra))
+    assert e.value.pointer == pointer
+    # the same sections are not related outside xval
+    cli.resolve_config(ou_config("fp", **extra))

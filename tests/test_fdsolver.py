@@ -149,6 +149,15 @@ def test_probe_separates_entrance_from_exit():
         assert U.uniqueness_1d(op, (1.0,)).kind == verdict, b
 
 
+def test_probe_rejects_core_without_cells():
+    # windows [4, 8] get cells 0.02 wide centred at +-0.01: a core radius of
+    # 1e-4 holds none, and the probe must say so before any solve
+    op = make_operator_1d("0.5", "0", "0", (-INF, INF))
+    with pytest.raises(ValueError, match="half a cell"):
+        FD.bc_sensitivity_probe(op, _bump(0.0, 1.5), 1.0, [4.0, 8.0],
+                                core_radius=1e-4)
+
+
 def test_dump_csv_roundtrip(tmp_path):
     op = make_operator_1d("0.5", "0", "0", (-INF, INF))
     g = FD.Grid1D(-4.0, 4.0, 100)

@@ -72,6 +72,12 @@ def test_borderline_log_divergence():
     assert not v.is_converges  # Diverges, or honest Inconclusive at budget
 
 
+def test_nan_integrand_is_inconclusive():
+    # NaN is no evidence of overflow, so it must not certify divergence
+    v = Q.improper_integral(lambda y: math.nan, math.inf, 0.0)
+    assert v.is_inconclusive and "NaN" in v.evidence
+
+
 def test_verdict_serialization():
     v = Q.improper_integral(lambda y: 1.0 / y**2, math.inf, 1.0)
     d = v.to_dict()

@@ -146,6 +146,78 @@ def test_verdict_serialization_carries_lambdas():
     assert all(rec["kind"] == "Diverges" for rec in d["per_endpoint"])
 
 
+def test_x6_row_certified_by_cumulative_integral():
+    # rho u ~ exp(0.18 x^4): the log-space running sum passes the cap in the
+    # third window; the certificate is that lower bound, not a flux guard
+    op = make_operator_1d("0.5", "-x^3", "x^6", (-INF, INF))
+    fp = Q.build_feller(op, 0.0)
+    for endpoint in (-INF, INF):
+        v = U.endpoint_condition(op, fp, 1.0, endpoint)
+        assert v.is_diverges and v.windows_used == 3
+        assert v.evidence.startswith("cumulative integral exceeded")
+        assert "lower bound" in v.evidence and "flux" not in v.evidence
+        assert v.rhs_evals > 0
+
+
+def test_monotone_solution_x6_row_reaches_far_out():
+    # log u ~ 0.18 x^4 + x^4/2 reaches about 1.2e7 at x = 64
+    op = make_operator_1d("0.5", "-x^3", "x^6", (-INF, INF))
+    fp = Q.build_feller(op, 0.0)
+    ms = U.monotone_solution(op, fp, 1.0, U.TOWARD_UPPER, x_end=64.0)
+    assert ms.xs[-1] == 64.0
+    assert np.all(np.isfinite(ms.log_u)) and ms.log_u[-1] > 1e7
+    assert np.all(np.diff(ms.log_u) > 0.0) and np.all(ms.ratio[1:] > 0.0)
+
+
+@pytest.mark.parametrize("a, b, interval, lam, endpoint, value", [
+    ("0.5", "-x^3", (-INF, INF), 0.5, INF, 3.206323177583562),
+    ("0.5", "-x^3", (-INF, INF), 2.0, INF, 9.320263613771845),
+    ("1", "0", (0.0, 1.0), 0.5, 0.0, 0.510481961257257),
+])
+def test_converged_values_unchanged_by_scaling(a, b, interval, lam,
+                                               endpoint, value):
+    # reference values from the unscaled (alpha u, alpha u') march
+    op = make_operator_1d(a, b, "0", interval)
+    fp = Q.build_feller(op, U.default_base_point(op))
+    v = U.endpoint_condition(op, fp, lam, endpoint)
+    assert v.is_converges
+    assert v.value == pytest.approx(value, rel=1e-8)
+
+
+class _FixedStateMarch:
+    """A march (and its every segment) whose dense solution is one state."""
+
+    nfev, failed, status = 7, None, 0
+
+    def __init__(self, state):
+        self.state = np.asarray(state, dtype=float)
+
+    def advance(self, x_to):
+        return self
+
+    def sol(self, xs):
+        return np.repeat(self.state[:, None], np.size(xs), axis=1)
+
+
+@pytest.mark.parametrize("state", [[0.0, 1.0, 0.0], [-1.0, 1.0, 0.0],
+                                   [1.0, 1.0, math.nan]],
+                         ids=["h_hat-zero", "h_hat-negative", "sigma-nan"])
+def test_undefined_log_integrand_is_inconclusive(state):
+    op = ou()
+    v = U._march_verdict(INF, 0.0, _FixedStateMarch(state), U._log_rho_u(op),
+                         Q.DEFAULT_BUDGET)
+    assert v.is_inconclusive and v.windows_used == 0
+    assert "log-integrand undefined" in v.evidence
+    assert v.rhs_evals == 7
+
+
+def test_endpoint_records_carry_rhs_evals():
+    v = U.uniqueness_1d(ou(), (1.0,))
+    recs = v.to_dict()["per_endpoint"]
+    assert all(rec["rhs_evals"] > 0 for rec in recs)
+    assert U.uniqueness_1d(ou(), (1.0,)).to_dict()["per_endpoint"] == recs
+
+
 # entrance tests ------------------------------------------------------------
 
 def test_entrance_requires_zero_potential():
