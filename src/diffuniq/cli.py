@@ -20,7 +20,8 @@ from . import expr as ex
 from . import fdsolver, montecarlo, quadrature, uniqueness
 from .errors import ConfigError, DiffuniqError, ValidationError
 from .gridfn import GridFunction
-from .operator import Coefficient, make_operator_1d, make_operator_nd
+from .operator import (N_VAL_DEFAULT, Coefficient, _probe_points,
+                       make_operator_1d, make_operator_nd)
 
 MODES = ("classify1d", "classifynd", "entrance", "fp", "fk", "xval")
 
@@ -132,6 +133,12 @@ def resolve_config(raw):
                 and all(isinstance(s, str) for s in b)):
             raise ConfigError("/operator/b", f"need a list of {d} expression strings")
         cfg["operator"].setdefault("V", "0")
+        if not isinstance(cfg["operator"]["V"], str):
+            raise ConfigError("/operator/V", "expected an expression string")
+        beta = opspec.get("beta")
+        if beta is not None and not isinstance(beta, str):
+            raise ConfigError("/operator/beta",
+                              "expected an expression string or null")
     else:
         for key in ("a", "b", "V"):
             if not isinstance(opspec.get(key), str):
@@ -144,7 +151,10 @@ def resolve_config(raw):
         if not lo < hi:
             raise ConfigError("/operator/interval", "lower bound must be below upper")
         cfg["operator"]["interval"] = [lo, hi]
-        cfg["operator"].setdefault("var", "x")
+        var = cfg["operator"].setdefault("var", "x")
+        if not (isinstance(var, str) and var.isidentifier()
+                and var not in ex.FUNCTION_NAMES):
+            raise ConfigError("/operator/var", "expected a variable name")
 
     for key in ("lambda_set", "c", "seed", "nd_mode", "out"):
         cfg[key] = raw.get(key, DEFAULTS[key])
@@ -173,7 +183,33 @@ def resolve_config(raw):
                                    cfg["probe"]["core_radius"])
         except ValueError as exc:
             raise ConfigError("/probe/core_radius", str(exc)) from None
+    if mode in ("fp", "fk", "xval"):  # 1D modes that sample the interval
+        _check_sampling_sites(cfg)
     return cfg
+
+
+def _check_sampling_sites(cfg):
+    """The FP window, the probe windows and the FK start point must lie inside
+    the open operator interval, and the FK terminal function must be defined
+    on the ladder that validates the operator."""
+    mode = cfg["mode"]
+    lo, hi = cfg["operator"]["interval"]
+    where = f"inside the operator interval ({lo}, {hi})"
+    window = cfg["fp"]["window"]
+    if mode in ("fp", "xval") and not lo < window[0] < window[1] < hi:
+        raise ConfigError("/fp/window", f"must lie {where}")
+    if mode == "xval" and not all(lo < -r and r < hi
+                                  for r in cfg["probe"]["windows"]):
+        raise ConfigError("/probe/windows", f"every [-R, R] must lie {where}")
+    if mode in ("fk", "xval"):
+        if not lo < cfg["fk"]["x0"] < hi:
+            raise ConfigError("/fk/x0", f"must lie {where}")
+        try:
+            f = _fk_terminal(cfg)
+            for x in _probe_points(lo, hi, N_VAL_DEFAULT):
+                f(float(x))
+        except DiffuniqError as exc:
+            raise ConfigError("/fk/f", str(exc)) from None
 
 
 def _build_operator(cfg):
@@ -234,11 +270,17 @@ def _run_fp(cfg, op, report):
     }
 
 
+def _fk_terminal(cfg):
+    """The ``fk`` section's terminal function as a coefficient."""
+    var = cfg["operator"]["var"]
+    return Coefficient.from_expr(ex.parse_expr(cfg["fk"]["f"], var), var)
+
+
 def _feynman_kac(cfg, op):
-    """The parsed terminal function of the ``fk`` section and its estimate."""
+    """The terminal function of the ``fk`` section and its estimate."""
     k = cfg["fk"]
-    f = ex.parse_expr(k["f"], cfg["operator"].get("var", "x"))
-    est = montecarlo.feynman_kac(op, f, k["T"], k["x0"], int(k["n_paths"]),
+    f = _fk_terminal(cfg)
+    est = montecarlo.feynman_kac(op, f.array, k["T"], k["x0"], int(k["n_paths"]),
                                  k["dt"], seed=cfg["seed"],
                                  r_explode=k["r_explode"])
     return f, est
@@ -265,10 +307,9 @@ def _run_xval(cfg, op, report):
     _run_probe(cfg, op, report)
     # MC vs FD agreement at the FK settings
     k, f = cfg["fk"], cfg["fp"]
-    fexpr, est = _feynman_kac(cfg, op)
+    fterm, est = _feynman_kac(cfg, op)
     grid = fdsolver.Grid1D(f["window"][0], f["window"][1], int(f["m"]))
-    vals = Coefficient.from_expr(fexpr, cfg["operator"].get("var", "x")).array(
-        grid.centers)
+    vals = fterm.array(grid.centers)
     fb = fdsolver.backward_evolve(op, grid, vals, k["T"], f["dt"])
     fd_value = float(np.interp(k["x0"], grid.centers, fb))
     agree = abs(est.mean - fd_value) <= 3.0 * est.stderr + 5e-3

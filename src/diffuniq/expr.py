@@ -16,21 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
-_UNARY_FUNCS = {
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tanh": math.tanh,
-}
-_BINARY_FUNCS = {"min": min, "max": max, "pow": None}  # pow handled like '^'
-
-FUNCTION_NAMES = frozenset(_UNARY_FUNCS) | frozenset(_BINARY_FUNCS)
+_UNARY_NAMES = frozenset(("exp", "log", "sqrt", "abs", "sin", "cos", "tanh"))
+FUNCTION_NAMES = _UNARY_NAMES | {"min", "max", "pow"}
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,7 @@ class _Parser:
                     else:
                         break
                 self.expect(")")
-                want = 1 if val in _UNARY_FUNCS else 2
+                want = 1 if val in _UNARY_NAMES else 2
                 if len(args) != want:
                     raise ExprSyntaxError(
                         f"{val} takes {want} argument(s), got {len(args)}", p)
@@ -231,7 +224,7 @@ def parse_expr_multi(text, var_names):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: each tree is compiled once into a closure
 
 def _check_finite(v):
     if not math.isfinite(v):
@@ -246,49 +239,96 @@ def _power(base, exponent):
         raise DomainError(
             f"negative base {base!r} with non-integer exponent {exponent!r}")
     try:
-        return math.pow(base, exponent)
+        return _check_finite(math.pow(base, exponent))
     except (ValueError, OverflowError) as exc:
         raise DomainError(str(exc)) from exc
 
 
-def eval_env(e, env):
-    """Evaluate ``e`` with variables bound by the dict ``env``."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Neg):
-        return -eval_env(e.arg, env)
-    if isinstance(e, BinOp):
-        lhs = eval_env(e.left, env)
-        rhs = eval_env(e.right, env)
-        if e.op == "+":
-            return _check_finite(lhs + rhs)
-        if e.op == "-":
-            return _check_finite(lhs - rhs)
-        if e.op == "*":
-            return _check_finite(lhs * rhs)
-        if e.op == "/":
-            if rhs == 0.0:
-                raise DomainError("division by zero")
-            return _check_finite(lhs / rhs)
-        return _check_finite(_power(lhs, rhs))
-    if isinstance(e, Call):
-        args = [eval_env(a, env) for a in e.args]
-        if e.func == "pow":
-            return _check_finite(_power(args[0], args[1]))
-        if e.func in ("min", "max"):
-            return _BINARY_FUNCS[e.func](args[0], args[1])
-        fn = _UNARY_FUNCS[e.func]
-        if e.func == "log" and args[0] <= 0.0:
-            raise DomainError(f"log of non-positive value {args[0]!r}")
-        if e.func == "sqrt" and args[0] < 0.0:
-            raise DomainError(f"sqrt of negative value {args[0]!r}")
+def _divide(lhs, rhs):
+    if rhs == 0.0:
+        raise DomainError("division by zero")
+    return _check_finite(lhs / rhs)
+
+
+def _checked(fn, outside=None, message=""):
+    """Checked scalar form of a unary function, off its domain where outside(v)."""
+    def checked(v):
+        if outside is not None and outside(v):
+            raise DomainError(f"{message} {v!r}")
         try:
-            return _check_finite(fn(args[0]))
+            return _check_finite(fn(v))
         except (ValueError, OverflowError) as exc:
             raise DomainError(str(exc)) from exc
-    raise TypeError(f"not an expression node: {e!r}")
+    return checked
+
+
+def _quiet(fn):
+    """numpy form that lets out-of-domain inputs give inf/nan silently."""
+    def quiet(*args):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return fn(*args)
+    return quiet
+
+
+# operator or function name -> (checked scalar form, numpy form)
+_FUNCS = {
+    "+": (lambda lhs, rhs: _check_finite(lhs + rhs), np.add),
+    "-": (lambda lhs, rhs: _check_finite(lhs - rhs), np.subtract),
+    "*": (lambda lhs, rhs: _check_finite(lhs * rhs), np.multiply),
+    "/": (_divide, _quiet(np.divide)),
+    "^": (_power, _quiet(np.power)),
+    "pow": (_power, _quiet(np.power)),
+    "min": (min, _quiet(np.minimum)),
+    "max": (max, _quiet(np.maximum)),
+    "exp": (_checked(math.exp), _quiet(np.exp)),
+    "log": (_checked(math.log, lambda v: v <= 0.0, "log of non-positive value"),
+            _quiet(np.log)),
+    "sqrt": (_checked(math.sqrt, lambda v: v < 0.0, "sqrt of negative value"),
+             _quiet(np.sqrt)),
+    "abs": (_checked(abs), _quiet(np.abs)),
+    "sin": (_checked(math.sin), _quiet(np.sin)),
+    "cos": (_checked(math.cos), _quiet(np.cos)),
+    "tanh": (_checked(math.tanh), _quiet(np.tanh)),
+}
+
+
+def compile_expr(e, vectorized=False):
+    """Compile ``e`` into ``f(env)``, ``env`` a dict of variable values.
+
+    The scalar form raises DomainError wherever ``e`` leaves the real domain
+    or a value is non-finite.  The vectorized form evaluates numpy arrays
+    unguarded (solver kernels, whose coefficients were validated pointwise):
+    out-of-domain inputs give inf/nan silently.
+    """
+    if isinstance(e, Num):
+        value = e.value
+        return lambda env: value
+    if isinstance(e, Var):
+        return itemgetter(e.name)
+    if isinstance(e, Neg):
+        arg = compile_expr(e.arg, vectorized)
+        return lambda env: -arg(env)
+    if isinstance(e, BinOp):
+        fn, args = _FUNCS[e.op][vectorized], (e.left, e.right)
+    elif isinstance(e, Call):
+        fn, args = _FUNCS[e.func][vectorized], e.args
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if len(args) == 1:
+        arg = compile_expr(args[0], vectorized)
+        return lambda env: fn(arg(env))
+    lhs, rhs = (compile_expr(a, vectorized) for a in args)
+    return lambda env: fn(lhs(env), rhs(env))
+
+
+def eval_env(e, env):
+    """Evaluate ``e`` with variables bound by the dict ``env``."""
+    return compile_expr(e)(env)
+
+
+def eval_numpy(e, env):
+    """Evaluate on numpy arrays bound by ``env``, without domain guards."""
+    return compile_expr(e, vectorized=True)(env)
 
 
 def eval_expr(e, value, var_name=None):
@@ -319,55 +359,6 @@ def free_vars(e):
             out |= free_vars(a)
         return out
     return set()
-
-
-# ---------------------------------------------------------------------------
-# bulk evaluation (no domain guards; inputs pre-validated by sampling)
-
-def eval_numpy(e, env):
-    """Evaluate on numpy arrays bound by ``env``.
-
-    Unlike :func:`eval_env` this does not police the real domain: it is the
-    fast path for solver kernels whose coefficients were already validated
-    pointwise.  Out-of-domain inputs produce inf/nan silently.
-    """
-    import numpy as np
-
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Neg):
-        return -eval_numpy(e.arg, env)
-    if isinstance(e, BinOp):
-        lhs = eval_numpy(e.left, env)
-        rhs = eval_numpy(e.right, env)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
-        if e.op == "/":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return lhs / rhs
-        with np.errstate(invalid="ignore"):
-            return np.power(lhs, rhs)
-    if isinstance(e, Call):
-        args = [eval_numpy(a, env) for a in e.args]
-        np_funcs = {
-            "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
-            "sin": np.sin, "cos": np.cos, "tanh": np.tanh,
-        }
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if e.func == "pow":
-                return np.power(args[0], args[1])
-            if e.func == "min":
-                return np.minimum(args[0], args[1])
-            if e.func == "max":
-                return np.maximum(args[0], args[1])
-            return np_funcs[e.func](args[0])
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -108,11 +108,12 @@ def _terminal_function(f):
         return f.zero_outside
     if isinstance(f, str):
         raise TypeError("pass a parsed expression or GridFunction, not text")
-    if callable(f) and not isinstance(f, (ex.Num, ex.Var, ex.Neg, ex.BinOp, ex.Call)):
+    if callable(f):
         return f
     names = ex.free_vars(f)
     name = next(iter(names)) if names else "_"
-    return lambda x: ex.eval_numpy(f, {name: np.asarray(x)})
+    fn = ex.compile_expr(f, vectorized=True)
+    return lambda x: fn({name: np.asarray(x)})
 
 
 def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,

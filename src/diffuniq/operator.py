@@ -22,14 +22,21 @@ N_VAL_DEFAULT = 512
 class Coefficient:
     """A scalar coefficient: an expression or a bare callable.
 
-    ``__call__`` evaluates at a scalar with full domain checking when backed
-    by an expression; ``array`` is the vectorized fast path.
+    An expression is compiled once, here: ``__call__`` is its scalar form
+    with full domain checking, ``array`` its vectorized fast path.
     """
 
     def __init__(self, fn, expr=None, var=None):
-        self._fn = fn
-        self.expr = expr
-        self.var = var
+        self.expr, self.var = expr, var
+        if expr is None:
+            self._scalar = fn
+            self._array = lambda xs: np.array(
+                [fn(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+        else:
+            scalar, vector = ex.compile_expr(expr), ex.compile_expr(expr, True)
+            self._scalar = lambda x: scalar({var: x})
+            self._array = lambda xs: np.broadcast_to(
+                np.asarray(vector({var: xs}), dtype=float), xs.shape).copy()
 
     @classmethod
     def from_expr(cls, e, var):
@@ -40,21 +47,15 @@ class Coefficient:
         return cls(None, expr=ex.Num(float(value)), var="_")
 
     def __call__(self, x):
-        if self.expr is not None:
-            return ex.eval_env(self.expr, {self.var: x})
-        return self._fn(x)
+        return self._scalar(x)
 
     def array(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if self.expr is not None:
-            out = ex.eval_numpy(self.expr, {self.var: xs})
-            return np.broadcast_to(np.asarray(out, dtype=float), xs.shape).copy()
-        return np.array([self._fn(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+        return self._array(np.asarray(xs, dtype=float))
 
     def text(self):
         if self.expr is not None:
             return ex.format_expr(self.expr)
-        return f"<callable {self._fn!r}>"
+        return f"<callable {self._scalar!r}>"
 
 
 def as_coefficient(spec, var):
@@ -168,12 +169,16 @@ class OperatorND:
     beta_override: Coefficient | None = None
     coord_names: tuple = ()
 
+    def __post_init__(self):  # compile the drift components once
+        object.__setattr__(self, "_drift", tuple(
+            ex.compile_expr(e, vectorized=True) for e in self.b))
+
     def drift_at(self, x):
         """Drift vector at points x of shape (..., d)."""
         x = np.asarray(x, dtype=float)
         env = {name: x[..., i] for i, name in enumerate(self.coord_names)}
-        comps = [np.broadcast_to(np.asarray(ex.eval_numpy(e, env), dtype=float),
-                                 x.shape[:-1]) for e in self.b]
+        comps = [np.broadcast_to(np.asarray(f(env), dtype=float), x.shape[:-1])
+                 for f in self._drift]
         return np.stack(comps, axis=-1)
 
 

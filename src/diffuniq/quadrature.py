@@ -81,14 +81,18 @@ def window_bounds(endpoint, anchor, n_windows):
 
     Toward an infinity the boundary distances double each window; toward a
     finite endpoint the remaining gap halves each window (the endpoint itself
-    is never reached).
+    is never reached).  Fewer windows come back where the float range or
+    its resolution runs out.
     """
     bounds = [float(anchor)]
     if math.isinf(endpoint):
         sign = 1.0 if endpoint > 0 else -1.0
         scale = max(1.0, abs(anchor))
         for k in range(1, n_windows + 1):
-            bounds.append(anchor + sign * scale * (2.0 ** k - 1.0))
+            w = anchor + sign * scale * (2.0 ** k - 1.0)
+            if math.isinf(w):  # past the largest float
+                break
+            bounds.append(w)
     else:
         gap0 = endpoint - anchor
         if gap0 == 0.0:

@@ -143,7 +143,8 @@ class _March:
                             method="BDF", jac=self.jac, dense_output=True,
                             rtol=1e-10, atol=1e-14,
                             events=self._guard if self.guarded else None)
-        except (DomainError, OverflowError) as exc:
+        except (DomainError, OverflowError, ValueError) as exc:
+            # ValueError: the solver's own state left the float range
             self.failed = str(exc)
             return None
         self.nfev += sol.nfev

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diffuniq import cli, operator, uniqueness
 from diffuniq.errors import ConfigError
@@ -17,6 +18,19 @@ def ou_config(mode="classify1d", **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def bessel_config(mode="classify1d", **extra):
+    """The b = 1/x operator on (0, inf): the default sampling sites (the FP
+    window [-8, 8], the probe windows, fk.x0 = 0) all fall outside it."""
+    cfg = ou_config(mode, **extra)
+    cfg["operator"] = {"a": "0.5", "b": "1/x", "V": "0", "interval": [0, "inf"]}
+    return cfg
+
+
+def nd_config(**operator):
+    return {"mode": "classifynd", "lambda_set": [1.0],
+            "operator": {"d": 2, "b": ["-x1", "-x2"], "V": "0", **operator}}
 
 
 def test_resolve_fills_defaults():
@@ -162,8 +176,17 @@ def test_classifynd_makes_one_radial_pass(monkeypatch):
     ("xval", ou_config(fp={"dt": 0.2}, fk={"T": 0.05}), []),
     ("xval", ou_config(fp={"dt": 0.2}, probe={"T": 0.1}), []),
     ("xval", ou_config(probe={"core_radius": 1e-4}), []),
+    ("fk", ou_config(fk={"f": "log(x)"}), []),
+    ("xval", ou_config(fk={"f": "log(x)"}), []),
+    ("fp", bessel_config(), []),
+    ("xval", bessel_config(), []),
+    ("fk", bessel_config(), []),
+    ("classify", nd_config(beta=[1]), []),
+    ("classify", nd_config(V=[0]), []),
 ], ids=["array-config", "lambda-abc", "fk-n_paths", "fp-m", "probe-windows",
-        "fp-dt", "fp-dt-over-fk-T", "fp-dt-over-probe-T", "probe-core_radius"])
+        "fp-dt", "fp-dt-over-fk-T", "fp-dt-over-probe-T", "probe-core_radius",
+        "fk-f-log", "xval-f-log", "fp-window-bessel", "xval-window-bessel",
+        "fk-x0-bessel", "nd-beta-list", "nd-V-list"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, config, args):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -182,3 +205,80 @@ def test_xval_cross_section_limits(extra, pointer):
     assert e.value.pointer == pointer
     # the same sections are not related outside xval
     cli.resolve_config(ou_config("fp", **extra))
+
+
+@pytest.mark.parametrize("config, pointer", [
+    (ou_config("fk", fk={"f": "log(x)"}), "/fk/f"),
+    (ou_config("xval", fk={"f": "log(x)"}), "/fk/f"),
+    (ou_config("fk", fk={"f": "y"}), "/fk/f"),
+    (bessel_config("fp"), "/fp/window"),
+    (bessel_config("xval"), "/fp/window"),
+    (bessel_config("xval", fp={"window": [0.5, 8.0]}), "/probe/windows"),
+    (bessel_config("fk"), "/fk/x0"),
+    (nd_config(beta=[1]), "/operator/beta"),
+    (nd_config(V=[0]), "/operator/V"),
+    (ou_config(operator={"a": "0.5", "b": "-x", "V": "0", "var": ["x"],
+                         "interval": ["-inf", "inf"]}), "/operator/var"),
+], ids=["fk-f-log", "xval-f-log", "fk-f-unknown", "fp-window", "xval-window",
+        "xval-probe-windows", "fk-x0", "nd-beta", "nd-V", "var-list"])
+def test_sampling_sites_and_expressions_checked(config, pointer):
+    with pytest.raises(ConfigError) as e:
+        cli.resolve_config(config)
+    assert e.value.pointer == pointer
+
+
+def test_fk_inside_the_interval_runs():
+    cfg = bessel_config("fk", fk={"x0": 1.0, "T": 0.05, "dt": 0.01,
+                                  "n_paths": 200, "f": "log(x)"})
+    assert cli.run(cfg)["feynman_kac"]["explosion_fraction"] == 0.0
+
+
+# --- config mutation: every run completes or exits 2 or 3 ------------------
+
+_SMALL = {"lambda_set": [1.0], "seed": 1,
+          "fp": {"T": 0.05, "dt": 0.01, "m": 32, "window": [0.5, 3.0]},
+          "fk": {"T": 0.05, "dt": 0.01, "x0": 1.0, "n_paths": 100},
+          "probe": {"windows": [2.0, 3.0], "T": 0.05, "core_radius": 1.0}}
+_OU = {"a": "0.5", "b": "-x", "V": "0", "interval": ["-inf", "inf"]}
+_BESSEL = {"a": "0.5", "b": "1/x", "V": "0", "interval": [0, "inf"]}
+# (subcommand, one cheap configuration)
+_BASES = [
+    ("classify", {"mode": "classify1d", "operator": _OU}),
+    ("entrance", {"mode": "entrance", "operator": _BESSEL, "c": 1.0}),
+    ("fp", {"mode": "fp", "operator": _BESSEL}),
+    ("fk", {"mode": "fk", "operator": _BESSEL}),
+    ("xval", {"mode": "xval", "operator": _OU,
+              "fp": {**_SMALL["fp"], "window": [-3.0, 3.0]}}),
+    ("classify", {"mode": "classifynd",
+                  "operator": {"d": 2, "b": ["-x1", "-x2"], "V": "0",
+                               "beta": "-r"}}),
+]
+_KEYS_1D = [("operator", k) for k in ("a", "b", "V", "interval", "var")]
+_KEYS_ND = [("operator", k) for k in ("d", "b", "V", "beta")]
+_KEYS = ([("operator",), ("lambda_set",), ("c",), ("seed",), ("nd_mode",),
+          ("out",)]
+         + [("fp", k) for k in ("T", "dt", "m", "window", "bc", "u0", "csv")]
+         + [("fk", k) for k in ("T", "dt", "x0", "n_paths", "f", "r_explode")]
+         + [("probe", k) for k in ("windows", "T", "core_radius")])
+# wrong types, lists, null, negatives, numbers outside (0, inf), an
+# expression off its domain; nothing large enough to make a run expensive
+_POOL = [None, True, "abc", "log(x)", [], [1], [-1.0, 1.0], {}, -1, 0, 0.5,
+         2, -2.0]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_config_mutations_exit_cleanly(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)  # a mutated out or csv path lands here
+    command, base = data.draw(st.sampled_from(_BASES))
+    cfg = copy.deepcopy({**_SMALL, **base})
+    keys = _KEYS + (_KEYS_ND if "d" in cfg["operator"] else _KEYS_1D)
+    key = data.draw(st.sampled_from(keys))
+    section = cfg
+    for part in key[:-1]:
+        section = section[part]
+    section[key[-1]] = data.draw(st.sampled_from(_POOL))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(path)]) in (0, 2, 3)

@@ -125,9 +125,31 @@ def test_subtraction_associativity(a, b, c):
 
 def test_eval_numpy_matches_scalar():
     import numpy as np
-    tree = E.parse_expr("exp(-x^2) + min(x, 0.5)*max(x, -1)", "x")
     xs = np.linspace(-2, 2, 41)
-    vec = E.eval_numpy(tree, {"x": xs})
-    for xi, vi in zip(xs, vec):
-        # numpy kernels may differ from libm by an ulp
-        assert vi == pytest.approx(E.eval_expr(tree, float(xi), "x"), rel=1e-15)
+    # together the whole grammar: + - * / ^, unary minus and all ten calls
+    for text in ("exp(-x^2) + min(x, 0.5)*max(x, -1)",
+                 "x/(1 + x^2) - log(1 + x^2)*sqrt(abs(x))",
+                 "sin(x)*cos(3*x) - tanh(x)/2 + pow(abs(x), 1.5)",
+                 "log(x) - sqrt(x)/x + (x - 1)^3"):
+        tree = E.parse_expr(text, "x")
+        vec = E.eval_numpy(tree, {"x": xs})
+        defined = 0
+        for xi, vi in zip(xs, vec):
+            try:
+                want = E.eval_expr(tree, float(xi), "x")
+            except DomainError:  # compare where the scalar form is defined
+                continue
+            defined += 1
+            # numpy kernels may differ from libm by an ulp
+            assert vi == pytest.approx(want, rel=1e-15)
+        assert defined >= 20
+
+
+def test_compiled_closure_reused():
+    f = E.compile_expr(E.parse_expr("1/x + sqrt(x)", "x"))
+    assert f({"x": 4.0}) == 2.25
+    assert f({"x": 1.0}) == 2.0
+    with pytest.raises(DomainError):
+        f({"x": 0.0})
+    with pytest.raises(TypeError):
+        E.compile_expr([0])

@@ -59,6 +59,20 @@ def test_callable_coefficients():
     assert np.allclose(op.a.array([0.0, 1.0]), [1.0, 2.0])
 
 
+def test_coefficient_rejects_non_expression_at_construction():
+    with pytest.raises(TypeError):
+        OP.as_coefficient([0], "r")
+    with pytest.raises(TypeError):
+        OP.make_operator_nd(2, ["-x1", "-x2"], [0])
+
+
+def test_constant_coefficient_array_keeps_shape():
+    c = OP.as_coefficient(2.5, "x")
+    assert c(7.0) == 2.5
+    out = c.array(np.zeros((2, 3)))
+    assert out.shape == (2, 3) and np.all(out == 2.5)
+
+
 def test_nd_operator_and_drift():
     op = OP.make_operator_nd(3, ["-x1", "-x2", "-x3"], "0")
     pts = np.array([[1.0, 2.0, 2.0], [0.0, 0.0, 1.0]])

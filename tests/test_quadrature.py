@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,29 @@ def test_window_bounds_finite_endpoint_halving():
     assert b[0] == 1.0
     assert np.all(np.diff(b) < 0)
     assert b[-1] > 0.0  # never reaches the singular endpoint
+
+
+@pytest.mark.parametrize("endpoint", [math.inf, -math.inf])
+@pytest.mark.parametrize("anchor", [1e300, -1e300])
+def test_window_bounds_stay_finite_near_float_max(endpoint, anchor):
+    b = Q.window_bounds(endpoint, anchor, 40)
+    assert 2 <= len(b) <= 41 and np.all(np.isfinite(b))
+    steps = np.diff(b) * np.sign(endpoint)
+    assert np.all(steps > 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's BDF overflowing
+def test_huge_base_point_classifies(tmp_path):
+    from diffuniq import cli
+    cfg = {"mode": "classify1d", "c": 1e300, "lambda_set": [1.0],
+           "operator": {"a": "0.5", "b": "-x", "V": "0",
+                        "interval": ["-inf", "inf"]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "rep.json"
+    assert cli.main(["classify", "--config", str(path), "--out", str(out)]) == 0
+    # no march survives a base point this close to the float range
+    assert json.loads(out.read_text())["verdict"]["kind"] == "Inconclusive"
 
 
 def test_gauss_window_exact_polynomial():
