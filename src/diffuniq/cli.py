@@ -21,7 +21,7 @@ from . import fdsolver, montecarlo, quadrature, uniqueness
 from .errors import ConfigError, DiffuniqError, ValidationError
 from .gridfn import GridFunction
 from .operator import (N_VAL_DEFAULT, Coefficient, _probe_points,
-                       make_operator_1d, make_operator_nd)
+                       coordinate_names, make_operator_1d, make_operator_nd)
 
 MODES = ("classify1d", "classifynd", "entrance", "fp", "fk", "xval")
 
@@ -183,18 +183,20 @@ def resolve_config(raw):
                                    cfg["probe"]["core_radius"])
         except ValueError as exc:
             raise ConfigError("/probe/core_radius", str(exc)) from None
-    if mode in ("fp", "fk", "xval"):  # 1D modes that sample the interval
+    if "d" not in opspec:
         _check_sampling_sites(cfg)
     return cfg
 
 
 def _check_sampling_sites(cfg):
-    """The FP window, the probe windows and the FK start point must lie inside
-    the open operator interval, and the FK terminal function must be defined
-    on the ladder that validates the operator."""
+    """The base point, the FP window, the probe windows and the FK start
+    point must lie inside the open operator interval, and the FK terminal
+    function must be defined on the ladder that validates the operator."""
     mode = cfg["mode"]
     lo, hi = cfg["operator"]["interval"]
     where = f"inside the operator interval ({lo}, {hi})"
+    if cfg["c"] is not None and not lo < cfg["c"] < hi:
+        raise ConfigError("/c", f"base point must lie {where}")
     window = cfg["fp"]["window"]
     if mode in ("fp", "xval") and not lo < window[0] < window[1] < hi:
         raise ConfigError("/fp/window", f"must lie {where}")
@@ -212,13 +214,28 @@ def _check_sampling_sites(cfg):
             raise ConfigError("/fk/f", str(exc)) from None
 
 
+def _parse(text, names, pointer):
+    try:
+        return ex.parse_expr_multi(text, names)
+    except DiffuniqError as exc:  # a syntax error or unknown identifier
+        raise ConfigError(pointer, str(exc)) from None
+
+
 def _build_operator(cfg):
+    """Parse each operator string once (a parse error is a config error at
+    its pointer), then validate the operator (a failure exits 3)."""
     spec = cfg["operator"]
     if "d" in spec:
-        return make_operator_nd(spec["d"], spec["b"], spec.get("V", "0"),
-                                beta_override=spec.get("beta"))
-    return make_operator_1d(spec["a"], spec["b"], spec["V"],
-                            spec["interval"], var=spec.get("var", "x"))
+        names = coordinate_names(spec["d"])
+        b = [_parse(e, names, f"/operator/b/{i}") for i, e in enumerate(spec["b"])]
+        beta = spec.get("beta")
+        return make_operator_nd(
+            spec["d"], b, _parse(spec["V"], ("r",), "/operator/V"),
+            beta_override=None if beta is None
+            else _parse(beta, ("r",), "/operator/beta"))
+    var = spec["var"]
+    a, b, V = (_parse(spec[k], (var,), f"/operator/{k}") for k in ("a", "b", "V"))
+    return make_operator_1d(a, b, V, spec["interval"], var=var)
 
 
 def _initial_state(fp_cfg, grid, bc):
@@ -267,6 +284,7 @@ def _run_fp(cfg, op, report):
         "T": f["T"], "dt": f["dt"], "m": f["m"], "bc": f["bc"],
         "final_min": float(np.min(final.values)),
         "final_max": float(np.max(final.values)),
+        "theta_fallbacks": final.theta_fallbacks,
     }
 
 
@@ -291,11 +309,9 @@ def _run_fk(cfg, op, report):
 
 
 def _run_probe(cfg, op, report):
-    p, f = cfg["probe"], cfg["fp"]
-    grid = fdsolver.Grid1D(-min(p["windows"]), min(p["windows"]), int(f["m"]))
-    u0 = _initial_state(f, grid, fdsolver.REFLECTING)
-    table = fdsolver.bc_sensitivity_probe(op, u0, p["T"], p["windows"],
-                                          dt=f["dt"],
+    p = cfg["probe"]
+    table = fdsolver.bc_sensitivity_probe(op, None, p["T"], p["windows"],
+                                          dt=cfg["fp"]["dt"],
                                           core_radius=p["core_radius"])
     table["note"] = ("truncated-domain evidence for weak-solution "
                      "uniqueness, not proof")

@@ -8,8 +8,11 @@ With v = a u the face flux is G = v' - (b/a) v; faces use an
 exponential-fitting weight (Chang-Cooper style), which preserves exact
 discrete conservation, is positivity-friendly at large cell Peclet
 number, and stays second-order accurate for smooth profiles.
-Time stepping is a theta scheme (theta = 1/2 default, theta = 1 fallback
-when positivity is violated) with a tridiagonal solve per step.
+The forward generator here and the central-difference backward operator of
+the duality check are both tridiagonal bands (lower, diag, upper) sharing
+one theta step, u + (1 - theta) dt A u followed by one banded solve
+(theta = 1/2 default).  Only ``fp_step`` falls back to theta = 1 when
+theta = 1/2 breaks positivity, and counts the fallbacks on the state.
 """
 
 from __future__ import annotations
@@ -58,12 +61,10 @@ class FPState:
     values: np.ndarray
     t: float = 0.0
     bc: str = REFLECTING
+    theta_fallbacks: int = 0  # theta = 1 steps taken by fp_step so far
 
     def mass(self):
         return float(np.sum(self.values) * self.grid.dx)
-
-    def grid_function(self):
-        return GridFunction(self.grid.centers, self.values)
 
 
 def gaussian_state(grid, center=0.0, var=0.1, bc=REFLECTING):
@@ -84,12 +85,30 @@ def _cc_delta(w):
     return out
 
 
-class Discretization:
+class Tridiagonal:
+    """A tridiagonal operator A by its bands: ``lower`` (A[i, i-1]),
+    ``diag``, ``upper`` (A[i, i+1])."""
+
+    def apply(self, u):
+        out = self.diag * u
+        out[:-1] += self.upper * u[1:]
+        out[1:] += self.lower * u[:-1]
+        return out
+
+    def step(self, u, dt, theta):
+        """One theta step: solve (I - theta dt A) u+ = (I + (1-theta) dt A) u."""
+        rhs = u + (1.0 - theta) * dt * self.apply(u)
+        ab = np.zeros((3, self.diag.size))
+        ab[0, 1:] = -theta * dt * self.upper
+        ab[1, :] = 1.0 - theta * dt * self.diag
+        ab[2, :-1] = -theta * dt * self.lower
+        return solve_banded((1, 1), ab, rhs)
+
+
+class Discretization(Tridiagonal):
     """Tridiagonal generator A with d_t u = A u for a fixed grid and BC."""
 
     def __init__(self, op, grid, bc):
-        self.grid = grid
-        self.bc = bc
         x = grid.centers
         xf = grid.faces
         dx = grid.dx
@@ -104,8 +123,8 @@ class Discretization:
         #   G = (a_{i+1} u_{i+1} - a_i u_i)/dx - b_f [delta a_i u_i + (1-delta) a_{i+1} u_{i+1}] / a_f
         # coefficients of u_i and u_{i+1} in G_{i+1/2}
         f = slice(1, grid.m)  # interior faces
-        self.c_left = -a_c[:-1] / dx - b_f[f] * delta[f] * a_c[:-1] / a_f[f]
-        self.c_right = a_c[1:] / dx - b_f[f] * (1.0 - delta[f]) * a_c[1:] / a_f[f]
+        c_left = -a_c[:-1] / dx - b_f[f] * delta[f] * a_c[:-1] / a_f[f]
+        c_right = a_c[1:] / dx - b_f[f] * (1.0 - delta[f]) * a_c[1:] / a_f[f]
 
         # wall faces
         if bc == REFLECTING:
@@ -118,53 +137,38 @@ class Discretization:
         else:
             raise ValueError(f"unknown boundary condition {bc!r}")
 
-        m = grid.m
-        diag = np.zeros(m)
-        lower = np.zeros(m - 1)  # A[i, i-1]
-        upper = np.zeros(m - 1)  # A[i, i+1]
         # d_t u_i = (G_{i+1/2} - G_{i-1/2})/dx - V_i u_i
-        diag[:-1] += self.c_left / dx       # G_{i+1/2} contribution of u_i
-        upper[:] = self.c_right / dx        # ... of u_{i+1}
-        diag[1:] -= self.c_right / dx       # -G_{i-1/2} contribution of u_i
-        lower[:] = -self.c_left / dx        # ... of u_{i-1}
+        diag = np.zeros(grid.m)
+        diag[:-1] += c_left / dx       # G_{i+1/2} contribution of u_i
+        diag[1:] -= c_right / dx       # -G_{i-1/2} contribution of u_i
         diag[0] -= w_lo_coeff / dx     # -G_{lo} acting on u_0
         diag[-1] += w_hi_coeff / dx    # +G_{hi} acting on u_{m-1}
-        diag -= V_c
-        self.diag, self.lower, self.upper = diag, lower, upper
-
-    def apply(self, u):
-        out = self.diag * u
-        out[:-1] += self.upper * u[1:]
-        out[1:] += self.lower * u[:-1]
-        return out
-
-    def step_matrixfree(self, u, dt, theta):
-        """One theta step: solve (I - theta dt A) u+ = (I + (1-theta) dt A) u."""
-        rhs = u + (1.0 - theta) * dt * self.apply(u)
-        ab = np.zeros((3, self.grid.m))
-        ab[0, 1:] = -theta * dt * self.upper
-        ab[1, :] = 1.0 - theta * dt * self.diag
-        ab[2, :-1] = -theta * dt * self.lower
-        return solve_banded((1, 1), ab, rhs)
+        self.diag = diag - V_c
+        self.upper = c_right / dx      # G_{i+1/2} contribution of u_{i+1}
+        self.lower = -c_left / dx      # -G_{i-1/2} contribution of u_{i-1}
 
 
 def fp_step(state, op, dt, theta=0.5, disc=None):
     """One time step; falls back to implicit Euler when theta = 1/2 breaks
-    positivity beyond roundoff."""
+    positivity beyond roundoff, and counts that on the returned state."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if disc is None:
         disc = Discretization(op, state.grid, state.bc)
-    u_new = disc.step_matrixfree(state.values, dt, theta)
+    u_new = disc.step(state.values, dt, theta)
+    fallbacks = state.theta_fallbacks
     if theta != 1.0 and np.min(state.values) >= 0.0:
         floor = -1e-12 * max(1e-300, float(np.max(np.abs(u_new))))
         if np.min(u_new) < floor:
-            u_new = disc.step_matrixfree(state.values, dt, 1.0)
-    return FPState(state.grid, u_new, state.t + dt, state.bc)
+            u_new = disc.step(state.values, dt, 1.0)
+            fallbacks += 1
+    return FPState(state.grid, u_new, state.t + dt, state.bc, fallbacks)
 
 
 def fp_solve(op, u0, T, dt, theta=0.5, record_mass=True):
-    """Repeated fp_step to time T; returns (final state, (times, masses))."""
+    """Repeated fp_step to time T; returns (final state, (times, masses)).
+    The final state's ``theta_fallbacks`` adds this run's fallbacks to
+    those of ``u0``."""
     if T <= 0.0:
         raise ValueError("T must be positive")
     disc = Discretization(op, u0.grid, u0.bc)
@@ -180,12 +184,11 @@ def fp_solve(op, u0, T, dt, theta=0.5, record_mass=True):
     return state, (np.asarray(times), np.asarray(masses))
 
 
-class BackwardDiscretization:
+class BackwardDiscretization(Tridiagonal):
     """Independent central-difference discretization of the operator itself,
     a f'' + b f' - V f, for the duality check (absorbing walls)."""
 
     def __init__(self, op, grid):
-        self.grid = grid
         x = grid.centers
         dx = grid.dx
         a_c = op.a.array(x)
@@ -195,26 +198,19 @@ class BackwardDiscretization:
         self.lower = (a_c / dx ** 2 - b_c / (2.0 * dx))[1:]
         self.upper = (a_c / dx ** 2 + b_c / (2.0 * dx))[:-1]
 
-    def step(self, f, dt, theta):
-        rhs = f.copy()
-        rhs[:-1] += (1.0 - theta) * dt * self.upper * f[1:]
-        rhs[1:] += (1.0 - theta) * dt * self.lower * f[:-1]
-        rhs += (1.0 - theta) * dt * self.diag * f
-        ab = np.zeros((3, self.grid.m))
-        ab[0, 1:] = -theta * dt * self.upper
-        ab[1, :] = 1.0 - theta * dt * self.diag
-        ab[2, :-1] = -theta * dt * self.lower
-        return solve_banded((1, 1), ab, rhs)
+
+def _evolve(disc, values, T, dt, theta):
+    """Fixed-theta steps of ``disc`` from ``values`` to time T."""
+    u = np.asarray(values, dtype=float)
+    for _ in range(int(round(T / dt))):
+        u = disc.step(u, dt, theta)
+    return u
 
 
 def backward_evolve(op, grid, values, T, dt, theta=0.5):
     """Evolve grid values of f to time T under the backward discretization
     (absorbing walls), i.e. approximate the semigroup applied to f."""
-    bwd = BackwardDiscretization(op, grid)
-    f = np.asarray(values, dtype=float)
-    for _ in range(int(round(T / dt))):
-        f = bwd.step(f, dt, theta)
-    return f
+    return _evolve(BackwardDiscretization(op, grid), values, T, dt, theta)
 
 
 def duality_check(op, f, g, T, dt, grid=None, theta=0.5):
@@ -232,10 +228,7 @@ def duality_check(op, f, g, T, dt, grid=None, theta=0.5):
         return np.asarray([float(h(xi)) for xi in x])
 
     fv, gv = sample(f), sample(g)
-    fwd = Discretization(op, grid, ABSORBING)
-    gf = gv.copy()
-    for _ in range(int(round(T / dt))):
-        gf = fwd.step_matrixfree(gf, dt, theta)
+    gf = _evolve(Discretization(op, grid, ABSORBING), gv, T, dt, theta)
     fb = backward_evolve(op, grid, fv, T, dt, theta)
     pair_fwd = float(np.sum(gf * fv) * grid.dx)
     pair_bwd = float(np.sum(gv * fb) * grid.dx)
@@ -269,42 +262,34 @@ def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0,
     An entrance boundary is one from which mass can enter in finite time, and
     it is what breaks L-infinity uniqueness.  For each window
     [center - R, center + R] the probe puts half a unit of mass in the
-    outermost cell at each wall, evolves it under reflecting walls to time T,
-    and records the mass inside the core |x - center| <= core_radius as
-    ``core_masses``.  Across an entrance the core mass stays O(1) however far
-    out the walls are; otherwise it decays as R grows.
+    outermost cell at each wall, evolves it under reflecting walls to time T
+    (one ``fp_solve`` per window), and records the mass inside the core
+    |x - center| <= core_radius as ``core_masses``.  Across an entrance the
+    core mass stays O(1) however far out the walls are; otherwise it decays
+    as R grows.
 
     ``ratios`` are successive core-mass ratios; a core mass of 0 means no
     measurable inflow and the ratio following it is reported as 0.  ``label``
     is ``boundary-sensitive`` when some ratio is >= 0.5, ``insensitive`` when
     all are <= 0.25, and ``unlabeled`` otherwise or with fewer than two
-    windows.
+    windows.  ``theta_fallbacks`` counts the implicit-Euler fallback steps
+    over all solves.
 
-    ``sup_differences`` is a diagnostic that does not decide the label: the
-    sup over the core of |absorbing - reflecting| at time T for the solution
-    started from u0, i.e. whether interior mass reaches the walls.
-
+    The probe does not read ``u0``: no interior start enters the measurement,
+    and the parameter stays second only for callers that pass it by position.
     The window grids come from :func:`probe_windows`, which raises
     ``ValueError`` before any solve when a core holds no cell.
     """
     if center is None:
         center = 0.0
-    u0_fn = u0.grid_function() if isinstance(u0, FPState) else u0
-
-    sups, core_masses = [], []
+    core_masses, fallbacks = [], 0
     for grid, core in probe_windows(windows, core_radius, dx, center):
-        vals = u0_fn.zero_outside(grid.centers)
-        s_abs, _ = fp_solve(op, FPState(grid, vals.copy(), 0.0, ABSORBING), T,
-                            dt, record_mass=False)
-        s_ref, _ = fp_solve(op, FPState(grid, vals.copy(), 0.0, REFLECTING), T,
-                            dt, record_mass=False)
-        sups.append(float(np.max(np.abs(s_abs.values - s_ref.values)[core])))
-
         inflow = np.zeros(grid.m)
         inflow[[0, -1]] = 0.5 / grid.dx
         s_in, _ = fp_solve(op, FPState(grid, inflow, 0.0, REFLECTING), T, dt,
                            record_mass=False)
         core_masses.append(float(np.sum(s_in.values[core]) * grid.dx))
+        fallbacks += s_in.theta_fallbacks
 
     ratios = [core_masses[i + 1] / core_masses[i] if core_masses[i] > 0.0
               else 0.0 for i in range(len(core_masses) - 1)]
@@ -315,7 +300,7 @@ def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0,
     else:
         label = "unlabeled"
     return {"windows": list(windows), "core_masses": core_masses,
-            "sup_differences": sups, "ratios": ratios, "label": label}
+            "ratios": ratios, "label": label, "theta_fallbacks": fallbacks}
 
 
 def dump_csv(path, times, masses, final_state=None):

@@ -1,9 +1,11 @@
 """Feynman-Kac semigroup estimation by killed-diffusion simulation.
 
-Euler-Maruyama paths with diffusion sqrt(2 a) in 1D (unit Brownian term in
-R^d, where the generator fixes the Laplacian coefficient at 1/2), killing
-accumulated as the weight exp(-int V) by trapezoid along the path, and a
-finite-radius explosion surrogate.
+One Euler-Maruyama block kernel steps every path: diffusion sqrt(2 a) in 1D
+(unit Brownian term in R^d, where the generator fixes the Laplacian
+coefficient at 1/2), killing accumulated as the weight exp(-int V) by
+trapezoid along the path (V of |x| in R^d), and a finite-radius explosion
+surrogate.  ``feynman_kac`` runs it block by block, ``simulate_path`` is a
+block of one path, and ``coupled_radial_comparison`` observes its steps.
 
 Path i draws its increments from a counter-based stream derived from
 (seed, i) (a jumped Philox state), so estimates are reproducible and
@@ -24,6 +26,7 @@ from .operator import Operator1D
 R_EXPLODE_DEFAULT = 1e6
 GUARD_BAND = 1e-9  # relative band beyond a finite interval endpoint
 _W_FLOOR = 1e-300
+_CHUNK = 512  # steps of normals held per path; bounds the table's memory
 
 
 @dataclass(frozen=True)
@@ -51,56 +54,75 @@ def _path_rng(seed, i):
     return np.random.Generator(np.random.Philox(key=int(seed)).jumped(int(i)))
 
 
-def _exploded_1d(x, op, r_explode):
-    if abs(x) > r_explode:
-        return True
-    if math.isfinite(op.x0) and x < op.x0 - GUARD_BAND * max(1.0, abs(op.x0)):
-        return True
-    if math.isfinite(op.y0) and x > op.y0 + GUARD_BAND * max(1.0, abs(op.y0)):
-        return True
-    return False
+def _n_steps(T, dt):
+    return int(round(T / dt)) if T > 0.0 else 0
+
+
+def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode, observe=None):
+    """Euler-Maruyama for paths ``first .. first+n-1`` of ``seed``.
+
+    A path leaves when its site (x in 1D, |x| in R^d) passes ``r_explode`` in
+    absolute value or a finite interval endpoint by more than the guard band;
+    it then stays where it left.  ``observe(k, x, z, x_new)``, if given, sees
+    each step k with the unit normals ``z`` of its increments.
+
+    Returns positions at the end (shape (n,) or (n, d)), the survival mask,
+    int V up to the exit, and the number of steps each path took.
+    """
+    if isinstance(op, Operator1D):
+        shape, drift, site = (), op.b.array, (lambda x: x)
+        noise = lambda x: np.sqrt(2.0 * op.a.array(x))
+        lo = op.x0 - GUARD_BAND * max(1.0, abs(op.x0))  # -inf when unbounded
+        hi = op.y0 + GUARD_BAND * max(1.0, abs(op.y0))
+    else:
+        shape, drift = (op.d,), op.drift_at
+        site = lambda x: np.linalg.norm(x, axis=-1)
+        noise = lambda x: 1.0
+        lo, hi = -math.inf, math.inf
+    # the unit normals of the next steps, per path and in stream order
+    rngs = [_path_rng(seed, first + j) for j in range(n)]
+    xi = np.empty((n, min(n_steps, _CHUNK)) + shape)
+    x = np.full((n,) + shape, x0, dtype=float)
+    alive = np.ones(n, dtype=bool)
+    col = (slice(None),) + (None,) * len(shape)  # alive against x's shape
+    steps = np.full(n, n_steps)
+    vint = np.zeros(n)
+    v_prev = op.V.array(site(x))
+    sdt = math.sqrt(dt)
+    for k in range(n_steps):
+        if k % _CHUNK == 0:
+            for rng, row in zip(rngs, xi):
+                rng.standard_normal(out=row)
+        z = xi[:, k % _CHUNK]
+        x_new = np.where(alive[col], x + drift(x) * dt + noise(x) * sdt * z, x)
+        if observe is not None:
+            observe(k, x, z, x_new)
+        x = x_new
+        s = site(x)
+        out = (np.abs(s) > r_explode) | (s < lo) | (s > hi)
+        steps[alive & out] = k + 1
+        alive &= ~out
+        v_new = op.V.array(s)
+        vint = np.where(alive, vint + 0.5 * (v_prev + v_new) * dt, vint)
+        v_prev = v_new
+    return x, alive, vint, steps
+
+
+def _weights(vint):
+    w = np.exp(-np.minimum(vint, 700.0))
+    w[w < _W_FLOOR] = 0.0
+    return w
 
 
 def simulate_path(op, x0, T, dt, seed=0, path_index=0,
                   r_explode=R_EXPLODE_DEFAULT):
     """One Euler-Maruyama path; explosion is data, not an error."""
-    rng = _path_rng(seed, path_index)
-    n_steps = int(round(T / dt)) if T > 0.0 else 0
-    if isinstance(op, Operator1D):
-        x = float(x0)
-        v_prev = op.V(x)
-        vint = 0.0
-        t = 0.0
-        for _ in range(n_steps):
-            xi = rng.standard_normal()
-            x = x + op.b(x) * dt + math.sqrt(2.0 * op.a(x) * dt) * xi
-            t += dt
-            if _exploded_1d(x, op, r_explode):
-                return PathOutcome(None, max(math.exp(-vint), 0.0), True, t)
-            v_new = op.V(x)
-            vint += 0.5 * (v_prev + v_new) * dt
-            v_prev = v_new
-        w = math.exp(-vint)
-        return PathOutcome(x, w if w >= _W_FLOOR else 0.0, False)
-
-    # multidimensional: unit Brownian term, radial potential
-    x = np.asarray(x0, dtype=float)
-    r = float(np.linalg.norm(x))
-    v_prev = op.V(r)
-    vint = 0.0
-    t = 0.0
-    for _ in range(n_steps):
-        xi = rng.standard_normal(op.d)
-        x = x + op.drift_at(x) * dt + math.sqrt(dt) * xi
-        t += dt
-        r = float(np.linalg.norm(x))
-        if r > r_explode:
-            return PathOutcome(None, max(math.exp(-vint), 0.0), True, t)
-        v_new = op.V(r)
-        vint += 0.5 * (v_prev + v_new) * dt
-        v_prev = v_new
-    w = math.exp(-vint)
-    return PathOutcome(x, w if w >= _W_FLOOR else 0.0, False)
+    x, alive, vint, steps = _em_block(op, x0, _n_steps(T, dt), dt, seed,
+                                      path_index, 1, r_explode)
+    w = float(_weights(vint)[0])
+    if alive[0]:
+        return PathOutcome(x[0], w, False)
+    return PathOutcome(None, w, True, steps[0] * dt)
 
 
 def _terminal_function(f):
@@ -120,51 +142,25 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
                 r_explode=R_EXPLODE_DEFAULT, block=2048):
     """Monte Carlo estimate of E[ 1_survived f(X_T) exp(-int_0^T V) ].
 
-    Exploded paths contribute zero (consistent with compactly supported f).
+    In 1D ``f`` is a parsed expression, a GridFunction (zero outside its
+    table) or a callable on arrays of points; for an ``OperatorND`` it is a
+    callable on an (n, d) array of points returning n values.  Exploded
+    paths contribute zero (consistent with compactly supported f).
     Deterministic for a fixed (seed, n_paths, dt); batching does not change
     the result because streams are keyed per path.
     """
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
-    if not isinstance(op, Operator1D):
-        raise NotImplementedError("vectorized estimation is 1D; use "
-                                  "simulate_path for ND paths")
     fterm = _terminal_function(f)
-    n_steps = int(round(T / dt)) if T > 0.0 else 0
+    n_steps = _n_steps(T, dt)
     contribs = np.empty(n_paths)
     exploded_total = 0
-
     for start in range(0, n_paths, block):
         nb = min(block, n_paths - start)
-        # per-path streams stacked into a (nb, n_steps) increment table
-        xi = np.empty((nb, n_steps)) if n_steps else np.zeros((nb, 0))
-        for j in range(nb):
-            rng = _path_rng(seed, start + j)
-            if n_steps:
-                xi[j] = rng.standard_normal(n_steps)
-        x = np.full(nb, float(x0))
-        alive = np.ones(nb, dtype=bool)
-        vint = np.zeros(nb)
-        v_prev = op.V.array(x)
-        sdt = math.sqrt(dt)
-        for k in range(n_steps):
-            bx = op.b.array(x)
-            ax = op.a.array(x)
-            x = np.where(alive, x + bx * dt + np.sqrt(2.0 * ax) * sdt * xi[:, k], x)
-            out = np.abs(x) > r_explode
-            if math.isfinite(op.x0):
-                out |= x < op.x0 - GUARD_BAND * max(1.0, abs(op.x0))
-            if math.isfinite(op.y0):
-                out |= x > op.y0 + GUARD_BAND * max(1.0, abs(op.y0))
-            newly = alive & out
-            alive &= ~out
-            v_new = op.V.array(x)
-            vint = np.where(alive, vint + 0.5 * (v_prev + v_new) * dt, vint)
-            v_prev = v_new
-        w = np.exp(-np.minimum(vint, 700.0))
-        w[w < _W_FLOOR] = 0.0
-        vals = np.where(alive, np.asarray(fterm(x), dtype=float) * w, 0.0)
-        contribs[start:start + nb] = vals
+        x, alive, vint, _ = _em_block(op, x0, n_steps, dt, seed, start, nb,
+                                      r_explode)
+        contribs[start:start + nb] = np.where(
+            alive, np.asarray(fterm(x), dtype=float) * _weights(vint), 0.0)
         exploded_total += int(np.sum(~alive))
 
     mean = float(np.sum(contribs) / n_paths)  # pairwise summation
@@ -176,20 +172,21 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
 def coupled_radial_comparison(op_nd, beta_fn, x0, T, dt, seed=0, n_paths=100):
     """Couple ND paths with the 1D radial comparison diffusion on the same
     radially projected Brownian increments; returns per-step margins
-    radius_nd - radius_1d for each path (shape (n_paths, n_steps))."""
-    d = op_nd.d
-    n_steps = int(round(T / dt))
+    radius_nd - radius_1d for each path (shape (n_paths, n_steps)).
+
+    ``beta_fn`` is called on an array of the n_paths comparison radii."""
+    n_steps = _n_steps(T, dt)
     margins = np.empty((n_paths, n_steps))
-    geo = (d - 1) / 2.0
-    for i in range(n_paths):
-        rng = _path_rng(seed, i)
-        x = np.asarray(x0, dtype=float).copy()
-        r1 = float(np.linalg.norm(x))
-        for k in range(n_steps):
-            xi = rng.standard_normal(d)
-            e = x / max(np.linalg.norm(x), 1e-300)
-            dw_rad = float(e @ xi) * math.sqrt(dt)
-            x = x + op_nd.drift_at(x) * dt + math.sqrt(dt) * xi
-            r1 = r1 + (beta_fn(r1) + geo / r1) * dt + dw_rad
-            margins[i, k] = float(np.linalg.norm(x)) - r1
+    geo = (op_nd.d - 1) / 2.0
+    sdt = math.sqrt(dt)
+    r1 = np.full(n_paths, float(np.linalg.norm(x0)))
+
+    def couple(k, x, z, x_new):
+        nonlocal r1
+        e = x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-300)
+        dw_rad = np.einsum("ij,ij->i", e, z) * sdt
+        r1 = r1 + (beta_fn(r1) + geo / r1) * dt + dw_rad
+        margins[:, k] = np.linalg.norm(x_new, axis=-1) - r1
+
+    _em_block(op_nd, x0, n_steps, dt, seed, 0, n_paths, math.inf, couple)
     return margins

@@ -182,18 +182,19 @@ class OperatorND:
         return np.stack(comps, axis=-1)
 
 
+def coordinate_names(d):
+    """The coordinate identifiers x1..xd of a drift component."""
+    return tuple(f"x{i+1}" for i in range(d))
+
+
 def make_operator_nd(d, b_components, V, beta_override=None, n_val=N_VAL_DEFAULT):
     d = int(d)
     if d < 2:
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, d,
                               "dimension must be >= 2")
-    names = tuple(f"x{i+1}" for i in range(d))
-    comps = []
-    for comp in b_components:
-        if isinstance(comp, str):
-            comps.append(ex.parse_expr_multi(comp, names))
-        else:
-            comps.append(comp)
+    names = coordinate_names(d)
+    comps = [ex.parse_expr_multi(c, names) if isinstance(c, str) else c
+             for c in b_components]
     if len(comps) != d:
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, d,
                               f"need {d} drift components, got {len(comps)}")

@@ -1,12 +1,17 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diffuniq import cli, operator, uniqueness
 from diffuniq.errors import ConfigError
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+_OU = {"a": "0.5", "b": "-x", "V": "0", "interval": ["-inf", "inf"]}
 
 
 def ou_config(mode="classify1d", **extra):
@@ -183,10 +188,17 @@ def test_classifynd_makes_one_radial_pass(monkeypatch):
     ("fk", bessel_config(), []),
     ("classify", nd_config(beta=[1]), []),
     ("classify", nd_config(V=[0]), []),
+    ("classify", ou_config(operator={**_OU, "a": "abc"}), []),
+    ("classify", nd_config(V="log(x)"), []),
+    ("classify", nd_config(b=["-x1", "-x3"]), []),
+    ("entrance", bessel_config(c=0), []),
+    ("classify", ou_config(operator={**_OU, "interval": [0, 1]}, c=5), []),
 ], ids=["array-config", "lambda-abc", "fk-n_paths", "fp-m", "probe-windows",
         "fp-dt", "fp-dt-over-fk-T", "fp-dt-over-probe-T", "probe-core_radius",
         "fk-f-log", "xval-f-log", "fp-window-bessel", "xval-window-bessel",
-        "fk-x0-bessel", "nd-beta-list", "nd-V-list"])
+        "fk-x0-bessel", "nd-beta-list", "nd-V-list", "a-unknown-identifier",
+        "nd-V-unknown-identifier", "nd-b-unknown-identifier",
+        "entrance-c-endpoint", "classify-c-outside"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, config, args):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -227,6 +239,47 @@ def test_sampling_sites_and_expressions_checked(config, pointer):
     assert e.value.pointer == pointer
 
 
+@pytest.mark.parametrize("config, pointer", [
+    (ou_config(operator={**_OU, "a": "abc"}), "/operator/a"),
+    (ou_config(operator={**_OU, "V": "x +"}), "/operator/V"),
+    (nd_config(V="log(x)"), "/operator/V"),
+    (nd_config(b=["-x1", "-x3"]), "/operator/b/1"),
+    (nd_config(beta="-x1"), "/operator/beta"),
+], ids=["a", "V-syntax", "nd-V", "nd-b", "nd-beta"])
+def test_operator_parse_error_is_config_error(config, pointer):
+    with pytest.raises(ConfigError) as e:
+        cli.run(config)
+    assert e.value.pointer == pointer
+
+
+def test_parsed_operator_failing_validation_exits_3(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(nd_config(V="-1")))
+    assert cli.main(["classify", "--config", str(path)]) == 3
+
+
+@pytest.mark.parametrize("config", [
+    bessel_config("entrance", c=0),
+    bessel_config("entrance", c=-2),
+    ou_config(operator={**_OU, "interval": [0, 1]}, c=5),
+    ou_config(operator={**_OU, "interval": [-1, 1]}, c=1),
+], ids=["entrance-c-0", "entrance-c-negative", "classify-c-5",
+        "classify-c-endpoint"])
+def test_base_point_outside_interval(config):
+    with pytest.raises(ConfigError) as e:
+        cli.resolve_config(config)
+    assert e.value.pointer == "/c"
+
+
+def test_fp_report_counts_theta_fallbacks():
+    example = json.loads((EXAMPLES / "fp.json").read_text())
+    assert cli.run(example)["fokker_planck"]["theta_fallbacks"] == 0
+    # a start narrower than a cell at dt = 0.01: one implicit-Euler step
+    spike = ou_config("fp", fp={"T": 0.1, "dt": 0.01,
+                                "u0": {"type": "gaussian", "var": 1e-4}})
+    assert cli.run(spike)["fokker_planck"]["theta_fallbacks"] == 1
+
+
 def test_fk_inside_the_interval_runs():
     cfg = bessel_config("fk", fk={"x0": 1.0, "T": 0.05, "dt": 0.01,
                                   "n_paths": 200, "f": "log(x)"})
@@ -239,7 +292,6 @@ _SMALL = {"lambda_set": [1.0], "seed": 1,
           "fp": {"T": 0.05, "dt": 0.01, "m": 32, "window": [0.5, 3.0]},
           "fk": {"T": 0.05, "dt": 0.01, "x0": 1.0, "n_paths": 100},
           "probe": {"windows": [2.0, 3.0], "T": 0.05, "core_radius": 1.0}}
-_OU = {"a": "0.5", "b": "-x", "V": "0", "interval": ["-inf", "inf"]}
 _BESSEL = {"a": "0.5", "b": "1/x", "V": "0", "interval": [0, "inf"]}
 # (subcommand, one cheap configuration)
 _BASES = [

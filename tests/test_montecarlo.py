@@ -126,3 +126,71 @@ def test_coupled_radial_domination():
                                            seed=12, n_paths=64)
     assert m_exact[:, -1].mean() > -0.02
     assert np.all(m_strict[:, -1] >= m_exact[:, -1] - 1e-9)
+
+
+def test_nd_constant_killing():
+    # V = 1 kills every path at rate 1: the weight is e^{-T} on each path
+    op = make_operator_nd(3, ["-x1", "-x2", "-x3"], "1")
+    est = MC.feynman_kac(op, lambda x: np.ones(len(x)), 0.5, [1.0, 0.0, 0.0],
+                         500, 1e-2, seed=3, block=128)
+    assert est.mean == pytest.approx(math.exp(-0.5), abs=1e-9)
+    assert est.stderr <= 1e-9
+    assert est.explosion_fraction == 0.0
+
+
+def test_nd_single_path_is_path_of_block():
+    op = make_operator_nd(3, ["-x1 + sin(x2)", "-x2", "-x3"], "r^2")
+    terminals = []
+
+    def record(x):  # a callable terminal function sees the (n, d) block
+        terminals.append(x.copy())
+        return np.ones(len(x))
+    MC.feynman_kac(op, record, 0.2, [1.0, 0.5, 0.0], 200, 1e-2, seed=5,
+                   block=128)
+    block = np.concatenate(terminals)
+    assert block.shape == (200, 3)
+    for i in (0, 127, 128, 199):
+        out = MC.simulate_path(op, [1.0, 0.5, 0.0], 0.2, 1e-2, seed=5,
+                               path_index=i)
+        assert np.array_equal(out.terminal, block[i])
+
+
+def test_block_kernel_matches_scalar_reference():
+    # the per-path scalar Euler loop the block kernel replaced: x-dependent
+    # diffusion and potential, an interval exit and trapezoid killing
+    op = make_operator_1d("0.5 + 0.25*sin(x)", "-x", "x^2", (-0.5, 1.5))
+    T, dt, seed = 0.5, 1e-2, 11
+    for i in range(20):
+        xi = MC._path_rng(seed, i).standard_normal(50)
+        x, vint, exited = 0.5, 0.0, False
+        for k in range(50):
+            x_new = x + op.b(x) * dt + math.sqrt(2.0 * op.a(x) * dt) * xi[k]
+            if not -0.5 - 1e-9 <= x_new <= 1.5 + 1e-9:
+                exited = True
+                break
+            vint += 0.5 * (op.V(x) + op.V(x_new)) * dt
+            x = x_new
+        out = MC.simulate_path(op, 0.5, T, dt, seed=seed, path_index=i)
+        assert out.exploded == exited
+        assert out.weight == pytest.approx(math.exp(-vint), rel=1e-12)
+        if exited:
+            assert out.exit_time == pytest.approx((k + 1) * dt)
+        else:
+            assert out.terminal == pytest.approx(x, rel=1e-12, abs=1e-14)
+
+
+def test_coupled_radial_matches_per_path_reference():
+    # the per-path loop the vectorized coupling replaced
+    op = make_operator_nd(3, ["-x1", "-x2 + 0.3*sin(x1)", "-x3"], "0")
+    x0, dt, n_steps = np.array([2.0, 0.5, 0.0]), 1e-2, 40
+    margins = MC.coupled_radial_comparison(op, lambda r: -r - 0.3, x0,
+                                           n_steps * dt, dt, seed=3, n_paths=4)
+    for i in range(4):
+        xi = MC._path_rng(3, i).standard_normal((n_steps, 3))
+        x, r1 = x0.copy(), float(np.linalg.norm(x0))
+        for k in range(n_steps):
+            dw_rad = float(x / np.linalg.norm(x) @ xi[k]) * math.sqrt(dt)
+            x = x + op.drift_at(x) * dt + math.sqrt(dt) * xi[k]
+            r1 = r1 + (-r1 - 0.3 + 1.0 / r1) * dt + dw_rad
+            assert margins[i, k] == pytest.approx(np.linalg.norm(x) - r1,
+                                                  rel=1e-12, abs=1e-12)
