@@ -24,7 +24,7 @@ from .operator import (
     make_operator_nd,
     radial_bound,
 )
-from .quadrature import Budget, FellerPair, IntegralVerdict, build_feller, improper_integral
+from .quadrature import IntegralVerdict, improper_integral, log_scale
 from .uniqueness import (
     INCONCLUSIVE,
     NOT_UNIQUE,
@@ -54,15 +54,16 @@ from .montecarlo import FKEstimate, coupled_radial_comparison, feynman_kac
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABSORBING", "Budget", "ConfigError", "DiffuniqError",
-    "DomainError", "ExprSyntaxError", "FKEstimate", "FPState", "FellerPair",
+    "ABSORBING", "ConfigError", "DiffuniqError",
+    "DomainError", "ExprSyntaxError", "FKEstimate", "FPState",
     "GridFunction", "Grid1D", "INCONCLUSIVE", "IntegralVerdict", "NOT_UNIQUE",
     "Operator1D", "OperatorND", "PROOF_FAITHFUL", "RadialBound",
     "REFLECTING", "STRICT_THEOREM", "UNIQUE", "UnknownIdentifier",
-    "ValidationError", "Verdict", "bc_sensitivity_probe", "build_feller",
+    "ValidationError", "Verdict", "bc_sensitivity_probe",
     "coupled_radial_comparison", "duality_check", "endpoint_condition",
     "entrance_test", "eval_expr", "feynman_kac", "format_expr", "fp_solve",
-    "free_vars", "gaussian_state", "improper_integral", "make_operator_1d",
+    "free_vars", "gaussian_state", "improper_integral", "log_scale",
+    "make_operator_1d",
     "make_operator_nd", "monotone_solution", "nd_verdicts", "parse_expr",
     "parse_expr_multi", "radial_bound", "uniqueness_1d", "uniqueness_nd",
 ]

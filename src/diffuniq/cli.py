@@ -264,10 +264,10 @@ def _run_classify(cfg, op, report):
 
 def _run_entrance(cfg, op, report):
     c = cfg["c"] if cfg["c"] is not None else uniqueness.default_base_point(op)
-    fp = quadrature.build_feller(op, c)
+    quadrature.probe_scale(op, c)
     report["entrance"] = {
-        "lower": uniqueness.entrance_test(op, fp, op.x0).to_dict(),
-        "upper": uniqueness.entrance_test(op, fp, op.y0).to_dict(),
+        "lower": uniqueness.entrance_test(op, c, op.x0).to_dict(),
+        "upper": uniqueness.entrance_test(op, c, op.y0).to_dict(),
         "note": "Diverges means the endpoint is not an entrance boundary",
     }
 

@@ -1,13 +1,13 @@
-"""Adaptive quadrature, cached Feller transforms, and three-valued
+"""Adaptive quadrature, the Feller scale function, and three-valued
 divergence verdicts for improper integrals near singular endpoints.
 
 The verdict machinery integrates over geometrically expanding windows and
-gathers asymptotic evidence; it never claims an exact infinity.
+gathers asymptotic evidence; it never claims an exact infinity.  Its limits
+are the module constants below.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -17,6 +17,17 @@ from scipy import integrate
 from .errors import DomainError
 
 CONVERGES, DIVERGES, INCONCLUSIVE = "Converges", "Diverges", "Inconclusive"
+
+# limits of the windowed improper-integral probe
+N_WINDOWS_INFINITE = 40
+N_WINDOWS_FINITE = 64
+REL_TOL = 1e-8
+ABS_TOL = 1e-12
+CUM_CAP = 1e12
+# increments must decay by at least this ratio, 5 windows running,
+# before a convergence claim is attempted
+DECAY_RATIO = 0.75
+SLOPE_THRESHOLD = -0.05
 
 
 @dataclass(frozen=True)
@@ -56,24 +67,6 @@ class IntegralVerdict:
         return {"kind": self.kind, "value": self.value, "err": self.err,
                 "evidence": self.evidence, "windows_used": self.windows_used,
                 "rhs_evals": self.rhs_evals}
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Knobs of the windowed improper-integral probe."""
-
-    n_windows_infinite: int = 40
-    n_windows_finite: int = 64
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    cum_cap: float = 1e12
-    # increments must decay by at least this ratio, 5 windows running,
-    # before a convergence claim is attempted
-    decay_ratio: float = 0.75
-    slope_threshold: float = -0.05
-
-
-DEFAULT_BUDGET = Budget()
 
 
 def window_bounds(endpoint, anchor, n_windows):
@@ -117,23 +110,21 @@ class _WindowJudge:
     and the geometric tail estimate within tolerance.
     """
 
-    def __init__(self, budget=DEFAULT_BUDGET):
-        self.budget = budget
+    def __init__(self):
         self.increments = []
         self.total = 0.0
         self.quad_err = 0.0
 
     def feed(self, inc, quad_err=0.0):
         """Register a window increment; returns a verdict or None."""
-        b = self.budget
         self.increments.append(inc)
         self.total += inc
         self.quad_err += quad_err
         k = len(self.increments)
 
-        if not math.isfinite(self.total) or self.total > b.cum_cap:
+        if not math.isfinite(self.total) or self.total > CUM_CAP:
             return IntegralVerdict.diverges(
-                f"cumulative integral exceeded {b.cum_cap:g} after {k} windows",
+                f"cumulative integral exceeded {CUM_CAP:g} after {k} windows",
                 windows=k)
         if k >= 3:
             a3, a2, a1 = self.increments[-3:]
@@ -146,9 +137,9 @@ class _WindowJudge:
             if all(v > 0.0 for v in last):
                 logs = np.log(last)
                 slope = np.polyfit(np.arange(5.0), logs, 1)[0]
-                if slope >= b.slope_threshold:
+                if slope >= SLOPE_THRESHOLD:
                     return IntegralVerdict.diverges(
-                        f"log-increment slope {slope:.3g} >= {b.slope_threshold} "
+                        f"log-increment slope {slope:.3g} >= {SLOPE_THRESHOLD} "
                         "over the last 5 windows", windows=k)
         if k >= 5:
             last = self.increments[-5:]
@@ -159,17 +150,17 @@ class _WindowJudge:
                 else:
                     ratios.append(cur / prev)
             r = max(ratios)
-            if r <= b.decay_ratio:
+            if r <= DECAY_RATIO:
                 tail = self.increments[-1] * r / (1.0 - r) if r > 0.0 else 0.0
-                tol = b.rel_tol * abs(self.total) + b.abs_tol
+                tol = REL_TOL * abs(self.total) + ABS_TOL
                 if tail <= tol:
                     return IntegralVerdict.converges(
                         self.total, tail + self.quad_err,
-                        f"increments decayed with ratio <= {b.decay_ratio} "
+                        f"increments decayed with ratio <= {DECAY_RATIO} "
                         f"for 5 windows; geometric tail {tail:.3g}", windows=k)
         return None
 
-    def out_of_budget(self, reason="window budget exhausted"):
+    def inconclusive(self, reason="window limit reached"):
         return IntegralVerdict.inconclusive(
             f"{reason} after {len(self.increments)} windows "
             f"(total so far {self.total:.6g})", windows=len(self.increments))
@@ -177,29 +168,28 @@ class _WindowJudge:
 
 class WindowStop(Exception):
     """Ends a :func:`windowed_verdict` walk early: ``Diverges`` with the
-    message as evidence when ``diverges``, else an out-of-budget
-    ``Inconclusive`` with the message as its reason."""
+    message as evidence when ``diverges``, else ``Inconclusive`` with the
+    message as its reason."""
 
     def __init__(self, reason, diverges=False):
         super().__init__(reason)
         self.diverges = diverges
 
 
-def windowed_verdict(endpoint, anchor, integrate_window, budget=DEFAULT_BUDGET):
+def windowed_verdict(endpoint, anchor, integrate_window):
     """Three-valued verdict for an integral from ``anchor`` toward ``endpoint``.
 
     ``integrate_window(lo, hi)`` is called per window in marching order (so
     ``lo > hi`` when marching down) and returns ``(increment, err_est)`` or
     raises :class:`WindowStop`.  An infinite increment (overflow) ends
     ``Diverges``; a NaN one ends ``Inconclusive``, as it bounds nothing."""
-    n = (budget.n_windows_infinite if math.isinf(endpoint)
-         else budget.n_windows_finite)
+    n = N_WINDOWS_INFINITE if math.isinf(endpoint) else N_WINDOWS_FINITE
     try:
         bounds = window_bounds(endpoint, anchor, n)
     except ValueError as exc:
         return IntegralVerdict.inconclusive(str(exc))
 
-    judge = _WindowJudge(budget)
+    judge = _WindowJudge()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         try:
             inc, err = integrate_window(lo, hi)
@@ -207,9 +197,9 @@ def windowed_verdict(endpoint, anchor, integrate_window, budget=DEFAULT_BUDGET):
             if stop.diverges:
                 return IntegralVerdict.diverges(
                     str(stop), windows=len(judge.increments) + 1)
-            return judge.out_of_budget(str(stop))
+            return judge.inconclusive(str(stop))
         if math.isnan(inc):
-            return judge.out_of_budget("integrand undefined (NaN) inside a window")
+            return judge.inconclusive("integrand undefined (NaN) inside a window")
         if not math.isfinite(inc):
             return IntegralVerdict.diverges(
                 "integrand overflowed inside a window",
@@ -217,15 +207,16 @@ def windowed_verdict(endpoint, anchor, integrate_window, budget=DEFAULT_BUDGET):
         verdict = judge.feed(inc, err)
         if verdict is not None:
             return verdict
-    return judge.out_of_budget()
+    return judge.inconclusive()
 
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def gauss_window(f, lo, hi, max_panels=64, rel_tol=1e-12):
+def gauss_window(f, lo, hi):
     """Integrate a smooth nonnegative integrand over [lo, hi] by composite
-    32-point Gauss-Legendre with panel doubling; returns (value, err_est)."""
+    32-point Gauss-Legendre with panel doubling, until two rounds agree to
+    1e-12 relative or 64 panels; returns (value, err_est)."""
     prev = None
     panels = 1
     while True:
@@ -239,13 +230,13 @@ def gauss_window(f, lo, hi, max_panels=64, rel_tol=1e-12):
             return total, math.inf
         if prev is not None:
             err = abs(total - prev)
-            if err <= rel_tol * max(abs(total), 1e-300) or panels >= max_panels:
+            if err <= 1e-12 * max(abs(total), 1e-300) or panels >= 64:
                 return total, err
         prev = total
         panels *= 2
 
 
-def improper_integral(f, endpoint, anchor, budget=DEFAULT_BUDGET):
+def improper_integral(f, endpoint, anchor):
     """Three-valued verdict for the integral of a nonnegative ``f`` from
     ``anchor`` toward ``endpoint`` (finite or infinite)."""
     fv = np.vectorize(f, otypes=[float])
@@ -256,78 +247,62 @@ def improper_integral(f, endpoint, anchor, budget=DEFAULT_BUDGET):
         except DomainError as exc:
             raise WindowStop(f"integrand evaluation failed: {exc}") from exc
 
-    return windowed_verdict(endpoint, anchor, window, budget)
+    return windowed_verdict(endpoint, anchor, window)
 
 
 # ---------------------------------------------------------------------------
-# Feller transforms
+# Feller scale function
 
-class FellerPair:
-    """Cached evaluators for the Feller speed measure and scale function.
-
-    L(x) = integral from c to x of b/a; alpha = e^L, rho = e^L / a.
-    L is extended lazily by adaptive quadrature between memoized anchors.
-    """
-
-    def __init__(self, op, c, rel_tol=1e-9):
-        if not op.interior(c):
-            raise DomainError(f"base point {c} not interior to "
-                              f"({op.x0}, {op.y0})")
-        self.op = op
-        self.c = float(c)
-        self.rel_tol = rel_tol
-        # memoized (x, L(x)) anchors, kept sorted; seeded with the base point
-        self._xs = [self.c]
-        self._Ls = [0.0]
-        self._ratio = lambda t: op.b(t) / op.a(t)
-        # probe integrability on a compact neighborhood right away
-        self.log_alpha(self.c + min(1.0, 0.25 * (op.y0 - c)) if math.isfinite(op.y0)
-                       else self.c + 1.0)
-        self.log_alpha(self.c - min(1.0, 0.25 * (c - op.x0)) if math.isfinite(op.x0)
-                       else self.c - 1.0)
-
-    def _quad(self, lo, hi):
-        val, err = integrate.quad(self._ratio, lo, hi,
-                                  epsabs=1e-13, epsrel=self.rel_tol * 1e-2,
-                                  limit=200)
-        if not math.isfinite(val) or err > self.rel_tol * max(1.0, abs(val)) * 10:
-            raise DomainError(
-                f"b/a not integrable on [{lo}, {hi}] (quad err {err:g})")
-        return val
-
-    def log_alpha(self, x):
-        """L(x), memoizing the result as a new anchor."""
-        x = float(x)
-        if not self.op.interior(x):
-            raise DomainError(f"{x} outside ({self.op.x0}, {self.op.y0})")
-        i = bisect.bisect_left(self._xs, x)
-        if i < len(self._xs) and self._xs[i] == x:
-            return self._Ls[i]
-        # nearest memoized anchor
-        cands = []
-        if i > 0:
-            cands.append(i - 1)
-        if i < len(self._xs):
-            cands.append(i)
-        j = min(cands, key=lambda k: abs(self._xs[k] - x))
-        L = self._Ls[j] + self._quad(self._xs[j], x)
-        self._xs.insert(i, x)
-        self._Ls.insert(i, L)
-        return L
-
-    def alpha(self, x):
-        return math.exp(self.log_alpha(x))
-
-    def rho(self, x):
-        a = self.op.a(x)
-        return math.exp(self.log_alpha(x)) / a
-
-    def log_alpha_array(self, xs):
-        """L on a sorted array, chaining quadrature between neighbours."""
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self.log_alpha(float(x)) for x in xs])
+def require_interior(op, c):
+    """The base point ``c`` as a float; DomainError unless it lies inside
+    the operator's interval."""
+    if not op.interior(c):
+        raise DomainError(f"base point {c} not interior to ({op.x0}, {op.y0})")
+    return float(c)
 
 
-def build_feller(op, c, rel_tol=1e-9):
-    """Construct the (rho, alpha) pair anchored at the interior point c."""
-    return FellerPair(op, c, rel_tol)
+_SCALE_REL_TOL = 1e-9
+
+
+def _ratio_integral(op, lo, hi):
+    """The integral of b/a from lo to hi by adaptive quadrature."""
+    val, err = integrate.quad(lambda t: op.b(t) / op.a(t), lo, hi,
+                              epsabs=1e-13, epsrel=_SCALE_REL_TOL * 1e-2,
+                              limit=200)
+    if not math.isfinite(val) or err > _SCALE_REL_TOL * max(1.0, abs(val)) * 10:
+        raise DomainError(
+            f"b/a not integrable on [{lo}, {hi}] (quad err {err:g})")
+    return val
+
+
+def log_scale(op, c, xs):
+    """L(x) = integral from c to x of b/a at the points ``xs``, which may lie
+    on either side of the base point c, or on both.  The scale density is
+    alpha = e^L and the speed density rho = e^L / a.  Each side is chained
+    outward from c, one quadrature per gap between neighbouring points."""
+    c = require_interior(op, c)
+    xs = np.asarray(xs, dtype=float)
+    for x in xs:
+        if not op.interior(x):
+            raise DomainError(f"{x} outside ({op.x0}, {op.y0})")
+    L = np.empty(xs.shape)
+    above, below = np.flatnonzero(xs >= c), np.flatnonzero(xs < c)
+    for side in (above[np.argsort(xs[above], kind="stable")],
+                 below[np.argsort(-xs[below], kind="stable")]):
+        x_prev, total = c, 0.0
+        for i in side:
+            x = float(xs[i])
+            if x != x_prev:
+                total += _ratio_integral(op, x_prev, x)
+                x_prev = x
+            L[i] = total
+    return L
+
+
+def probe_scale(op, c):
+    """Input check: b/a must integrate on [c - 1, c + 1], each side cut to a
+    quarter of the gap to a finite endpoint.  Raises DomainError when c is
+    not interior or b/a is not integrable there."""
+    up = c + min(1.0, 0.25 * (op.y0 - c)) if math.isfinite(op.y0) else c + 1.0
+    down = c - min(1.0, 0.25 * (c - op.x0)) if math.isfinite(op.x0) else c - 1.0
+    log_scale(op, c, [down, up])

@@ -25,11 +25,15 @@ Both integral tests share one march (``_March``, BDF window by window) and
 one window helper (``_march_verdict``), which integrates a log-integrand
 with Gauss-Legendre sums taken in log space and hands the increments to
 ``quadrature.windowed_verdict``.  Once the log of the running sum passes
-log(cum_cap) the walk ends ``Diverges``: a true lower bound on a positive
+log(CUM_CAP) the walk ends ``Diverges``: a true lower bound on a positive
 integrand.  The endpoint test integrates rho u = exp(sigma + log h_hat -
 log a) and needs no overflow guard.  The entrance test (V = 0) marches
 (L, K, g), integrates g / a, and keeps a guard on K and g: K = int rho
 beyond it already forces the iterated integral to diverge.
+
+Every test takes the base point c itself.  Neither integral test needs the
+scale function; only ``monotone_solution`` and ``series_partial`` call
+``quadrature.log_scale`` to turn the flux back into u.
 """
 
 from __future__ import annotations
@@ -67,24 +71,19 @@ class SeriesTable:
         return self.partial_sums[n]
 
 
-def series_partial(op, fp, lam, direction, N, grid=None, span=1.0, n_grid=1025):
+def series_partial(op, c, lam, direction, N, n_grid=1025):
     """Partial sums of the phi (toward upper) or psi (toward lower) series
-    by iterated cumulative quadrature, one cumulative pass per level."""
+    on a unit span from the base point c, by iterated cumulative
+    quadrature, one cumulative pass per level."""
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
-    c = fp.c
-    if grid is None:
-        sgn = 1.0 if direction == TOWARD_UPPER else -1.0
-        grid = c + sgn * np.linspace(0.0, span, n_grid)
-    xs = np.asarray(grid, dtype=float)
+    sgn = 1.0 if direction == TOWARD_UPPER else -1.0
+    xs = c + sgn * np.linspace(0.0, 1.0, n_grid)
 
     # work in the marched coordinate t >= 0; integrals from c become
     # cumulative integrals in t for both directions
     t = np.abs(xs - c)
-    if not np.all(np.diff(t) > 0) and xs.size > 1:
-        raise ValueError("grid must march monotonically away from the base point")
-
-    L = fp.log_alpha_array(xs)
+    L = qd.log_scale(op, c, xs)
     a_vals = op.a.array(xs)
     V_vals = op.V.array(xs)
     alpha = np.exp(L)
@@ -194,16 +193,14 @@ def _log_rho_u(op):
     return log_integrand
 
 
-def monotone_solution(op, fp, lam, direction, span=None, x_end=None, n_grid=513):
-    """March u away from the base point over a finite span; log-space table."""
+def monotone_solution(op, c, lam, direction, x_end=None, n_grid=513):
+    """March u away from the base point c to ``x_end`` (default: one unit
+    in ``direction``); log-space table."""
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
-    c = fp.c
-    sgn = 1.0 if direction == TOWARD_UPPER else -1.0
+    c = qd.require_interior(op, c)
     if x_end is None:
-        if span is None:
-            span = 1.0
-        x_end = c + sgn * span
+        x_end = c + (1.0 if direction == TOWARD_UPPER else -1.0)
     march = _scaled_march(op, lam, c, direction == TOWARD_UPPER)
     sol = march.advance(x_end)
     if sol is None:
@@ -212,7 +209,7 @@ def monotone_solution(op, fp, lam, direction, span=None, x_end=None, n_grid=513)
     h_hat, W_hat, sigma = sol.sol(xs)
     if not np.all(h_hat > 0.0):
         raise DomainError("monotone solution march lost positivity")
-    log_u = sigma + np.log(h_hat) - fp.log_alpha_array(xs)
+    log_u = sigma + np.log(h_hat) - qd.log_scale(op, c, xs)
     return MonotoneSolution(direction, lam, xs, log_u, W_hat / h_hat)
 
 
@@ -222,7 +219,7 @@ def monotone_solution(op, fp, lam, direction, span=None, x_end=None, n_grid=513)
 _LOG_GL_WEIGHTS = np.log(qd.GL_WEIGHTS)
 
 
-def _march_verdict(endpoint, anchor, march, log_integrand, budget,
+def _march_verdict(endpoint, anchor, march, log_integrand,
                    guard_evidence=None):
     """Windowed verdict on the integral of exp(log_integrand(y, xs)) toward
     ``endpoint``, y being the dense march solution at the nodes xs: per
@@ -232,7 +229,7 @@ def _march_verdict(endpoint, anchor, march, log_integrand, budget,
     ``Inconclusive`` on a NaN log-integrand.  A fired guard certifies
     divergence with ``guard_evidence`` (formatted with ``x``).  The verdict
     carries the march's right-hand-side evaluation count."""
-    log_cap = math.log(budget.cum_cap)
+    log_cap = math.log(qd.CUM_CAP)
     log_total, n_windows = -math.inf, 0
 
     def window(lo, hi):
@@ -260,40 +257,40 @@ def _march_verdict(endpoint, anchor, march, log_integrand, budget,
         log_total = float(np.logaddexp(log_total, log_fine))
         if log_total > log_cap:
             raise qd.WindowStop(
-                f"cumulative integral exceeded {budget.cum_cap:g} after "
+                f"cumulative integral exceeded {qd.CUM_CAP:g} after "
                 f"{n_windows} windows (log-space sum to x={hi:.6g} is "
                 f"e^{log_total:.6g}; a lower bound, the integrand being "
                 "positive)", diverges=True)
         fine = math.exp(log_fine)
         return fine, abs(fine - math.exp(log_gl(a, b)))
 
-    v = qd.windowed_verdict(endpoint, anchor, window, budget)
+    v = qd.windowed_verdict(endpoint, anchor, window)
     return replace(v, rhs_evals=march.nfev)
 
 
-def endpoint_condition(op, fp, lam, endpoint, budget=qd.DEFAULT_BUDGET):
+def endpoint_condition(op, c, lam, endpoint):
     """Verdict on divergence of the integral of rho * u toward ``endpoint``,
-    u being the monotone solution marched from the base point."""
+    u being the monotone solution marched from the base point c."""
+    c = qd.require_interior(op, c)
     if endpoint not in (op.x0, op.y0):
         raise ValueError(f"{endpoint!r} is not an endpoint of the operator")
-    march = _scaled_march(op, lam, fp.c, endpoint == op.y0)
-    return _march_verdict(endpoint, fp.c, march, _log_rho_u(op), budget)
+    march = _scaled_march(op, lam, c, endpoint == op.y0)
+    return _march_verdict(endpoint, c, march, _log_rho_u(op))
 
 
-def entrance_test(op, fp, endpoint, budget=qd.DEFAULT_BUDGET,
-                  n_zero_check=256):
+def entrance_test(op, c, endpoint):
     """No-entrance probe for V = 0: divergence verdict for the iterated
     integral of rho(y) * J(y), J(y) = int (1/alpha) int rho.
 
     Marches (L, K, g) with K = int rho, g = alpha J, so the integrand is
     g / a without exponential blowup in the decaying-speed-measure regime.
     """
+    c = qd.require_interior(op, c)
     # V must vanish (sampled check)
-    c = fp.c
     sgn = 1.0 if endpoint == op.y0 else -1.0
     probe_hi = c + sgn * np.linspace(1e-3, min(4.0, abs(endpoint - c) * 0.5
                                                if math.isfinite(endpoint) else 4.0),
-                                     n_zero_check)
+                                     256)
     for x in probe_hi:
         if op.V(float(x)) != 0.0:
             raise ValidationError(ValidationError.NONZERO_POTENTIAL, float(x),
@@ -320,7 +317,7 @@ def entrance_test(op, fp, endpoint, budget=qd.DEFAULT_BUDGET,
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.log(y[2]) - np.log(op.a.array(xs))
     return _march_verdict(
-        endpoint, c, march, log_integrand, budget,
+        endpoint, c, march, log_integrand,
         f"speed-measure integral exceeded {_OVERFLOW_GUARD:g} at x={{x:.6g}}")
 
 
@@ -356,7 +353,7 @@ def _classify_lambda(lower_v, upper_v):
     return INCONCLUSIVE
 
 
-def uniqueness_1d(op, lam_set=(0.5, 1.0, 2.0), c=None, budget=qd.DEFAULT_BUDGET):
+def uniqueness_1d(op, lam_set=(0.5, 1.0, 2.0), c=None):
     """Classify L-infinity uniqueness of a validated 1D operator: both
     endpoint integrals must diverge, for every tested lambda."""
     lam_set = tuple(float(l) for l in lam_set)
@@ -364,14 +361,14 @@ def uniqueness_1d(op, lam_set=(0.5, 1.0, 2.0), c=None, budget=qd.DEFAULT_BUDGET)
         raise ValueError("lambda set must be nonempty and positive")
     if c is None:
         c = default_base_point(op)
-    fp = qd.build_feller(op, c)
+    qd.probe_scale(op, c)
 
     records = []
     per_lam = []
     diagnostics = []
     for lam in lam_set:
-        lower_v = endpoint_condition(op, fp, lam, op.x0, budget)
-        upper_v = endpoint_condition(op, fp, lam, op.y0, budget)
+        lower_v = endpoint_condition(op, c, lam, op.x0)
+        upper_v = endpoint_condition(op, c, lam, op.y0)
         records.append((lam, "lower", lower_v))
         records.append((lam, "upper", upper_v))
         per_lam.append(_classify_lambda(lower_v, upper_v))
@@ -434,7 +431,7 @@ def radial_reduce(beta: RadialBound, d, V):
 
 
 def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), r_grid=None, n_dirs=None,
-                seed=0, budget=qd.DEFAULT_BUDGET):
+                seed=0):
     """Both multidimensional verdicts, ``{mode: Verdict}``, from one radial
     bound and one 1D classification of the comparison operator on (0, inf).
 
@@ -449,7 +446,7 @@ def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), r_grid=None, n_dirs=None,
     rb = radial_bound(op_nd, r_grid, n_dirs=n_dirs, seed=seed)
     op1 = radial_reduce(rb, op_nd.d, op_nd.V)
     c = 1.0
-    v1 = uniqueness_1d(op1, lam_set, c=c, budget=budget)
+    v1 = uniqueness_1d(op1, lam_set, c=c)
 
     diagnostics = []
     if op1.tail_extended:
@@ -483,9 +480,9 @@ def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), r_grid=None, n_dirs=None,
 
 
 def uniqueness_nd(op_nd, lam_set=(0.5, 1.0, 2.0), mode=PROOF_FAITHFUL,
-                  r_grid=None, n_dirs=None, seed=0, budget=qd.DEFAULT_BUDGET):
+                  r_grid=None, n_dirs=None, seed=0):
     """Sufficiency verdict for the multidimensional operator via the radial
     comparison, under ``mode`` (see :func:`nd_verdicts`)."""
     if mode not in (PROOF_FAITHFUL, STRICT_THEOREM):
         raise ValueError(f"unknown mode {mode!r}")
-    return nd_verdicts(op_nd, lam_set, r_grid, n_dirs, seed, budget)[mode]
+    return nd_verdicts(op_nd, lam_set, r_grid, n_dirs, seed)[mode]

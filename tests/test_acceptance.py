@@ -66,14 +66,12 @@ def test_criterion_02_series_ode_equivalence():
     worst = 0.0
     for b in ("0", "-x"):
         op = make_operator_1d("0.5", b, "0", (-INF, INF))
-        fp = Q.build_feller(op, 0.0)
-        st = U.series_partial(op, fp, 1.0, U.TOWARD_UPPER, 30)
-        ms = U.monotone_solution(op, fp, 1.0, U.TOWARD_UPPER, x_end=1.0,
+        st = U.series_partial(op, 0.0, 1.0, U.TOWARD_UPPER, 30)
+        ms = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=1.0,
                                  n_grid=st.xs.size)
         worst = max(worst, float(np.max(np.abs(st.partial(30) - ms.u()) / ms.u())))
     op = make_operator_1d("0.5", "0", "0", (-INF, INF))
-    fp = Q.build_feller(op, 0.0)
-    s30 = U.series_partial(op, fp, 1.0, U.TOWARD_UPPER, 30).partial(30)[-1]
+    s30 = U.series_partial(op, 0.0, 1.0, U.TOWARD_UPPER, 30).partial(30)[-1]
     cosh_err = abs(s30 - math.cosh(math.sqrt(2.0)))
     ok = worst <= 1e-6 and cosh_err <= 1e-5
     assert _report(2, ok, f"series vs ODE max rel err {worst:.2e} (<=1e-6), "
@@ -100,9 +98,8 @@ def test_criterion_03_lambda_and_base_point_robustness():
 
 def test_criterion_04_entrance_classification():
     op = make_operator_1d("0.5", "1/x", "0", (0.0, INF))
-    fp = Q.build_feller(op, 1.0)
-    lo = U.entrance_test(op, fp, 0.0)
-    hi = U.entrance_test(op, fp, INF)
+    lo = U.entrance_test(op, 1.0, 0.0)
+    hi = U.entrance_test(op, 1.0, INF)
     ok = lo.is_converges and hi.is_diverges
     val = f", J(0)={lo.value:.6f}" if lo.is_converges else ""
     assert _report(4, ok, f"Bessel-3: endpoint 0 {lo.kind} (want Converges{val}), "
@@ -187,8 +184,7 @@ def test_criterion_08_rho_symmetry():
                              for k0, k1 in zip(knots[:-1], knots[1:])])
         w = np.concatenate([0.5 * (k1 - k0) * glw
                             for k0, k1 in zip(knots[:-1], knots[1:])])
-        fp = Q.build_feller(op, c)
-        rho = np.exp(fp.log_alpha_array(xs)) / op.a.array(xs)
+        rho = np.exp(Q.log_scale(op, c, xs)) / op.a.array(xs)
         av, bv, Vv = op.a.array(xs), op.b.array(xs), op.V.array(xs)
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -213,9 +209,8 @@ def test_criterion_09_sign_propagation_suite():
         v2 = float(rng.uniform(0.0, 2.0))
         op = make_operator_1d(a0, f"{c1!r}*x + {c3!r}*x^3", f"{v2!r}*x^2",
                               (-INF, INF))
-        fp = Q.build_feller(op, 0.0)
         lam = float(rng.uniform(0.3, 3.0))
-        ms = U.monotone_solution(op, fp, lam, U.TOWARD_UPPER, x_end=2.0)
+        ms = U.monotone_solution(op, 0.0, lam, U.TOWARD_UPPER, x_end=2.0)
         if not np.all(ms.ratio[1:] > 0.0):
             violations += 1
     ok = violations == 0

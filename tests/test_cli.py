@@ -252,6 +252,20 @@ def test_operator_parse_error_is_config_error(config, pointer):
     assert e.value.pointer == pointer
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("command, mode", [("classify", "classify1d"),
+                                           ("entrance", "entrance")])
+def test_scale_probe_rejects_oscillating_drift(tmp_path, capsys, command, mode):
+    # b/a = 2 sin(1/(x - 0.3)) oscillates ever faster toward x = 0.3, next to
+    # the base point; the probe of [c - 1, c + 1] fails there and ends the
+    # run before any march
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(
+        mode, operator={**_OU, "b": "sin(1/(x-0.3))"})))
+    assert cli.main([command, "--config", str(path)]) == 3
+    assert "b/a not integrable" in capsys.readouterr().err
+
+
 def test_parsed_operator_failing_validation_exits_3(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(nd_config(V="-1")))

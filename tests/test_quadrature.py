@@ -110,52 +110,50 @@ def test_verdict_serialization():
     assert isinstance(d["evidence"], str)
 
 
-# FellerPair ----------------------------------------------------------------
+# log_scale -----------------------------------------------------------------
 
-def test_feller_brownian_identities():
+def test_log_scale_brownian_identities():
     op = make_operator_1d("0.5", "0", "0", (-math.inf, math.inf))
-    fp = Q.build_feller(op, 0.0)
-    for x in np.linspace(-5, 5, 64):
-        assert fp.alpha(float(x)) == pytest.approx(1.0, rel=1e-9)
-        assert fp.rho(float(x)) == pytest.approx(2.0, rel=1e-9)
+    xs = np.linspace(-5, 5, 64)
+    alpha = np.exp(Q.log_scale(op, 0.0, xs))
+    for x, al in zip(xs, alpha):
+        assert al == pytest.approx(1.0, rel=1e-9)
+        assert al / op.a(float(x)) == pytest.approx(2.0, rel=1e-9)
 
 
-def test_feller_ou_closed_form():
+def test_log_scale_ou_closed_form():
     # b/a = -2x: alpha = e^{-x^2}, rho = 2 e^{-x^2}
     op = make_operator_1d("0.5", "-x", "0", (-math.inf, math.inf))
-    fp = Q.build_feller(op, 0.0)
-    for x in np.linspace(-4, 4, 64):
+    xs = np.linspace(-4, 4, 64)
+    for x, L in zip(xs, Q.log_scale(op, 0.0, xs)):
         x = float(x)
-        assert fp.log_alpha(x) == pytest.approx(-x * x, rel=1e-6, abs=1e-9)
-        assert fp.rho(x) == pytest.approx(2.0 * math.exp(-x * x), rel=1e-6)
+        assert L == pytest.approx(-x * x, rel=1e-6, abs=1e-9)
+        assert math.exp(L) / op.a(x) == pytest.approx(2.0 * math.exp(-x * x), rel=1e-6)
 
 
-def test_feller_radial_closed_form():
+def test_log_scale_radial_closed_form():
     # a=1/2, b=1/r on (0, inf), c=1: alpha=r^2, rho=2 r^2
     op = make_operator_1d("0.5", "1/x", "0", (0.0, math.inf))
-    fp = Q.build_feller(op, 1.0)
-    for r in np.geomspace(0.05, 20.0, 64):
+    rs = np.geomspace(0.05, 20.0, 64)
+    for r, L in zip(rs, Q.log_scale(op, 1.0, rs)):
         r = float(r)
-        assert fp.alpha(r) == pytest.approx(r * r, rel=1e-6)
-        assert fp.rho(r) == pytest.approx(2.0 * r * r, rel=1e-6)
+        assert math.exp(L) == pytest.approx(r * r, rel=1e-6)
+        assert math.exp(L) / op.a(r) == pytest.approx(2.0 * r * r, rel=1e-6)
 
 
-def test_feller_base_point_normalization():
+def test_log_scale_inverse_drift_matches_log():
+    # b/a = 2/x from c=1: L = 2 log x, down to x = 1e-3 and up past c
+    op = make_operator_1d("0.5", "1/x", "0", (0.0, math.inf))
+    xs = np.geomspace(1e-3, 20.0, 97)
+    assert np.max(np.abs(Q.log_scale(op, 1.0, xs) - 2.0 * np.log(xs))) <= 1e-12
+
+
+def test_log_scale_base_point_normalization():
     op = make_operator_1d("0.5", "-x^3", "x^2", (-math.inf, math.inf))
-    fp = Q.build_feller(op, 0.7)
-    assert fp.alpha(0.7) == pytest.approx(1.0, rel=1e-12)
+    assert math.exp(Q.log_scale(op, 0.7, [0.7])[0]) == pytest.approx(1.0, rel=1e-12)
     # alpha ratio identity: alpha_c1(x)/alpha_c1(y) independent of base point
-    fp2 = Q.build_feller(op, -0.3)
-    r1 = fp.alpha(1.2) / fp.alpha(0.4)
-    r2 = fp2.alpha(1.2) / fp2.alpha(0.4)
+    L1 = Q.log_scale(op, 0.7, [0.4, 1.2])
+    L2 = Q.log_scale(op, -0.3, [0.4, 1.2])
+    r1 = math.exp(L1[1]) / math.exp(L1[0])
+    r2 = math.exp(L2[1]) / math.exp(L2[0])
     assert r1 == pytest.approx(r2, rel=1e-8)
-
-
-def test_feller_memoization_consistency():
-    op = make_operator_1d("0.5", "-x", "0", (-math.inf, math.inf))
-    fp = Q.build_feller(op, 0.0)
-    # query out of order; anchors must compose consistently
-    vals = [fp.log_alpha(x) for x in (3.0, -2.0, 0.5, 2.9, -1.9, 3.1)]
-    for x, v in zip((3.0, -2.0, 0.5, 2.9, -1.9, 3.1), vals):
-        assert v == pytest.approx(-x * x, rel=1e-6, abs=1e-9)
-        assert fp.log_alpha(x) == v  # cached value identical

@@ -43,8 +43,7 @@ def _pairing_defect(op, c, f, g, knots):
     xs = np.concatenate(nodes)
     w = np.concatenate(weights)
 
-    fp = Q.build_feller(op, c)
-    rho = np.exp(fp.log_alpha_array(xs)) / op.a.array(xs)
+    rho = np.exp(Q.log_scale(op, c, xs)) / op.a.array(xs)
     a = op.a.array(xs)
     b = op.b.array(xs)
     V = op.V.array(xs)

@@ -24,10 +24,9 @@ def ou():
 @pytest.mark.parametrize("b", ["0", "-x"])
 def test_series_matches_ode_solution(b):
     op = make_operator_1d("0.5", b, "0", (-INF, INF))
-    fp = Q.build_feller(op, 0.0)
-    st = U.series_partial(op, fp, 1.0, U.TOWARD_UPPER, 30)
+    st = U.series_partial(op, 0.0, 1.0, U.TOWARD_UPPER, 30)
     # same nodes, so the comparison carries no interpolation error
-    ms = U.monotone_solution(op, fp, 1.0, U.TOWARD_UPPER, x_end=1.0,
+    ms = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=1.0,
                              n_grid=st.xs.size)
     u_ode = ms.u()
     assert np.max(np.abs(st.partial(30) - u_ode) / u_ode) <= 1e-6
@@ -36,8 +35,7 @@ def test_series_matches_ode_solution(b):
 def test_series_brownian_cosh_oracle():
     # for a=1/2, lambda=1 the limit is cosh(sqrt(2) y)
     op = brownian()
-    fp = Q.build_feller(op, 0.0)
-    st = U.series_partial(op, fp, 1.0, U.TOWARD_UPPER, 30)
+    st = U.series_partial(op, 0.0, 1.0, U.TOWARD_UPPER, 30)
     assert st.partial(30)[-1] == pytest.approx(math.cosh(math.sqrt(2.0)), abs=1e-5)
     # low partial sums are the truncated cosh Taylor series: S_1(1) = 1 + 1 = 2
     assert st.partial(1)[-1] == pytest.approx(2.0, abs=1e-6)
@@ -45,25 +43,22 @@ def test_series_brownian_cosh_oracle():
 
 def test_series_monotone_in_level():
     op = ou()
-    fp = Q.build_feller(op, 0.0)
-    st = U.series_partial(op, fp, 1.0, U.TOWARD_UPPER, 10)
+    st = U.series_partial(op, 0.0, 1.0, U.TOWARD_UPPER, 10)
     for n in range(10):
         assert np.all(st.partial(n + 1) >= st.partial(n) - 1e-15)
 
 
 def test_monotone_solution_brownian_closed_form():
     op = brownian()
-    fp = Q.build_feller(op, 0.0)
-    ms = U.monotone_solution(op, fp, 1.0, U.TOWARD_UPPER, x_end=2.0)
+    ms = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=2.0)
     ref = np.cosh(math.sqrt(2.0) * ms.xs)
     assert np.max(np.abs(ms.u() - ref) / ref) <= 1e-7
 
 
 def test_monotone_solution_both_directions_symmetric():
     op = brownian()
-    fp = Q.build_feller(op, 0.0)
-    up = U.monotone_solution(op, fp, 1.0, U.TOWARD_UPPER, x_end=1.5)
-    dn = U.monotone_solution(op, fp, 1.0, U.TOWARD_LOWER, x_end=-1.5)
+    up = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=1.5)
+    dn = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_LOWER, x_end=-1.5)
     assert up.u()[-1] == pytest.approx(dn.u()[-1], rel=1e-9)
 
 
@@ -79,9 +74,8 @@ def test_sign_propagation_random_operators():
         v2 = float(rng.uniform(0.0, 2.0))
         op = make_operator_1d(
             a0, f"{c1!r}*x + {c3!r}*x^3", f"{v2!r}*x^2", (-INF, INF))
-        fp = Q.build_feller(op, 0.0)
         lam = float(rng.uniform(0.3, 3.0))
-        ms = U.monotone_solution(op, fp, lam, U.TOWARD_UPPER, x_end=2.0)
+        ms = U.monotone_solution(op, 0.0, lam, U.TOWARD_UPPER, x_end=2.0)
         assert np.all(ms.ratio[1:] > 0.0), op.describe()
         checked += 1
 
@@ -89,10 +83,8 @@ def test_sign_propagation_random_operators():
 def test_solution_monotone_in_potential():
     op0 = brownian()
     op1 = make_operator_1d("0.5", "0", "x^2", (-INF, INF))
-    fp0 = Q.build_feller(op0, 0.0)
-    fp1 = Q.build_feller(op1, 0.0)
-    u0 = U.monotone_solution(op0, fp0, 1.0, U.TOWARD_UPPER, x_end=2.0)
-    u1 = U.monotone_solution(op1, fp1, 1.0, U.TOWARD_UPPER, x_end=2.0)
+    u0 = U.monotone_solution(op0, 0.0, 1.0, U.TOWARD_UPPER, x_end=2.0)
+    u1 = U.monotone_solution(op1, 0.0, 1.0, U.TOWARD_UPPER, x_end=2.0)
     assert np.all(np.interp(u0.xs, u1.xs, u1.u()) >= u0.u() - 1e-12)
 
 
@@ -100,16 +92,14 @@ def test_solution_monotone_in_potential():
 
 def test_endpoint_conditions_brownian():
     op = brownian()
-    fp = Q.build_feller(op, 0.0)
-    assert U.endpoint_condition(op, fp, 1.0, INF).is_diverges
-    assert U.endpoint_condition(op, fp, 1.0, -INF).is_diverges
+    assert U.endpoint_condition(op, 0.0, 1.0, INF).is_diverges
+    assert U.endpoint_condition(op, 0.0, 1.0, -INF).is_diverges
 
 
 def test_endpoint_condition_accessible_boundary():
     op = make_operator_1d("1", "0", "0", (0.0, 1.0))
-    fp = Q.build_feller(op, 0.5)
-    assert U.endpoint_condition(op, fp, 1.0, 0.0).is_converges
-    assert U.endpoint_condition(op, fp, 1.0, 1.0).is_converges
+    assert U.endpoint_condition(op, 0.5, 1.0, 0.0).is_converges
+    assert U.endpoint_condition(op, 0.5, 1.0, 1.0).is_converges
 
 
 def test_verdict_table_1d():
@@ -150,9 +140,8 @@ def test_x6_row_certified_by_cumulative_integral():
     # rho u ~ exp(0.18 x^4): the log-space running sum passes the cap in the
     # third window; the certificate is that lower bound, not a flux guard
     op = make_operator_1d("0.5", "-x^3", "x^6", (-INF, INF))
-    fp = Q.build_feller(op, 0.0)
     for endpoint in (-INF, INF):
-        v = U.endpoint_condition(op, fp, 1.0, endpoint)
+        v = U.endpoint_condition(op, 0.0, 1.0, endpoint)
         assert v.is_diverges and v.windows_used == 3
         assert v.evidence.startswith("cumulative integral exceeded")
         assert "lower bound" in v.evidence and "flux" not in v.evidence
@@ -162,8 +151,7 @@ def test_x6_row_certified_by_cumulative_integral():
 def test_monotone_solution_x6_row_reaches_far_out():
     # log u ~ 0.18 x^4 + x^4/2 reaches about 1.2e7 at x = 64
     op = make_operator_1d("0.5", "-x^3", "x^6", (-INF, INF))
-    fp = Q.build_feller(op, 0.0)
-    ms = U.monotone_solution(op, fp, 1.0, U.TOWARD_UPPER, x_end=64.0)
+    ms = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=64.0)
     assert ms.xs[-1] == 64.0
     assert np.all(np.isfinite(ms.log_u)) and ms.log_u[-1] > 1e7
     assert np.all(np.diff(ms.log_u) > 0.0) and np.all(ms.ratio[1:] > 0.0)
@@ -178,8 +166,8 @@ def test_converged_values_unchanged_by_scaling(a, b, interval, lam,
                                                endpoint, value):
     # reference values from the unscaled (alpha u, alpha u') march
     op = make_operator_1d(a, b, "0", interval)
-    fp = Q.build_feller(op, U.default_base_point(op))
-    v = U.endpoint_condition(op, fp, lam, endpoint)
+    c = U.default_base_point(op)
+    v = U.endpoint_condition(op, c, lam, endpoint)
     assert v.is_converges
     assert v.value == pytest.approx(value, rel=1e-8)
 
@@ -204,8 +192,7 @@ class _FixedStateMarch:
                          ids=["h_hat-zero", "h_hat-negative", "sigma-nan"])
 def test_undefined_log_integrand_is_inconclusive(state):
     op = ou()
-    v = U._march_verdict(INF, 0.0, _FixedStateMarch(state), U._log_rho_u(op),
-                         Q.DEFAULT_BUDGET)
+    v = U._march_verdict(INF, 0.0, _FixedStateMarch(state), U._log_rho_u(op))
     assert v.is_inconclusive and v.windows_used == 0
     assert "log-integrand undefined" in v.evidence
     assert v.rhs_evals == 7
@@ -222,18 +209,16 @@ def test_endpoint_records_carry_rhs_evals():
 
 def test_entrance_requires_zero_potential():
     op = make_operator_1d("0.5", "0", "1", (-INF, INF))
-    fp = Q.build_feller(op, 0.0)
     with pytest.raises(ValidationError) as e:
-        U.entrance_test(op, fp, INF)
+        U.entrance_test(op, 0.0, INF)
     assert e.value.kind == ValidationError.NONZERO_POTENTIAL
 
 
 def test_entrance_bessel3_closed_form():
     # alpha=r^2, rho=2r^2 from base 1: triple integral toward 0 equals 2/15
     op = make_operator_1d("0.5", "1/x", "0", (0.0, INF))
-    fp = Q.build_feller(op, 1.0)
-    lo = U.entrance_test(op, fp, 0.0)
-    hi = U.entrance_test(op, fp, INF)
+    lo = U.entrance_test(op, 1.0, 0.0)
+    hi = U.entrance_test(op, 1.0, INF)
     assert lo.is_converges and lo.value == pytest.approx(2.0 / 15.0, rel=1e-6)
     assert hi.is_diverges
 
@@ -241,16 +226,14 @@ def test_entrance_bessel3_closed_form():
 def test_entrance_brownian_and_ou_have_none():
     for b in ("0", "-x"):
         op = make_operator_1d("0.5", b, "0", (-INF, INF))
-        fp = Q.build_feller(op, 0.0)
-        assert U.entrance_test(op, fp, -INF).is_diverges
-        assert U.entrance_test(op, fp, INF).is_diverges
+        assert U.entrance_test(op, 0.0, -INF).is_diverges
+        assert U.entrance_test(op, 0.0, INF).is_diverges
 
 
 def test_entrance_at_infinity_for_strong_inward_drift():
     op = make_operator_1d("0.5", "-x^3", "0", (-INF, INF))
-    fp = Q.build_feller(op, 0.0)
-    lo = U.entrance_test(op, fp, -INF)
-    hi = U.entrance_test(op, fp, INF)
+    lo = U.entrance_test(op, 0.0, -INF)
+    hi = U.entrance_test(op, 0.0, INF)
     assert lo.is_converges and hi.is_converges
     assert lo.value == pytest.approx(hi.value, rel=1e-9)  # even operator
 
@@ -259,9 +242,8 @@ def test_entrance_agrees_with_uniqueness_for_v0():
     # V=0: entrance boundaries exist iff the operator is not unique
     for b, unique in (("0", True), ("-x", True), ("-x^3", False)):
         op = make_operator_1d("0.5", b, "0", (-INF, INF))
-        fp = Q.build_feller(op, 0.0)
-        no_entrance = (U.entrance_test(op, fp, -INF).is_diverges
-                       and U.entrance_test(op, fp, INF).is_diverges)
+        no_entrance = (U.entrance_test(op, 0.0, -INF).is_diverges
+                       and U.entrance_test(op, 0.0, INF).is_diverges)
         assert no_entrance == unique
 
 
@@ -274,14 +256,28 @@ def test_march_domain_error_is_inconclusive():
         return 0.5
     zero = Coefficient(lambda x: 0.0)
     op = Operator1D(Coefficient(a), zero, zero, -INF, INF)
-    fp = Q.build_feller(op, 0.0)
-    for v in (U.entrance_test(op, fp, INF),
-              U.endpoint_condition(op, fp, 1.0, INF)):
+    for v in (U.entrance_test(op, 0.0, INF),
+              U.endpoint_condition(op, 0.0, 1.0, INF)):
         assert v.is_inconclusive
         assert "ODE march failed" in v.evidence
 
 
 # base point defaults -------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda op: U.uniqueness_1d(op, (1.0,), c=1.5),
+    lambda op: U.endpoint_condition(op, 1.5, 1.0, 1.0),
+    lambda op: U.entrance_test(op, 1.5, 1.0),
+    lambda op: U.monotone_solution(op, 1.5, 1.0, U.TOWARD_UPPER),
+    lambda op: U.series_partial(op, 1.5, 1.0, U.TOWARD_UPPER, 2),
+    lambda op: Q.log_scale(op, 1.5, [0.5]),
+], ids=["uniqueness_1d", "endpoint_condition", "entrance_test",
+        "monotone_solution", "series_partial", "log_scale"])
+def test_base_point_outside_interval_is_domain_error(call):
+    op = make_operator_1d("1", "0", "0", (0.0, 1.0))
+    with pytest.raises(DomainError, match="base point 1.5 not interior"):
+        call(op)
+
 
 def test_default_base_point():
     assert U.default_base_point(brownian()) == 0.0
