@@ -171,13 +171,17 @@ def resolve_config(raw):
             value = value[part]
         if not ok(value):
             raise ConfigError(pointer, f"expected {expected}, got {value!r}")
-    for section in ("fp", "fk"):
-        if cfg[section]["dt"] > cfg[section]["T"]:
-            raise ConfigError(f"/{section}/dt", "time step exceeds the run time T")
+    # every stepper runs round(T / dt) steps: T must be a whole number of them
+    clocks = [("fp", "fp"), ("fk", "fk")]
     if mode == "xval":  # fp.dt also steps the FD cross-check and the probe
-        for section in ("fk", "probe"):
-            if cfg["fp"]["dt"] > cfg[section]["T"]:
-                raise ConfigError("/fp/dt", f"time step exceeds /{section}/T")
+        clocks += [("fp", "fk"), ("fp", "probe")]
+    for step, run in clocks:
+        T, dt = cfg[run]["T"], cfg[step]["dt"]
+        n = T / dt
+        if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9 * n):
+            raise ConfigError(f"/{step}/dt", f"/{run}/T = {T:g} is not a "
+                              f"whole number of steps {dt:g} (to 1e-9 relative)")
+    if mode == "xval":
         try:
             fdsolver.probe_windows(cfg["probe"]["windows"],
                                    cfg["probe"]["core_radius"])

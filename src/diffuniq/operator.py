@@ -80,7 +80,6 @@ class Operator1D:
     x0: float
     y0: float
     var: str = "x"
-    tail_extended: bool = False  # b built from a tabulated bound held constant past its table
 
     def interior(self, x):
         return self.x0 < x < self.y0

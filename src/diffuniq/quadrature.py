@@ -1,9 +1,9 @@
-"""Adaptive quadrature, the Feller scale function, and three-valued
-divergence verdicts for improper integrals near singular endpoints.
+"""Three-valued divergence verdicts for improper integrals near singular
+endpoints, and the Feller scale function.
 
-The verdict machinery integrates over geometrically expanding windows and
-gathers asymptotic evidence; it never claims an exact infinity.  Its limits
-are the module constants below.
+One walk sums every windowed integral over geometrically expanding windows
+by Gauss-Legendre in log space and gathers asymptotic evidence; it never
+claims an exact infinity.  Its limits are the module constants below.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class _WindowJudge:
     """Sequential verdict logic over window increments.
 
     Divergence evidence (checked first, in order):
-      (i) the cumulative integral exceeds the cap;
+      (i) the cumulative integral exceeds the cap (the walk's, in log space);
       (ii) increments non-decreasing across 3 consecutive windows;
       (iii) least-squares slope of log(increment) vs window index over the
             last 5 windows above the threshold.
@@ -122,10 +122,6 @@ class _WindowJudge:
         self.quad_err += quad_err
         k = len(self.increments)
 
-        if not math.isfinite(self.total) or self.total > CUM_CAP:
-            return IntegralVerdict.diverges(
-                f"cumulative integral exceeded {CUM_CAP:g} after {k} windows",
-                windows=k)
         if k >= 3:
             a3, a2, a1 = self.increments[-3:]
             if a3 <= a2 <= a1 and a1 > 0.0:
@@ -141,8 +137,6 @@ class _WindowJudge:
                     return IntegralVerdict.diverges(
                         f"log-increment slope {slope:.3g} >= {SLOPE_THRESHOLD} "
                         "over the last 5 windows", windows=k)
-        if k >= 5:
-            last = self.increments[-5:]
             ratios = []
             for prev, cur in zip(last[:-1], last[1:]):
                 if prev <= 0.0:
@@ -176,13 +170,32 @@ class WindowStop(Exception):
         self.diverges = diverges
 
 
-def windowed_verdict(endpoint, anchor, integrate_window):
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_LOG_GL_WEIGHTS = np.log(GL_WEIGHTS)
+
+
+def _log_gauss(log_f, a, b):
+    """Log of the 32-point Gauss-Legendre sum of exp(log_f) over [a, b];
+    a NaN log-integrand stops the walk."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    logs = _LOG_GL_WEIGHTS + log_f(mid + half * GL_NODES)
+    if np.isnan(logs).any():
+        raise WindowStop("log-integrand undefined (NaN or a non-positive "
+                         f"state) in [{a:.6g}, {b:.6g}]")
+    return math.log(half) + float(np.logaddexp.reduce(logs))
+
+
+def windowed_verdict(endpoint, anchor, open_window):
     """Three-valued verdict for an integral from ``anchor`` toward ``endpoint``.
 
-    ``integrate_window(lo, hi)`` is called per window in marching order (so
-    ``lo > hi`` when marching down) and returns ``(increment, err_est)`` or
-    raises :class:`WindowStop`.  An infinite increment (overflow) ends
-    ``Diverges``; a NaN one ends ``Inconclusive``, as it bounds nothing."""
+    ``open_window(lo, hi)`` is called per window in marching order (so
+    ``lo > hi`` when marching down) and returns ``log_f``, the log of the
+    integrand on node arrays inside the window, or raises
+    :class:`WindowStop`.  The window's increment, summed in log space over
+    its two halves, ends the walk ``Diverges`` once the running total passes
+    the cap (a lower bound, the integrand being positive), else goes to the
+    judge with the one-panel sum's distance as error estimate.  A NaN
+    log-integrand ends it ``Inconclusive``."""
     n = N_WINDOWS_INFINITE if math.isinf(endpoint) else N_WINDOWS_FINITE
     try:
         bounds = window_bounds(endpoint, anchor, n)
@@ -190,64 +203,48 @@ def windowed_verdict(endpoint, anchor, integrate_window):
         return IntegralVerdict.inconclusive(str(exc))
 
     judge = _WindowJudge()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    log_total = -math.inf
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
         try:
-            inc, err = integrate_window(lo, hi)
+            log_f = open_window(lo, hi)
+            a, b = min(lo, hi), max(lo, hi)
+            mid = 0.5 * (a + b)
+            log_fine = float(np.logaddexp(_log_gauss(log_f, a, mid),
+                                          _log_gauss(log_f, mid, b)))
+            log_total = float(np.logaddexp(log_total, log_fine))
+            if log_total > math.log(CUM_CAP):
+                return IntegralVerdict.diverges(
+                    f"cumulative integral exceeded {CUM_CAP:g} after {k} "
+                    f"windows (log-space sum to x={hi:.6g} is "
+                    f"e^{log_total:.6g}; a lower bound, the integrand being "
+                    "positive)", windows=k)
+            fine = math.exp(log_fine)
+            err = abs(fine - math.exp(_log_gauss(log_f, a, b)))
         except WindowStop as stop:
             if stop.diverges:
-                return IntegralVerdict.diverges(
-                    str(stop), windows=len(judge.increments) + 1)
+                return IntegralVerdict.diverges(str(stop), windows=k)
             return judge.inconclusive(str(stop))
-        if math.isnan(inc):
-            return judge.inconclusive("integrand undefined (NaN) inside a window")
-        if not math.isfinite(inc):
-            return IntegralVerdict.diverges(
-                "integrand overflowed inside a window",
-                windows=len(judge.increments) + 1)
-        verdict = judge.feed(inc, err)
+        verdict = judge.feed(fine, err)
         if verdict is not None:
             return verdict
     return judge.inconclusive()
 
 
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def gauss_window(f, lo, hi):
-    """Integrate a smooth nonnegative integrand over [lo, hi] by composite
-    32-point Gauss-Legendre with panel doubling, until two rounds agree to
-    1e-12 relative or 64 panels; returns (value, err_est)."""
-    prev = None
-    panels = 1
-    while True:
-        edges = np.linspace(lo, hi, panels + 1)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            ys = f(mid + half * GL_NODES)
-            total += half * float(np.dot(GL_WEIGHTS, ys))
-        if not math.isfinite(total):
-            return total, math.inf
-        if prev is not None:
-            err = abs(total - prev)
-            if err <= 1e-12 * max(abs(total), 1e-300) or panels >= 64:
-                return total, err
-        prev = total
-        panels *= 2
-
-
 def improper_integral(f, endpoint, anchor):
     """Three-valued verdict for the integral of a nonnegative ``f`` from
-    ``anchor`` toward ``endpoint`` (finite or infinite)."""
+    ``anchor`` toward ``endpoint`` (finite or infinite); a negative or NaN
+    value of ``f`` reads ``Inconclusive``."""
     fv = np.vectorize(f, otypes=[float])
 
-    def window(lo, hi):
+    def log_f(xs):
         try:
-            return gauss_window(fv, min(lo, hi), max(lo, hi))
+            ys = fv(xs)
         except DomainError as exc:
             raise WindowStop(f"integrand evaluation failed: {exc}") from exc
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(ys)
 
-    return windowed_verdict(endpoint, anchor, window)
+    return windowed_verdict(endpoint, anchor, lambda lo, hi: log_f)
 
 
 # ---------------------------------------------------------------------------

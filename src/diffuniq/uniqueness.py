@@ -22,14 +22,13 @@ conditioning and is solved implicitly (BDF, analytic Jacobian) for strong
 drifts.  The truncated series is kept as an independent cross-check.
 
 Both integral tests share one march (``_March``, BDF window by window) and
-one window helper (``_march_verdict``), which integrates a log-integrand
-with Gauss-Legendre sums taken in log space and hands the increments to
-``quadrature.windowed_verdict``.  Once the log of the running sum passes
-log(CUM_CAP) the walk ends ``Diverges``: a true lower bound on a positive
-integrand.  The endpoint test integrates rho u = exp(sigma + log h_hat -
-log a) and needs no overflow guard.  The entrance test (V = 0) marches
-(L, K, g), integrates g / a, and keeps a guard on K and g: K = int rho
-beyond it already forces the iterated integral to diverge.
+one window helper (``_march_verdict``), which advances the march to the far
+end of each window of ``quadrature.windowed_verdict`` and hands that walk
+the log-integrand on the dense solution; the walk sums it in log space and
+owns the cumulative cap.  The endpoint test integrates rho u = exp(sigma +
+log h_hat - log a) and needs no overflow guard.  The entrance test (V = 0)
+marches (L, K, g), integrates g / a, and keeps a guard on K and g: K = int
+rho beyond it already forces the iterated integral to diverge.
 
 Every test takes the base point c itself.  Neither integral test needs the
 scale function; only ``monotone_solution`` and ``series_partial`` call
@@ -46,8 +45,7 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 
 from . import quadrature as qd
 from .errors import DomainError, ValidationError
-from .operator import Coefficient, Operator1D, RadialBound, SAMPLED, as_coefficient, make_operator_1d
-from . import expr as ex
+from .operator import Coefficient, RadialBound, SAMPLED, as_coefficient, make_operator_1d
 
 TOWARD_UPPER, TOWARD_LOWER = "TowardUpper", "TowardLower"
 UNIQUE, NOT_UNIQUE, INCONCLUSIVE = "Unique", "NotUnique", "Inconclusive"
@@ -216,25 +214,15 @@ def monotone_solution(op, c, lam, direction, x_end=None, n_grid=513):
 # ---------------------------------------------------------------------------
 # endpoint conditions
 
-_LOG_GL_WEIGHTS = np.log(qd.GL_WEIGHTS)
-
-
 def _march_verdict(endpoint, anchor, march, log_integrand,
                    guard_evidence=None):
     """Windowed verdict on the integral of exp(log_integrand(y, xs)) toward
-    ``endpoint``, y being the dense march solution at the nodes xs: per
-    window, 32-point Gauss-Legendre summed in log space, with a
-    split-in-two refinement as the error estimate.  The walk ends
-    ``Diverges`` once the log of the running sum passes log(cum_cap), and
-    ``Inconclusive`` on a NaN log-integrand.  A fired guard certifies
-    divergence with ``guard_evidence`` (formatted with ``x``).  The verdict
-    carries the march's right-hand-side evaluation count."""
-    log_cap = math.log(qd.CUM_CAP)
-    log_total, n_windows = -math.inf, 0
-
-    def window(lo, hi):
-        nonlocal log_total, n_windows
-        n_windows += 1
+    ``endpoint``, y being the dense march solution at the nodes xs.  Each
+    window advances the march to its far end; a failed march ends the walk
+    ``Inconclusive``, and a fired guard certifies divergence with
+    ``guard_evidence`` (formatted with ``x``).  The verdict carries the
+    march's right-hand-side evaluation count."""
+    def open_window(lo, hi):
         sol = march.advance(hi)
         if sol is None:
             raise qd.WindowStop(
@@ -242,29 +230,9 @@ def _march_verdict(endpoint, anchor, march, log_integrand,
         if sol.status == 1:
             raise qd.WindowStop(guard_evidence.format(x=sol.t[-1]),
                                 diverges=True)
+        return lambda xs: log_integrand(sol.sol(xs), xs)
 
-        def log_gl(a, b):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            xs = mid + half * qd.GL_NODES
-            logs = _LOG_GL_WEIGHTS + log_integrand(sol.sol(xs), xs)
-            if np.isnan(logs).any():
-                raise qd.WindowStop("log-integrand undefined (NaN or a "
-                                    f"non-positive state) in [{a:.6g}, {b:.6g}]")
-            return math.log(half) + float(np.logaddexp.reduce(logs))
-        a, b = min(lo, hi), max(lo, hi)
-        mid = 0.5 * (a + b)
-        log_fine = float(np.logaddexp(log_gl(a, mid), log_gl(mid, b)))
-        log_total = float(np.logaddexp(log_total, log_fine))
-        if log_total > log_cap:
-            raise qd.WindowStop(
-                f"cumulative integral exceeded {qd.CUM_CAP:g} after "
-                f"{n_windows} windows (log-space sum to x={hi:.6g} is "
-                f"e^{log_total:.6g}; a lower bound, the integrand being "
-                "positive)", diverges=True)
-        fine = math.exp(log_fine)
-        return fine, abs(fine - math.exp(log_gl(a, b)))
-
-    v = qd.windowed_verdict(endpoint, anchor, window)
+    v = qd.windowed_verdict(endpoint, anchor, open_window)
     return replace(v, rhs_evals=march.nfev)
 
 
@@ -406,28 +374,15 @@ def default_base_point(op):
 def radial_reduce(beta: RadialBound, d, V):
     """Comparison operator on (0, inf): a = 1/2, drift beta(r) + (d-1)/(2r).
 
-    A sampled beta is extended past its table by its last value; the
-    resulting operator is flagged so reports can call out verdicts that
-    lean on the extension.
+    A sampled beta is extended past its table by its last value;
+    :func:`nd_verdicts` calls out verdicts that lean on the extension.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    V_c = as_coefficient(V, "r")
-    half_geo = f"({d} - 1)/(2*r)"
-    if beta.override is not None and beta.override.expr is not None:
-        b_expr = ex.BinOp("+", beta.override.expr,
-                          ex.parse_expr(half_geo, "r"))
-        b_c = Coefficient.from_expr(b_expr, "r")
-        extended = False
-    else:
-        geo = (d - 1) / 2.0
-        b_c = Coefficient(lambda r, _b=beta, _g=geo: _b(r) + _g / r)
-        extended = beta.provenance == SAMPLED
-    op = make_operator_1d("0.5", b_c, V_c, (0.0, math.inf), var="r")
-    if extended:
-        op = Operator1D(op.a, op.b, op.V, op.x0, op.y0, op.var,
-                        tail_extended=True)
-    return op
+    geo = (d - 1) / 2.0
+    b_c = Coefficient(lambda r: beta(r) + geo / r)
+    return make_operator_1d("0.5", b_c, as_coefficient(V, "r"),
+                            (0.0, math.inf), var="r")
 
 
 def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), r_grid=None, n_dirs=None,
@@ -449,7 +404,7 @@ def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), r_grid=None, n_dirs=None,
     v1 = uniqueness_1d(op1, lam_set, c=c)
 
     diagnostics = []
-    if op1.tail_extended:
+    if rb.provenance == SAMPLED:
         diagnostics.append(
             f"sampled radial bound held constant beyond r={rb.r_max:g}; "
             "verdicts leaning on that tail carry extra risk")

@@ -193,12 +193,19 @@ def test_classifynd_makes_one_radial_pass(monkeypatch):
     ("classify", nd_config(b=["-x1", "-x3"]), []),
     ("entrance", bessel_config(c=0), []),
     ("classify", ou_config(operator={**_OU, "interval": [0, 1]}, c=5), []),
+    ("fp", ou_config(fp={"T": 1.0, "dt": 0.3}), []),
+    ("fk", ou_config(fk={"T": 1.0, "dt": 0.4}), []),
+    ("fk", ou_config(fk={"T": 1.0, "dt": 0.7}), []),
+    ("xval", ou_config(fp={"dt": 0.04}), []),
+    ("xval", ou_config(fp={"dt": 0.04}, fk={"T": 0.4}, probe={"T": 0.1}), []),
 ], ids=["array-config", "lambda-abc", "fk-n_paths", "fp-m", "probe-windows",
         "fp-dt", "fp-dt-over-fk-T", "fp-dt-over-probe-T", "probe-core_radius",
         "fk-f-log", "xval-f-log", "fp-window-bessel", "xval-window-bessel",
         "fk-x0-bessel", "nd-beta-list", "nd-V-list", "a-unknown-identifier",
         "nd-V-unknown-identifier", "nd-b-unknown-identifier",
-        "entrance-c-endpoint", "classify-c-outside"])
+        "entrance-c-endpoint", "classify-c-outside", "fp-dt-not-dividing-T",
+        "fk-dt-not-dividing-T", "fk-dt-over-half-T", "fp-dt-not-dividing-fk-T",
+        "fp-dt-not-dividing-probe-T"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, config, args):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -210,6 +217,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, config, args):
     ({"fp": {"dt": 0.2}, "fk": {"T": 0.05}}, "/fp/dt"),
     ({"fp": {"dt": 0.2}, "probe": {"T": 0.1}}, "/fp/dt"),
     ({"probe": {"core_radius": 1e-4}}, "/probe/core_radius"),
+    ({"fp": {"dt": 0.04}}, "/fp/dt"),
+    ({"fp": {"dt": 0.04}, "fk": {"T": 0.4}, "probe": {"T": 0.1}}, "/fp/dt"),
 ])
 def test_xval_cross_section_limits(extra, pointer):
     with pytest.raises(ConfigError) as e:

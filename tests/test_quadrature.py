@@ -54,12 +54,6 @@ def test_huge_base_point_classifies(tmp_path):
     assert json.loads(out.read_text())["verdict"]["kind"] == "Inconclusive"
 
 
-def test_gauss_window_exact_polynomial():
-    val, err = Q.gauss_window(lambda x: x**3 - 2 * x, 0.0, 2.0)
-    assert val == pytest.approx(0.0, abs=1e-13)
-    assert err <= 1e-12
-
-
 # spec'd example trio -------------------------------------------------------
 
 def test_inverse_square_converges_to_one():
@@ -100,6 +94,20 @@ def test_nan_integrand_is_inconclusive():
     # NaN is no evidence of overflow, so it must not certify divergence
     v = Q.improper_integral(lambda y: math.nan, math.inf, 0.0)
     assert v.is_inconclusive and "NaN" in v.evidence
+
+
+def test_negative_integrand_is_inconclusive():
+    # the walk sums log f: a negative integrand bounds nothing either way
+    v = Q.improper_integral(lambda y: -1.0 / y**2, math.inf, 1.0)
+    assert v.is_inconclusive and "NaN" in v.evidence
+
+
+def test_cap_verdict_carries_lower_bound():
+    v = Q.improper_integral(lambda y: 1e300 * y * y, math.inf, 1.0)
+    assert v.is_diverges and v.windows_used == 1
+    assert v.evidence.startswith(
+        f"cumulative integral exceeded {Q.CUM_CAP:g} after 1 windows")
+    assert "a lower bound, the integrand being positive" in v.evidence
 
 
 def test_verdict_serialization():

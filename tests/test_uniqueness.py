@@ -305,6 +305,16 @@ def test_nd_sampled_matches_override():
     assert kinds == [U.UNIQUE, U.UNIQUE]
 
 
+def test_nd_sampled_bound_flags_its_tail():
+    # only a sampled bound is held constant past its table
+    tail = "sampled radial bound held constant beyond r="
+    sampled = make_operator_nd(2, ["-x1", "-x2"], "0")
+    override = make_operator_nd(2, ["-x1", "-x2"], "0", beta_override="-r")
+    for op, flagged in ((sampled, True), (override, False)):
+        for v in U.nd_verdicts(op, (1.0,), seed=0).values():
+            assert any(d.startswith(tail) for d in v.diagnostics) == flagged
+
+
 def test_nd_never_notunique():
     # inward cubic radial drift: 1D comparison is NotUnique, ND must not claim it
     op = make_operator_nd(2, ["-x1^3", "-x2^3"], "0", beta_override="-r^3")
