@@ -19,7 +19,7 @@ import numpy as np
 from . import expr as ex
 from . import fdsolver, montecarlo, quadrature, uniqueness
 from .errors import ConfigError, DiffuniqError, ValidationError
-from .gridfn import GridFunction
+from .gridfn import GridFunction, whole_steps
 from .operator import (N_VAL_DEFAULT, Coefficient, _probe_points,
                        coordinate_names, make_operator_1d, make_operator_nd)
 
@@ -171,16 +171,15 @@ def resolve_config(raw):
             value = value[part]
         if not ok(value):
             raise ConfigError(pointer, f"expected {expected}, got {value!r}")
-    # every stepper runs round(T / dt) steps: T must be a whole number of them
+    # every stepper runs whole_steps(T, dt) steps, which must exist
     clocks = [("fp", "fp"), ("fk", "fk")]
     if mode == "xval":  # fp.dt also steps the FD cross-check and the probe
         clocks += [("fp", "fk"), ("fp", "probe")]
     for step, run in clocks:
-        T, dt = cfg[run]["T"], cfg[step]["dt"]
-        n = T / dt
-        if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9 * n):
-            raise ConfigError(f"/{step}/dt", f"/{run}/T = {T:g} is not a "
-                              f"whole number of steps {dt:g} (to 1e-9 relative)")
+        try:
+            whole_steps(cfg[run]["T"], cfg[step]["dt"])
+        except ValueError as exc:
+            raise ConfigError(f"/{step}/dt", f"/{run}/{exc}") from None
     if mode == "xval":
         try:
             fdsolver.probe_windows(cfg["probe"]["windows"],

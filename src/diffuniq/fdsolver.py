@@ -10,8 +10,9 @@ discrete conservation, is positivity-friendly at large cell Peclet
 number, and stays second-order accurate for smooth profiles.
 The forward generator here and the central-difference backward operator of
 the duality check are both tridiagonal bands (lower, diag, upper) sharing
-one theta step, u + (1 - theta) dt A u followed by one banded solve
-(theta = 1/2 default).  Only ``fp_step`` falls back to theta = 1 when
+one theta step, u + (1 - theta) dt A u followed by a solve with
+I - theta dt A (theta = 1/2 default), whose LU factor is made once per
+(dt, theta) and reused.  Only ``fp_step`` falls back to theta = 1 when
 theta = 1/2 breaks positivity, and counts the fallbacks on the state.
 """
 
@@ -21,9 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .gridfn import GridFunction
+from .gridfn import GridFunction, whole_steps
 
 ABSORBING, REFLECTING = "Absorbing", "Reflecting"
 
@@ -85,9 +87,22 @@ def _cc_delta(w):
     return out
 
 
+def _check_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 class Tridiagonal:
     """A tridiagonal operator A by its bands: ``lower`` (A[i, i-1]),
-    ``diag``, ``upper`` (A[i, i+1])."""
+    ``diag``, ``upper`` (A[i, i+1]).
+
+    The bands are set once, in ``__init__``: ``step`` keeps the LU factor of
+    I - theta dt A for each (dt, theta) it has seen.
+    """
+
+    def __init__(self, lower, diag, upper):
+        self.lower, self.diag, self.upper = lower, diag, upper
+        self._factors = {}  # (dt, theta) -> dgttrf factor of I - theta dt A
 
     def apply(self, u):
         out = self.diag * u
@@ -98,11 +113,21 @@ class Tridiagonal:
     def step(self, u, dt, theta):
         """One theta step: solve (I - theta dt A) u+ = (I + (1-theta) dt A) u."""
         rhs = u + (1.0 - theta) * dt * self.apply(u)
-        ab = np.zeros((3, self.diag.size))
-        ab[0, 1:] = -theta * dt * self.upper
-        ab[1, :] = 1.0 - theta * dt * self.diag
-        ab[2, :-1] = -theta * dt * self.lower
-        return solve_banded((1, 1), ab, rhs)
+        _check_finite(rhs)
+        x, _ = dgttrs(*self._factor(dt, theta), rhs, overwrite_b=True)
+        return x
+
+    def _factor(self, dt, theta):
+        factor = self._factors.get((dt, theta))
+        if factor is None:
+            bands = (-theta * dt * self.lower, 1.0 - theta * dt * self.diag,
+                     -theta * dt * self.upper)
+            _check_finite(*bands)
+            *factor, info = dgttrf(*bands)
+            if info > 0:
+                raise LinAlgError("singular matrix")
+            self._factors[(dt, theta)] = factor
+        return factor
 
 
 class Discretization(Tridiagonal):
@@ -143,9 +168,9 @@ class Discretization(Tridiagonal):
         diag[1:] -= c_right / dx       # -G_{i-1/2} contribution of u_i
         diag[0] -= w_lo_coeff / dx     # -G_{lo} acting on u_0
         diag[-1] += w_hi_coeff / dx    # +G_{hi} acting on u_{m-1}
-        self.diag = diag - V_c
-        self.upper = c_right / dx      # G_{i+1/2} contribution of u_{i+1}
-        self.lower = -c_left / dx      # -G_{i-1/2} contribution of u_{i-1}
+        super().__init__(lower=-c_left / dx,   # -G_{i-1/2} part of u_{i-1}
+                         diag=diag - V_c,
+                         upper=c_right / dx)   # G_{i+1/2} part of u_{i+1}
 
 
 def fp_step(state, op, dt, theta=0.5, disc=None):
@@ -167,12 +192,13 @@ def fp_step(state, op, dt, theta=0.5, disc=None):
 
 def fp_solve(op, u0, T, dt, theta=0.5, record_mass=True):
     """Repeated fp_step to time T; returns (final state, (times, masses)).
+    T must be a whole number of steps ``dt`` (``gridfn.whole_steps``).
     The final state's ``theta_fallbacks`` adds this run's fallbacks to
     those of ``u0``."""
     if T <= 0.0:
         raise ValueError("T must be positive")
+    n_steps = whole_steps(T, dt)
     disc = Discretization(op, u0.grid, u0.bc)
-    n_steps = int(round(T / dt))
     state = u0
     times = [state.t]
     masses = [state.mass()]
@@ -194,15 +220,15 @@ class BackwardDiscretization(Tridiagonal):
         a_c = op.a.array(x)
         b_c = op.b.array(x)
         V_c = op.V.array(x)
-        self.diag = -2.0 * a_c / dx ** 2 - V_c
-        self.lower = (a_c / dx ** 2 - b_c / (2.0 * dx))[1:]
-        self.upper = (a_c / dx ** 2 + b_c / (2.0 * dx))[:-1]
+        super().__init__(lower=(a_c / dx ** 2 - b_c / (2.0 * dx))[1:],
+                         diag=-2.0 * a_c / dx ** 2 - V_c,
+                         upper=(a_c / dx ** 2 + b_c / (2.0 * dx))[:-1])
 
 
 def _evolve(disc, values, T, dt, theta):
     """Fixed-theta steps of ``disc`` from ``values`` to time T."""
     u = np.asarray(values, dtype=float)
-    for _ in range(int(round(T / dt))):
+    for _ in range(whole_steps(T, dt)):
         u = disc.step(u, dt, theta)
     return u
 

@@ -1,10 +1,28 @@
-"""Tabulated functions on strictly increasing abscissae."""
+"""Tabulated functions on strictly increasing abscissae, and the step count
+of a uniform time grid."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def whole_steps(T, dt):
+    """The number of steps ``dt`` that make up the horizon ``T``; 0 when
+    T <= 0.  Every time stepper runs exactly this many steps, so it raises
+    ``ValueError`` unless dt > 0 and T / dt is a whole number to 1e-9
+    relative: a remainder would end the run short of or past T."""
+    if T <= 0.0:
+        return 0
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    n = T / dt
+    if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9 * n):
+        raise ValueError(f"T = {T:g} is not a whole number of steps {dt:g} "
+                         "(to 1e-9 relative)")
+    return int(round(n))
 
 
 @dataclass(frozen=True)

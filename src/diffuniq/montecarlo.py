@@ -7,9 +7,10 @@ trapezoid along the path (V of |x| in R^d), and a finite-radius explosion
 surrogate.  ``feynman_kac`` runs it block by block, ``simulate_path`` is a
 block of one path, and ``coupled_radial_comparison`` observes its steps.
 
-Path i draws its increments from a counter-based stream derived from
-(seed, i) (a jumped Philox state), so estimates are reproducible and
-independent of how paths are batched.
+Path i draws its increments from a counter-based stream keyed by (seed, i):
+Philox with key ``seed`` started at counter word 2 = i, the state that
+``Philox(key=seed).jumped(i)`` reaches, built directly.  Estimates are
+therefore reproducible and independent of how paths are batched.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .gridfn import GridFunction
+from .gridfn import GridFunction, whole_steps
 from .operator import Operator1D
 
 R_EXPLODE_DEFAULT = 1e6
@@ -51,11 +52,9 @@ class FKEstimate:
 
 
 def _path_rng(seed, i):
-    return np.random.Generator(np.random.Philox(key=int(seed)).jumped(int(i)))
-
-
-def _n_steps(T, dt):
-    return int(round(T / dt)) if T > 0.0 else 0
+    # a jump adds i * 2**128 to Philox's 256-bit counter, i.e. i to word 2
+    return np.random.Generator(
+        np.random.Philox(key=int(seed), counter=[0, 0, int(i), 0]))
 
 
 def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode, observe=None):
@@ -117,7 +116,7 @@ def _weights(vint):
 def simulate_path(op, x0, T, dt, seed=0, path_index=0,
                   r_explode=R_EXPLODE_DEFAULT):
     """One Euler-Maruyama path; explosion is data, not an error."""
-    x, alive, vint, steps = _em_block(op, x0, _n_steps(T, dt), dt, seed,
+    x, alive, vint, steps = _em_block(op, x0, whole_steps(T, dt), dt, seed,
                                       path_index, 1, r_explode)
     w = float(_weights(vint)[0])
     if alive[0]:
@@ -147,12 +146,13 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
     callable on an (n, d) array of points returning n values.  Exploded
     paths contribute zero (consistent with compactly supported f).
     Deterministic for a fixed (seed, n_paths, dt); batching does not change
-    the result because streams are keyed per path.
+    the result because streams are keyed per path.  T must be a whole
+    number of steps ``dt`` (``gridfn.whole_steps``).
     """
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
     fterm = _terminal_function(f)
-    n_steps = _n_steps(T, dt)
+    n_steps = whole_steps(T, dt)
     contribs = np.empty(n_paths)
     exploded_total = 0
     for start in range(0, n_paths, block):
@@ -175,7 +175,7 @@ def coupled_radial_comparison(op_nd, beta_fn, x0, T, dt, seed=0, n_paths=100):
     radius_nd - radius_1d for each path (shape (n_paths, n_steps)).
 
     ``beta_fn`` is called on an array of the n_paths comparison radii."""
-    n_steps = _n_steps(T, dt)
+    n_steps = whole_steps(T, dt)
     margins = np.empty((n_paths, n_steps))
     geo = (op_nd.d - 1) / 2.0
     sdt = math.sqrt(dt)

@@ -35,8 +35,11 @@ class Coefficient:
         else:
             scalar, vector = ex.compile_expr(expr), ex.compile_expr(expr, True)
             self._scalar = lambda x: scalar({var: x})
-            self._array = lambda xs: np.broadcast_to(
-                np.asarray(vector({var: xs}), dtype=float), xs.shape).copy()
+
+            def array(xs):  # a fresh array of xs's shape, never xs itself
+                r = np.asarray(vector({var: xs}), dtype=float)
+                return r.copy() if r.shape == xs.shape else np.full(xs.shape, r)
+            self._array = array
 
     @classmethod
     def from_expr(cls, e, var):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 from diffuniq import fdsolver as FD, uniqueness as U
-from diffuniq.gridfn import GridFunction
+from diffuniq.gridfn import GridFunction, whole_steps
 from diffuniq.operator import make_operator_1d
 
 INF = math.inf
@@ -188,6 +189,75 @@ def test_theta_fallbacks_counted():
     fin, _ = FD.fp_solve(op, FD.gaussian_state(g, 0.0, 1e-4), 0.1, 1e-2)
     assert fin.theta_fallbacks == 1
     assert float(fin.values.min()) >= 0.0
+
+
+def _banded_step(disc, u, dt, theta):
+    """The theta step by one banded solve, the matrix rebuilt each call."""
+    ab = np.zeros((3, disc.diag.size))
+    ab[0, 1:] = -theta * dt * disc.upper
+    ab[1, :] = 1.0 - theta * dt * disc.diag
+    ab[2, :-1] = -theta * dt * disc.lower
+    return solve_banded((1, 1), ab, u + (1.0 - theta) * dt * disc.apply(u))
+
+
+def test_factored_step_matches_banded_solve(monkeypatch):
+    factors = []
+    dgttrf = FD.dgttrf
+    monkeypatch.setattr(FD, "dgttrf",
+                        lambda *a: factors.append(1) or dgttrf(*a))
+    op = make_operator_1d("0.5", "-x^3", "0", (-INF, INF))
+    g = FD.Grid1D(-8.0, 8.0, 800)
+    u0 = FD.gaussian_state(g, 0.5, 0.3).values
+    for disc in (FD.Discretization(op, g, FD.REFLECTING),
+                 FD.Discretization(op, g, FD.ABSORBING),
+                 FD.BackwardDiscretization(op, g)):
+        factors.clear()
+        for theta in (0.5, 1.0):
+            for dt in (1e-3, 4e-3, 1e-3):  # the last reuses the first factor
+                u = u0
+                for _ in range(3):
+                    want = _banded_step(disc, u, dt, theta)
+                    u = disc.step(u, dt, theta)
+                    assert u.tobytes() == want.tobytes(), (theta, dt)
+        assert len(factors) == 4  # one per (dt, theta)
+        bad = u0.copy()
+        bad[100] = np.nan
+        with pytest.raises(ValueError):
+            disc.step(bad, 1e-3, 0.5)
+
+
+def test_singular_or_nonfinite_step_raises():
+    zeros = np.zeros(15)
+    # 1 - theta dt diag = 0 on the diagonal and nothing off it
+    singular = FD.Tridiagonal(zeros, np.full(16, 2.0), zeros)
+    with pytest.raises(LinAlgError, match="singular"):
+        singular.step(np.ones(16), 1.0, 0.5)
+    diag = np.full(16, -1.0)
+    diag[3] = np.inf
+    with pytest.raises(ValueError):
+        FD.Tridiagonal(zeros, diag, zeros).step(np.ones(16), 1e-3, 0.5)
+
+
+def test_whole_steps():
+    assert whole_steps(1.0, 1e-3) == 1000
+    assert whole_steps(0.3, 0.1) == 3  # 2.9999999999999996 steps
+    assert whole_steps(0.0, 1e-3) == whole_steps(-1.0, 1e-3) == 0
+    for T, dt in [(1.0, 3e-3), (1.0, 0.0), (1.0, -1e-3), (1.0, 1e-320)]:
+        with pytest.raises(ValueError):
+            whole_steps(T, dt)
+
+
+def test_partial_last_step_rejected():
+    # 1.0 / 3e-3 = 333.33 steps: fp_solve used to stop at t = 0.999
+    op = make_operator_1d("0.5", "-x", "0", (-INF, INF))
+    g = FD.Grid1D(-8.0, 8.0, 400)
+    f = _bump(0.0, 1.5)
+    for run in (lambda: FD.fp_solve(op, FD.gaussian_state(g), 1.0, 3e-3),
+                lambda: FD.backward_evolve(op, g, f.zero_outside(g.centers),
+                                           1.0, 3e-3),
+                lambda: FD.duality_check(op, f, f, 1.0, 3e-3, grid=g)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            run()
 
 
 def test_dump_csv_roundtrip(tmp_path):

@@ -179,6 +179,33 @@ def test_block_kernel_matches_scalar_reference():
             assert out.terminal == pytest.approx(x, rel=1e-12, abs=1e-14)
 
 
+@pytest.mark.parametrize("seed", [0, 12345, 2 ** 31 - 1])
+def test_path_stream_is_the_jumped_stream(seed):
+    # path i's stream is Philox(key=seed).jumped(i), built from its counter;
+    # drawn in _CHUNK-sized pieces as the block kernel draws it
+    chunk = np.empty(MC._CHUNK)
+    for i in (0, 1, 2047, 2048, 49_999, 2 ** 40):
+        fast = MC._path_rng(seed, i)
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        for _ in range(3):
+            fast.standard_normal(out=chunk)
+            want = jumped.standard_normal(MC._CHUNK)
+            assert chunk.tobytes() == want.tobytes(), (seed, i)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: MC.feynman_kac(ou(), IDENT, 1.0, 0.0, 100, 3e-3),
+    lambda: MC.simulate_path(ou(), 0.0, 1.0, 3e-3),
+    lambda: MC.coupled_radial_comparison(
+        make_operator_nd(2, ["-x1", "-x2"], "0"), lambda r: -r, [1.0, 0.0],
+        1.0, 3e-3),
+])
+def test_partial_last_step_rejected(run):
+    # 1.0 / 3e-3 = 333.33 steps: no run may stop short of T
+    with pytest.raises(ValueError, match="whole number of steps"):
+        run()
+
+
 def test_coupled_radial_matches_per_path_reference():
     # the per-path loop the vectorized coupling replaced
     op = make_operator_nd(3, ["-x1", "-x2 + 0.3*sin(x1)", "-x3"], "0")

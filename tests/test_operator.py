@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diffuniq import operator as OP
+from diffuniq import expr as E, operator as OP
 from diffuniq.errors import ValidationError
 
 
@@ -71,6 +71,20 @@ def test_constant_coefficient_array_keeps_shape():
     assert c(7.0) == 2.5
     out = c.array(np.zeros((2, 3)))
     assert out.shape == (2, 3) and np.all(out == 2.5)
+
+
+@pytest.mark.parametrize("text", ["0.5", "x", "x^3 - sin(x)/2"])
+def test_coefficient_array_is_fresh_and_shaped(text):
+    c = OP.as_coefficient(text, "x")
+    vector = E.compile_expr(c.expr, vectorized=True)
+    for xs in (np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 6).reshape(2, 3),
+               np.asarray(0.25)):
+        out = c.array(xs)
+        assert out.dtype == np.float64 and out.shape == xs.shape
+        assert out.flags.writeable and not np.shares_memory(out, xs)
+        old = np.broadcast_to(np.asarray(vector({"x": xs}), dtype=float),
+                              xs.shape).copy()
+        assert out.tobytes() == old.tobytes()
 
 
 def test_nd_operator_and_drift():
