@@ -23,15 +23,17 @@ class Coefficient:
     """A scalar coefficient: an expression or a bare callable.
 
     An expression is compiled once, here: ``__call__`` is its scalar form
-    with full domain checking, ``array`` its vectorized fast path.
+    with full domain checking, ``array`` its vectorized fast path.  A bare
+    callable may bring its own ``array`` form; without one, ``array`` loops
+    over scalar calls.
     """
 
-    def __init__(self, fn, expr=None, var=None):
+    def __init__(self, fn, expr=None, var=None, array=None):
         self.expr, self.var = expr, var
         if expr is None:
             self._scalar = fn
-            self._array = lambda xs: np.array(
-                [fn(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+            self._array = array or (lambda xs: np.array(
+                [fn(float(x)) for x in xs.ravel()]).reshape(xs.shape))
         else:
             scalar, vector = ex.compile_expr(expr), ex.compile_expr(expr, True)
             self._scalar = lambda x: scalar({var: x})
@@ -223,6 +225,12 @@ class RadialBound:
         if self.override is not None:
             return self.override(float(r))
         return float(self.table(r))
+
+    def array(self, rs):
+        """The bound at an array of radii."""
+        if self.override is not None:
+            return self.override.array(rs)
+        return self.table(rs)
 
     @property
     def r_max(self):

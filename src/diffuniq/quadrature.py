@@ -37,7 +37,7 @@ class IntegralVerdict:
     err: float | None = None
     evidence: str = ""
     windows_used: int = 0
-    rhs_evals: int = 0  # ODE right-hand-side evaluations behind the verdict
+    rhs_evals: int = 0  # coefficient points the march evaluated
 
     @classmethod
     def converges(cls, value, err, evidence="", windows=0):
@@ -174,28 +174,33 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _LOG_GL_WEIGHTS = np.log(GL_WEIGHTS)
 
 
-def _log_gauss(log_f, a, b):
-    """Log of the 32-point Gauss-Legendre sum of exp(log_f) over [a, b];
-    a NaN log-integrand stops the walk."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    logs = _LOG_GL_WEIGHTS + log_f(mid + half * GL_NODES)
+def _gauss_nodes(a, b):
+    """The 32 Gauss-Legendre nodes on [a, b]."""
+    return 0.5 * (a + b) + 0.5 * (b - a) * GL_NODES
+
+
+def _log_gauss(log_vals, a, b):
+    """Log of the 32-point Gauss-Legendre sum over [a, b] of the integrand
+    whose logs at the nodes are ``log_vals``; a NaN stops the walk."""
+    logs = _LOG_GL_WEIGHTS + log_vals
     if np.isnan(logs).any():
         raise WindowStop("log-integrand undefined (NaN or a non-positive "
                          f"state) in [{a:.6g}, {b:.6g}]")
-    return math.log(half) + float(np.logaddexp.reduce(logs))
+    return math.log(0.5 * (b - a)) + float(np.logaddexp.reduce(logs))
 
 
 def windowed_verdict(endpoint, anchor, open_window):
     """Three-valued verdict for an integral from ``anchor`` toward ``endpoint``.
 
-    ``open_window(lo, hi)`` is called per window in marching order (so
-    ``lo > hi`` when marching down) and returns ``log_f``, the log of the
-    integrand on node arrays inside the window, or raises
-    :class:`WindowStop`.  The window's increment, summed in log space over
-    its two halves, ends the walk ``Diverges`` once the running total passes
-    the cap (a lower bound, the integrand being positive), else goes to the
-    judge with the one-panel sum's distance as error estimate.  A NaN
-    log-integrand ends it ``Inconclusive``."""
+    ``open_window(lo, hi, xs)`` is called per window in marching order (so
+    ``lo > hi`` when marching down) with the window's 96 Gauss-Legendre
+    nodes ``xs``: 32 on each half, then 32 on the whole window.  It returns
+    the log of the integrand at ``xs``, or raises :class:`WindowStop`.  The
+    window's increment, summed in log space over its two halves, ends the
+    walk ``Diverges`` once the running total passes the cap (a lower bound,
+    the integrand being positive), else goes to the judge with the
+    one-panel sum's distance as error estimate.  A NaN log-integrand ends
+    it ``Inconclusive``."""
     n = N_WINDOWS_INFINITE if math.isinf(endpoint) else N_WINDOWS_FINITE
     try:
         bounds = window_bounds(endpoint, anchor, n)
@@ -205,12 +210,14 @@ def windowed_verdict(endpoint, anchor, open_window):
     judge = _WindowJudge()
     log_total = -math.inf
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
+        a, b = min(lo, hi), max(lo, hi)
+        mid = 0.5 * (a + b)
+        xs = np.concatenate((_gauss_nodes(a, mid), _gauss_nodes(mid, b),
+                             _gauss_nodes(a, b)))
         try:
-            log_f = open_window(lo, hi)
-            a, b = min(lo, hi), max(lo, hi)
-            mid = 0.5 * (a + b)
-            log_fine = float(np.logaddexp(_log_gauss(log_f, a, mid),
-                                          _log_gauss(log_f, mid, b)))
+            log_f = open_window(lo, hi, xs)
+            log_fine = float(np.logaddexp(_log_gauss(log_f[:32], a, mid),
+                                          _log_gauss(log_f[32:64], mid, b)))
             log_total = float(np.logaddexp(log_total, log_fine))
             if log_total > math.log(CUM_CAP):
                 return IntegralVerdict.diverges(
@@ -219,7 +226,7 @@ def windowed_verdict(endpoint, anchor, open_window):
                     f"e^{log_total:.6g}; a lower bound, the integrand being "
                     "positive)", windows=k)
             fine = math.exp(log_fine)
-            err = abs(fine - math.exp(_log_gauss(log_f, a, b)))
+            err = abs(fine - math.exp(_log_gauss(log_f[64:], a, b)))
         except WindowStop as stop:
             if stop.diverges:
                 return IntegralVerdict.diverges(str(stop), windows=k)
@@ -236,7 +243,7 @@ def improper_integral(f, endpoint, anchor):
     value of ``f`` reads ``Inconclusive``."""
     fv = np.vectorize(f, otypes=[float])
 
-    def log_f(xs):
+    def log_f(lo, hi, xs):
         try:
             ys = fv(xs)
         except DomainError as exc:
@@ -244,7 +251,7 @@ def improper_integral(f, endpoint, anchor):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(ys)
 
-    return windowed_verdict(endpoint, anchor, lambda lo, hi: log_f)
+    return windowed_verdict(endpoint, anchor, log_f)
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,22 @@ state (h_hat, W_hat, sigma) with (h, W) = e^sigma (h_hat, W_hat):
 
 mu is the eigenvalue of the frozen matrix [[p, 1], [q, 0]] that grows in the
 marching direction, so the exponential factor lives in sigma and h_hat,
-W_hat stay of polynomial size.  The system keeps the flux system's
-conditioning and is solved implicitly (BDF, analytic Jacobian) for strong
-drifts.  The truncated series is kept as an independent cross-check.
+W_hat stay of polynomial size.  The system is linear in (h_hat, W_hat) and
+sigma is a plain quadrature, so it is marched by Radau IIA propagators
+(``_Propagator``): each 3-stage step (order 5, L-stable, stiffly accurate)
+is one 6x6 linear solve giving z -> P z + v, the solves are batched with
+numpy, and only the chaining of z is sequential.  The march lands on every
+quadrature node with m equal steps per gap and accepts once the m and 2m
+marches agree.  The truncated series is kept as an independent
+cross-check.
 
-Both integral tests share one march (``_March``, BDF window by window) and
-one window helper (``_march_verdict``), which advances the march to the far
-end of each window of ``quadrature.windowed_verdict`` and hands that walk
-the log-integrand on the dense solution; the walk sums it in log space and
-owns the cumulative cap.  The endpoint test integrates rho u = exp(sigma +
-log h_hat - log a) and needs no overflow guard.  The entrance test (V = 0)
-marches (L, K, g), integrates g / a, and keeps a guard on K and g: K = int
+Both integral tests share that march and one window helper
+(``_march_verdict``), which marches through the Gauss-Legendre nodes of
+each window of ``quadrature.windowed_verdict`` and hands that walk the
+log-integrand there; the walk sums it in log space and owns the cumulative
+cap.  The endpoint test integrates rho u = exp(sigma + log h_hat - log a)
+and needs no overflow guard.  The entrance test (V = 0) marches (K, g) with
+the quadrature L, integrates g / a, and keeps a guard on K and g: K = int
 rho beyond it already forces the iterated integral to diverge.
 
 Every test takes the base point c itself.  Neither integral test needs the
@@ -41,7 +46,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import cumulative_simpson
 
 from . import quadrature as qd
 from .errors import DomainError, ValidationError
@@ -114,43 +119,211 @@ class MonotoneSolution:
         return np.exp(self.log_u)
 
 
-class _March:
-    """Incremental stiff-safe BDF march of y' = rhs(x, y) away from the base
-    point, stopped early when a ``guarded`` component reaches the guard.
-    ``nfev`` counts the right-hand-side evaluations of all segments."""
+# 3-stage Radau IIA (Hairer & Wanner, Solving ODEs II, table IV.5.6): stage
+# nodes and matrix; the weights are its last row (stiffly accurate)
+_S6 = math.sqrt(6.0)
+_RADAU_C = np.array([(4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0])
+_RADAU_A = np.array([
+    [(88.0 - 7.0 * _S6) / 360.0, (296.0 - 169.0 * _S6) / 1800.0,
+     (-2.0 + 3.0 * _S6) / 225.0],
+    [(296.0 + 169.0 * _S6) / 1800.0, (88.0 + 7.0 * _S6) / 360.0,
+     (-2.0 - 3.0 * _S6) / 225.0],
+    [(16.0 - _S6) / 36.0, (16.0 + _S6) / 36.0, 1.0 / 9.0]])
 
-    def __init__(self, rhs, jac, x, y, guarded=()):
-        self.rhs, self.jac, self.guarded = rhs, jac, guarded
-        self.x_last = x
-        self.y_last = np.asarray(y, dtype=float)
-        self.failed = None
-        self.nfev = 0
+# limits of the march: the watched state of the m and 2m passes must agree
+# to MARCH_TOL (absolute, relative above 1) at every node, m doubling up to
+# MAX_SUBSTEPS; steps are built and solved BATCH_STEPS at a time
+MARCH_TOL = 1e-9
+MAX_SUBSTEPS = 1024
+BATCH_STEPS = 1024
 
-    def _guard(self, x, y):
-        return _OVERFLOW_GUARD - max(abs(y[i]) for i in self.guarded)
-    _guard.terminal = True
-    _guard.direction = -1
 
-    def advance(self, x_to):
-        """March to x_to; returns the dense solution segment, which ends
-        early with ``status == 1`` when the guard fired, or None on failure
-        (the reason is left in ``failed``)."""
+def _coefficient_arrays(coefs, xs):
+    """The coefficients' array forms at the stage points ``xs``, shape
+    (stage, step).  Where one raises or is not finite, ``WindowStop`` names
+    the reason its scalar form gives at the first bad point in marching
+    order."""
+    try:
+        with np.errstate(all="ignore"):
+            vals = [c.array(xs) for c in coefs]
+        if all(np.isfinite(v).all() for v in vals):
+            return vals
+    except (DomainError, OverflowError, ValueError):
+        pass
+    reason = "a coefficient array is not finite"
+    for x in xs.T.ravel().tolist():
         try:
-            sol = solve_ivp(self.rhs, (self.x_last, x_to), self.y_last,
-                            method="BDF", jac=self.jac, dense_output=True,
-                            rtol=1e-10, atol=1e-14,
-                            events=self._guard if self.guarded else None)
+            if not all(math.isfinite(c(x)) for c in coefs):
+                reason = f"a coefficient is not finite at x={x:.6g}"
+                break
         except (DomainError, OverflowError, ValueError) as exc:
-            # ValueError: the solver's own state left the float range
-            self.failed = str(exc)
-            return None
-        self.nfev += sol.nfev
-        if not sol.success:
-            self.failed = sol.message
-            return None
-        self.x_last = x_to
-        self.y_last = sol.y[:, -1]
-        return sol
+            reason = str(exc)
+            break
+    raise _failed(reason)
+
+
+def _failed(reason):
+    return qd.WindowStop(f"ODE march failed ({reason}); domain truncated")
+
+
+class _Propagator:
+    """March of the linear system z' = A(x) z + f(x) in two components and a
+    quadrature Q' = q(x) away from the base point, by 3-stage Radau IIA
+    steps: order 5, L-stable and stiffly accurate.
+
+    ``coeffs(xs)`` returns ``(q, system)`` at an array of stage points, and
+    ``system(Q)`` returns A's entries (a00, a01, a10, a11) and f's (f0, f1)
+    there, given Q's stage values.  On a linear system each step is one 6x6
+    stage solve, giving z -> P z + v; the solves are batched and only the
+    chaining of z is sequential.  The error control compares Q and the
+    log of z's ``watched`` component.  A ``guard`` (limit,
+    evidence) ends the walk ``Diverges`` at the first step whose |z|
+    reaches the limit; nothing past it is marched.  ``evals`` counts the
+    stage points evaluated."""
+
+    def __init__(self, coeffs, watched, x, z, guard=None):
+        self.coeffs, self.watched, self.guard = coeffs, watched, guard
+        self.x = x
+        self.y = np.array([z[0], z[1], 0.0])
+        self.m = 1
+        self.evals = 0
+
+    def advance(self, xs, x_to):
+        """March through the nodes ``xs`` (any order, between here and
+        ``x_to``) to ``x_to``, with m equal steps per gap and error control
+        by the 2m march; returns the states at ``xs``, shape (3, len(xs))."""
+        order = np.argsort(xs if x_to > self.x else -xs, kind="stable")
+        pts = np.concatenate(([self.x], xs[order], [x_to]))
+        coarse = self._pass(pts, self.m)
+        while True:
+            fine = self._pass(pts, 2 * self.m)
+            if self._agree(coarse, fine):
+                break
+            if self.m >= MAX_SUBSTEPS:
+                raise qd.WindowStop(
+                    f"march did not resolve the solution to {MARCH_TOL:g} "
+                    f"with {2 * MAX_SUBSTEPS} steps per node gap in "
+                    f"[{self.x:.6g}, {x_to:.6g}]")
+            self.m *= 2
+            coarse = fine
+        states, crossed = fine
+        if crossed is not None:
+            raise qd.WindowStop(self.guard[1].format(x=crossed), diverges=True)
+        self.x, self.y = x_to, states[:, -1]
+        out = np.empty((3, xs.size))
+        out[:, order] = states[:, :-1]
+        return out
+
+    def _agree(self, coarse, fine):
+        """Both passes crossed the guard or neither did, and the watched
+        state agrees at every point both reached before it."""
+        (yc, xc), (yf, xf) = coarse, fine
+        if (xc is None) != (xf is None):
+            return False
+        n = min(yc.shape[1], yf.shape[1])
+        rows = [self.watched, 2]
+        wc, wf = yc[rows, :n], yf[rows, :n]
+        wc[0], wf[0] = _log_positive(wc[0]), _log_positive(wf[0])
+        with np.errstate(invalid="ignore"):
+            close = np.abs(wc - wf) <= MARCH_TOL * np.maximum(1.0, np.abs(wf))
+        return bool(np.all(close | (np.isnan(wc) & np.isnan(wf))))
+
+    def _pass(self, pts, m):
+        """One march from pts[0] through the gaps of ``pts``, m equal steps
+        each.  Returns the states landed on pts[1:] up to the guard
+        crossing, shape (3, k), and the crossing's x (None if none)."""
+        z0, z1, Q = self.y.tolist()
+        limit = self.guard[0] if self.guard else None
+        total = (pts.size - 1) * m
+        landed, crossing = [], None
+        for start in range(0, total, BATCH_STEPS):
+            gap, sub = np.divmod(np.arange(start, min(start + BATCH_STEPS,
+                                                      total)), m)
+            h = (pts[gap + 1] - pts[gap]) / m
+            x0 = pts[gap] + sub * h
+            xs = x0 + _RADAU_C[:, None] * h  # (stage, step)
+            self.evals += xs.size
+            q, system = self.coeffs(xs)
+            with np.errstate(all="ignore"):
+                dQ = h * (_RADAU_A @ np.broadcast_to(q, xs.shape))
+                Q_end = Q + np.cumsum(dQ[2])
+                Q_start = np.concatenate(([Q], Q_end[:-1]))
+                P, v = _propagators(h, system(Q_start + dQ))
+            zs, crossed = _chain(P, v, z0, z1, limit)
+            n = len(zs) // 2
+            at_node = np.flatnonzero(sub[:n] == m - 1)
+            if crossed:  # keep only the nodes before the crossing step
+                at_node = at_node[at_node < n - 1]
+                crossing = float(x0[n - 1] + h[n - 1])
+            z = np.array(zs).reshape(-1, 2)[at_node]
+            landed.append(np.vstack((z.T, Q_end[at_node])))
+            if crossed:
+                break
+            z0, z1 = zs[-2:]
+            Q = float(Q_end[-1])
+        states = np.hstack(landed)
+        bad = np.flatnonzero(~np.isfinite(states).all(axis=0))
+        if bad.size:  # an overflow, which no step refinement mends
+            raise _failed(f"state not finite at x={pts[bad[0] + 1]:.6g}")
+        return states, crossing
+
+
+def _propagators(h, system):
+    """P (2, 2, n) and v (2, n) of the steps z -> P z + v of sizes h, from
+    A's and f's entries at the stage points, each broadcastable to (3, n).
+
+    The stage system (I - h (a_ij A_j)) Z = (z, z, z) + h (sum_j a_ij f_j)
+    is solved by Gaussian elimination on its 2x2 blocks, for all steps at
+    once.  The step ends on the last stage, so no back substitution is
+    needed.  The pivot blocks I - h a A stay regular on the decaying modes
+    (h A's eigenvalues in the left half plane); where a growing mode makes
+    one singular, the states go non-finite and the march fails."""
+    (a00, a01, a10, a11), (f0, f1) = system
+    n = h.size
+    A, f = np.empty((2, 2, 3, n)), np.empty((2, 3, n))
+    A[0, 0], A[0, 1], A[1, 0], A[1, 1] = a00, a01, a10, a11
+    f[0], f[1] = f0, f1
+    ha = _RADAU_A[:, :, None] * h  # h a_ij, (3, 3, n)
+    eye = np.eye(2)[:, :, None]
+    blocks = [[(i == j) * eye - ha[i, j] * A[:, :, j] for j in range(3)]
+              for i in range(3)]
+    forcing = np.einsum("ijn,rjn->rin", ha, f)
+    rhs = [np.concatenate((np.broadcast_to(eye, (2, 2, n)),
+                           forcing[:, i, None]), axis=1) for i in range(3)]
+    for k in range(2):
+        inverse = _inverse_2x2(blocks[k][k])
+        for i in range(k + 1, 3):
+            factor = _product_2x2(blocks[i][k], inverse)
+            for j in range(k + 1, 3):
+                blocks[i][j] = (blocks[i][j]
+                                - _product_2x2(factor, blocks[k][j]))
+            rhs[i] = rhs[i] - _product_2x2(factor, rhs[k])
+    last = _product_2x2(_inverse_2x2(blocks[2][2]), rhs[2])  # (2, 3, n)
+    return last[:, :2], last[:, 2]
+
+
+def _product_2x2(a, b):
+    """Stepwise products of 2x2 blocks (2, 2, n) with (2, k, n) blocks."""
+    return a[:, :1] * b[0] + a[:, 1:] * b[1]
+
+
+def _inverse_2x2(a):
+    (a00, a01), (a10, a11) = a
+    return np.array([[a11, -a01], [-a10, a00]]) / (a00 * a11 - a01 * a10)
+
+
+def _chain(P, v, z0, z1, limit):
+    """States after each step z -> P z + v from (z0, z1), flat (z0, z1,
+    z0, ...), and whether they end early, with the first whose |z| reaches
+    ``limit``.  Plain floats: no per-step container for the collector."""
+    it = iter(np.vstack((P.reshape(4, -1), v)).T.ravel().tolist())
+    out = []
+    for p00, p01, p10, p11, v0, v1 in zip(it, it, it, it, it, it):
+        z0, z1 = p00 * z0 + p01 * z1 + v0, p10 * z0 + p11 * z1 + v1
+        out += (z0, z1)
+        if limit is not None and (abs(z0) >= limit or abs(z1) >= limit):
+            return out, True
+    return out, False
 
 
 def _scaled_march(op, lam, c, toward_upper):
@@ -158,53 +331,52 @@ def _scaled_march(op, lam, c, toward_upper):
     from u(c) = 1, (alpha u')(c) = 0; sigma' = mu is the eigenvalue of the
     frozen flux matrix [[p, 1], [q, 0]] that grows in the marching direction
     (p = b/a, q = (lambda+V)/a).  Any smooth mu keeps the transform exact;
-    this one leaves h_hat and W_hat of polynomial size."""
+    this one leaves h_hat and W_hat of polynomial size.  The march compares
+    log h_hat and sigma."""
     s = 1.0 if toward_upper else -1.0
 
-    def coeffs(x):
-        a = op.a(x)
-        p = op.b(x) / a
-        q = (lam + op.V(x)) / a
-        root = s * math.hypot(p, 2.0 * math.sqrt(max(q, 0.0)))
-        # the two roots multiply to -q: take the sum without cancellation
-        mu = 0.5 * (p + root) if s * p >= 0.0 else 2.0 * q / (root - p)
-        return p, q, mu
+    def coeffs(xs):
+        a, b, V = _coefficient_arrays((op.a, op.b, op.V), xs)
+        with np.errstate(all="ignore"):
+            p = b / a
+            q = (lam + V) / a
+            root = s * np.hypot(p, 2.0 * np.sqrt(np.maximum(q, 0.0)))
+            # the two roots multiply to -q: take the sum without cancellation
+            mu = np.where(s * p >= 0.0, 0.5 * (p + root), 2.0 * q / (root - p))
+        return mu, lambda sigma: ((p - mu, 1.0, q, -mu), (0.0, 0.0))
 
-    def rhs(x, y):
-        p, q, mu = coeffs(x)
-        return [(p - mu) * y[0] + y[1], q * y[0] - mu * y[1], mu]
+    return _Propagator(coeffs, 0, c, (1.0, 0.0))
 
-    def jac(x, y):
-        p, q, mu = coeffs(x)
-        return [[p - mu, 1.0, 0.0], [q, -mu, 0.0], [0.0, 0.0, 0.0]]
 
-    return _March(rhs, jac, c, [1.0, 0.0, 0.0])
+def _log_positive(v):
+    """log v, NaN where v <= 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(v > 0.0, np.log(v), np.nan)
 
 
 def _log_rho_u(op):
     """log(rho u) = sigma + log h_hat - log a on the scaled state; NaN where
     h_hat <= 0, which the exact solution never reaches."""
     def log_integrand(y, xs):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            log_h = np.where(y[0] > 0.0, np.log(y[0]), np.nan)
-        return y[2] + log_h - np.log(op.a.array(xs))
+        return y[2] + _log_positive(y[0]) - np.log(op.a.array(xs))
     return log_integrand
 
 
 def monotone_solution(op, c, lam, direction, x_end=None, n_grid=513):
     """March u away from the base point c to ``x_end`` (default: one unit
-    in ``direction``); log-space table."""
+    in ``direction``); log-space table on ``n_grid`` nodes, which the march
+    lands on."""
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     c = qd.require_interior(op, c)
     if x_end is None:
         x_end = c + (1.0 if direction == TOWARD_UPPER else -1.0)
-    march = _scaled_march(op, lam, c, direction == TOWARD_UPPER)
-    sol = march.advance(x_end)
-    if sol is None:
-        raise DomainError(f"monotone solution march failed: {march.failed}")
     xs = np.linspace(c, x_end, n_grid)
-    h_hat, W_hat, sigma = sol.sol(xs)
+    march = _scaled_march(op, lam, c, direction == TOWARD_UPPER)
+    try:
+        h_hat, W_hat, sigma = march.advance(xs, x_end)
+    except qd.WindowStop as stop:
+        raise DomainError(f"monotone solution march failed: {stop}") from None
     if not np.all(h_hat > 0.0):
         raise DomainError("monotone solution march lost positivity")
     log_u = sigma + np.log(h_hat) - qd.log_scale(op, c, xs)
@@ -214,26 +386,16 @@ def monotone_solution(op, c, lam, direction, x_end=None, n_grid=513):
 # ---------------------------------------------------------------------------
 # endpoint conditions
 
-def _march_verdict(endpoint, anchor, march, log_integrand,
-                   guard_evidence=None):
+def _march_verdict(endpoint, anchor, march, log_integrand):
     """Windowed verdict on the integral of exp(log_integrand(y, xs)) toward
-    ``endpoint``, y being the dense march solution at the nodes xs.  Each
-    window advances the march to its far end; a failed march ends the walk
-    ``Inconclusive``, and a fired guard certifies divergence with
-    ``guard_evidence`` (formatted with ``x``).  The verdict carries the
-    march's right-hand-side evaluation count."""
-    def open_window(lo, hi):
-        sol = march.advance(hi)
-        if sol is None:
-            raise qd.WindowStop(
-                f"ODE march failed ({march.failed}); domain truncated")
-        if sol.status == 1:
-            raise qd.WindowStop(guard_evidence.format(x=sol.t[-1]),
-                                diverges=True)
-        return lambda xs: log_integrand(sol.sol(xs), xs)
+    ``endpoint``, y being the march's states at the window nodes xs.  The
+    march ends the walk early by raising ``WindowStop``.  The verdict
+    carries the march's count of evaluated coefficient points."""
+    def open_window(lo, hi, xs):
+        return log_integrand(march.advance(xs, hi), xs)
 
     v = qd.windowed_verdict(endpoint, anchor, open_window)
-    return replace(v, rhs_evals=march.nfev)
+    return replace(v, rhs_evals=march.evals)
 
 
 def endpoint_condition(op, c, lam, endpoint):
@@ -250,8 +412,9 @@ def entrance_test(op, c, endpoint):
     """No-entrance probe for V = 0: divergence verdict for the iterated
     integral of rho(y) * J(y), J(y) = int (1/alpha) int rho.
 
-    Marches (L, K, g) with K = int rho, g = alpha J, so the integrand is
-    g / a without exponential blowup in the decaying-speed-measure regime.
+    Marches (K, g) with the quadrature L = int b/a, K = int rho and
+    g = alpha J, so the integrand is g / a without exponential blowup in the
+    decaying-speed-measure regime.
     """
     c = qd.require_interior(op, c)
     # V must vanish (sampled check)
@@ -264,29 +427,26 @@ def entrance_test(op, c, endpoint):
             raise ValidationError(ValidationError.NONZERO_POTENTIAL, float(x),
                                   "entrance test requires V identically zero")
 
-    def rhs(x, y):
-        L, K, g = y
-        a = op.a(x)
-        r = op.b(x) / a
-        rho = math.exp(min(L, 700.0)) / a
-        return [r, sgn * rho, r * g + sgn * K]
+    def coeffs(xs):
+        a, b = _coefficient_arrays((op.a, op.b), xs)
+        with np.errstate(all="ignore"):
+            r = b / a
 
-    def jac(x, y):
-        a = op.a(x)
-        r = op.b(x) / a
-        rho = math.exp(min(y[0], 700.0)) / a
-        return [[0.0, 0.0, 0.0], [sgn * rho, 0.0, 0.0], [0.0, sgn, r]]
+        def system(L):  # K' = sgn rho, g' = r g + sgn K
+            rho = np.exp(np.minimum(L, 700.0)) / a
+            return (0.0, 0.0, sgn, r), (sgn * rho, 0.0)
+        return r, system
 
     # K = int rho beyond the guard: since J is positive and nondecreasing
     # past any interior point, int rho J diverges with it
-    march = _March(rhs, jac, c, [0.0, 0.0, 0.0], guarded=(1, 2))
+    guard = (_OVERFLOW_GUARD, f"speed-measure integral exceeded "
+             f"{_OVERFLOW_GUARD:g} at x={{x:.6g}}")
+    march = _Propagator(coeffs, 1, c, (0.0, 0.0), guard)
 
     def log_integrand(y, xs):  # log(g / a); g vanishes at the base point
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.log(y[2]) - np.log(op.a.array(xs))
-    return _march_verdict(
-        endpoint, c, march, log_integrand,
-        f"speed-measure integral exceeded {_OVERFLOW_GUARD:g} at x={{x:.6g}}")
+            return np.log(y[1]) - np.log(op.a.array(xs))
+    return _march_verdict(endpoint, c, march, log_integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +540,8 @@ def radial_reduce(beta: RadialBound, d, V):
     if d < 2:
         raise ValueError("dimension must be >= 2")
     geo = (d - 1) / 2.0
-    b_c = Coefficient(lambda r: beta(r) + geo / r)
+    b_c = Coefficient(lambda r: beta(r) + geo / r,
+                      array=lambda rs: beta.array(rs) + geo / rs)
     return make_operator_1d("0.5", b_c, as_coefficient(V, "r"),
                             (0.0, math.inf), var="r")
 

@@ -40,7 +40,6 @@ def test_window_bounds_stay_finite_near_float_max(endpoint, anchor):
     assert np.all(steps > 0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's BDF overflowing
 def test_huge_base_point_classifies(tmp_path):
     from diffuniq import cli
     cfg = {"mode": "classify1d", "c": 1e300, "lambda_set": [1.0],

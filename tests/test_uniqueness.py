@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -173,18 +174,76 @@ def test_converged_values_unchanged_by_scaling(a, b, interval, lam,
 
 
 class _FixedStateMarch:
-    """A march (and its every segment) whose dense solution is one state."""
+    """A march that lands on every node in one state."""
 
-    nfev, failed, status = 7, None, 0
+    evals = 7
 
     def __init__(self, state):
         self.state = np.asarray(state, dtype=float)
 
-    def advance(self, x_to):
-        return self
-
-    def sol(self, xs):
+    def advance(self, xs, x_to):
         return np.repeat(self.state[:, None], np.size(xs), axis=1)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("endpoint", [0.0, 1.0])
+def test_march_unit_interval_closed_form(lam, endpoint):
+    # a=1, b=0 on (0, 1) from c=1/2: u = cosh(sqrt(lam) (x - 1/2)), rho = 1,
+    # so each half-interval integral is sinh(sqrt(lam)/2)/sqrt(lam)
+    op = make_operator_1d("1", "0", "0", (0.0, 1.0))
+    v = U.endpoint_condition(op, 0.5, lam, endpoint)
+    want = math.sinh(math.sqrt(lam) / 2.0) / math.sqrt(lam)
+    assert v.is_converges
+    assert abs(v.value - want) <= 3.0 * v.err
+
+
+@pytest.mark.parametrize("b, lo, hi", [("x^7", 2.4, 2.5), ("x^9", 2.0, 2.2)])
+def test_entrance_guard_fires_on_outward_drift(b, lo, hi):
+    # K = int rho passes the guard where int b/a nears log(1e150); nothing
+    # past that point is marched, so the walk stays cheap
+    op = make_operator_1d("0.5", b, "0", (-INF, INF))
+    t0 = time.process_time()
+    v = U.entrance_test(op, 0.0, INF)
+    assert time.process_time() - t0 < 1.0
+    prefix = "speed-measure integral exceeded 1e+150 at x="
+    assert v.is_diverges and v.evidence.startswith(prefix)
+    assert lo <= float(v.evidence[len(prefix):]) <= hi
+
+
+def test_unresolvable_drift_has_bounded_cost():
+    # b/a oscillates without limit at x = 3.3, inside the third window
+    # toward +inf: the march refines to its cap there and names the window
+    op = make_operator_1d("0.5", "sin(1/(x-3.3))", "0", (-INF, INF))
+    t0 = time.process_time()
+    v = U.uniqueness_1d(op, (1.0,))
+    assert time.process_time() - t0 < 10.0
+    assert v.kind in (U.UNIQUE, U.INCONCLUSIVE)
+    if v.kind == U.INCONCLUSIVE:
+        upper = next(r for _, which, r in v.per_endpoint if which == "upper")
+        assert "march did not resolve" in upper.evidence
+        assert "in [3, 7]" in upper.evidence
+
+
+def test_block_elimination_matches_dense_stage_solve():
+    # the 2x2-block elimination against numpy's solve of the whole 6x6
+    # Radau IIA stage system, stiff steps (h |A| up to 1e3) included
+    rng = np.random.default_rng(7)
+    n = 64
+    h = rng.uniform(-0.5, 0.5, n)
+    A = rng.normal(size=(2, 2, 3, n)) * np.geomspace(1.0, 2e3, n)
+    f = rng.normal(size=(2, 3, n))
+    P, v = U._propagators(h, ((A[0, 0], A[0, 1], A[1, 0], A[1, 1]),
+                              (f[0], f[1])))
+    for k in range(n):
+        ha = h[k] * U._RADAU_A
+        lhs = np.eye(6) - np.block([[ha[i, j] * A[:, :, j, k]
+                                     for j in range(3)] for i in range(3)])
+        rhs = np.hstack((np.tile(np.eye(2), (3, 1)),
+                         (ha @ f[:, :, k].T).reshape(6, 1)))
+        z = np.linalg.solve(lhs, rhs)[4:6]
+        scale = np.abs(z).max()
+        assert np.abs(P[:, :, k] - z[:, :2]).max() <= 1e-12 * scale
+        assert np.abs(v[:, k] - z[:, 2]).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("state", [[0.0, 1.0, 0.0], [-1.0, 1.0, 0.0],
@@ -262,6 +321,17 @@ def test_march_domain_error_is_inconclusive():
         assert "ODE march failed" in v.evidence
 
 
+def test_march_non_finite_coefficient_names_the_point():
+    # the first stage point past x = 5 in marching order is the one named
+    b = Coefficient(lambda x: math.nan if x > 5.0 else 0.0)
+    zero = Coefficient(lambda x: 0.0)
+    op = Operator1D(Coefficient(lambda x: 0.5), b, zero, -INF, INF)
+    v = U.endpoint_condition(op, 0.0, 1.0, INF)
+    assert v.is_inconclusive and v.windows_used == 2
+    assert v.evidence.startswith(
+        "ODE march failed (a coefficient is not finite at x=5.")
+
+
 # base point defaults -------------------------------------------------------
 
 @pytest.mark.parametrize("call", [
@@ -330,6 +400,22 @@ def test_nd_strict_mode_flags_origin():
     v = U.uniqueness_nd(op, (1.0,), mode=U.STRICT_THEOREM, seed=3)
     assert v.kind == U.INCONCLUSIVE
     assert any("entrance boundary at 0" in d for d in v.diagnostics)
+
+
+def test_radial_drift_array_form_matches_scalar():
+    from diffuniq.operator import radial_bound
+    rs = np.geomspace(1e-4, 400.0, 1000)  # inside and past the table
+    sampled = make_operator_nd(3, ["-x1 + 0.3*sin(x2)", "-x2", "-x3"], "0")
+    # an outward bound: b stays positive, so the relative check is sharp
+    override = make_operator_nd(3, ["x1", "x2", "x3"], "0",
+                                beta_override="r + 0.1*exp(-r)")
+    grid = np.geomspace(1e-3, 256.0, 160)
+    b_s = U.radial_reduce(radial_bound(sampled, grid), 3, sampled.V).b
+    b_o = U.radial_reduce(radial_bound(override, grid), 3, override.V).b
+    scalar_s = np.array([b_s(float(r)) for r in rs])
+    assert np.array_equal(b_s.array(rs), scalar_s)
+    scalar_o = np.array([b_o(float(r)) for r in rs])
+    assert np.all(np.abs(b_o.array(rs) - scalar_o) <= 1e-15 * np.abs(scalar_o))
 
 
 def test_radial_reduce_closed_form():
