@@ -6,6 +6,8 @@ radial comparison, and cross-checks the verdict against Feynman-Kac
 sampling and a conservative Fokker-Planck solver.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     ConfigError,
     DiffuniqError,
@@ -50,8 +52,6 @@ from .fdsolver import (
     gaussian_state,
 )
 from .montecarlo import FKEstimate, coupled_radial_comparison, feynman_kac
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ABSORBING", "ConfigError", "DiffuniqError",

@@ -12,10 +12,10 @@ import json
 import math
 import sys
 import time
-from importlib.metadata import version as _pkg_version
 
 import numpy as np
 
+from . import __version__
 from . import expr as ex
 from . import fdsolver, montecarlo, quadrature, uniqueness
 from .errors import ConfigError, DiffuniqError, ValidationError
@@ -355,13 +355,9 @@ def run(raw_config):
     """Execute one configuration; returns the report dict."""
     cfg = resolve_config(raw_config)
     t0 = time.perf_counter()
-    try:
-        ver = _pkg_version("diffuniq")
-    except Exception:
-        ver = "0.1.0"
     report = {
         "tool": "diffuniq",
-        "version": ver,
+        "version": __version__,
         "resolved_config": _jsonable(cfg),
     }
     _RUNNERS[cfg["mode"]](cfg, _build_operator(cfg), report)

@@ -3,7 +3,9 @@ endpoints, and the Feller scale function.
 
 One walk sums every windowed integral over geometrically expanding windows
 by Gauss-Legendre in log space and gathers asymptotic evidence; it never
-claims an exact infinity.  Its limits are the module constants below.
+claims an exact infinity.  Its limits are the module constants below.  The
+scale function takes the same 32-point rule, halving each piece of a gap
+until it is resolved.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 
@@ -265,42 +266,74 @@ def require_interior(op, c):
     return float(c)
 
 
-_SCALE_REL_TOL = 1e-9
+# log_scale's bisection of b/a: the tolerance a piece's sum is resolved to
+# (relative above 1), and the cap on a gap's unresolved pieces at one level
+_SCALE_TOL = 1e-12
+_SCALE_PIECES = 64
 
 
-def _ratio_integral(op, lo, hi):
-    """The integral of b/a from lo to hi by adaptive quadrature."""
-    val, err = integrate.quad(lambda t: op.b(t) / op.a(t), lo, hi,
-                              epsabs=1e-13, epsrel=_SCALE_REL_TOL * 1e-2,
-                              limit=200)
-    if not math.isfinite(val) or err > _SCALE_REL_TOL * max(1.0, abs(val)) * 10:
-        raise DomainError(
-            f"b/a not integrable on [{lo}, {hi}] (quad err {err:g})")
-    return val
+def _ratio_sums(op, lo, hi):
+    """The 32-point Gauss-Legendre sums of b/a over each [lo, hi]."""
+    xs = _gauss_nodes(lo[:, None], hi[:, None])
+    with np.errstate(all="ignore"):
+        return 0.5 * (hi - lo) * ((op.b.array(xs) / op.a.array(xs)) @ GL_WEIGHTS)
+
+
+def _ratio_integrals(op, lo, hi):
+    """The integral of b/a over each gap [lo[i], hi[i]] (lo > hi allowed),
+    every gap at once: each piece is halved until its one-panel sum agrees
+    with its halves' and that is finite.  A piece too narrow to halve is
+    accepted only when that sum is within the tolerance of zero, so that
+    no unchecked sum counts.  DomainError when an unresolved piece cannot be
+    halved or a gap has more than ``_SCALE_PIECES`` unresolved pieces at
+    one level."""
+    totals = np.zeros(lo.shape)
+    gap, a, b = np.arange(lo.size), lo, hi
+    whole = _ratio_sums(op, a, b)
+    while gap.size:
+        mid = 0.5 * (a + b)
+        left, right = _ratio_sums(op, a, mid), _ratio_sums(op, mid, b)
+        halves = left + right
+        halvable = (mid != a) & (mid != b)
+        with np.errstate(invalid="ignore"):
+            done = np.isfinite(halves) & (
+                np.abs(whole - halves) <= _SCALE_TOL * np.maximum(1.0, np.abs(halves)))
+            done &= halvable | (np.abs(halves) <= _SCALE_TOL)
+        np.add.at(totals, gap[done], halves[done])
+        open_ = ~done
+        gap, a, b, mid = gap[open_], a[open_], b[open_], mid[open_]
+        stuck = ~halvable[open_]
+        stuck |= np.bincount(gap, minlength=lo.size)[gap] > _SCALE_PIECES
+        if stuck.any():
+            i = np.flatnonzero(stuck)[0]
+            raise DomainError(
+                f"b/a not integrable on [{lo[gap[i]]}, {hi[gap[i]]}] "
+                f"(unresolved on [{a[i]}, {b[i]}])")
+        gap = np.repeat(gap, 2)
+        a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
+        whole = np.column_stack((left[open_], right[open_])).ravel()
+    return totals
 
 
 def log_scale(op, c, xs):
     """L(x) = integral from c to x of b/a at the points ``xs``, which may lie
     on either side of the base point c, or on both.  The scale density is
     alpha = e^L and the speed density rho = e^L / a.  Each side is chained
-    outward from c, one quadrature per gap between neighbouring points."""
+    outward from c, one adaptive Gauss-Legendre integral per gap between
+    neighbouring points, all gaps at once."""
     c = require_interior(op, c)
     xs = np.asarray(xs, dtype=float)
-    for x in xs:
-        if not op.interior(x):
-            raise DomainError(f"{x} outside ({op.x0}, {op.y0})")
-    L = np.empty(xs.shape)
-    above, below = np.flatnonzero(xs >= c), np.flatnonzero(xs < c)
-    for side in (above[np.argsort(xs[above], kind="stable")],
-                 below[np.argsort(-xs[below], kind="stable")]):
-        x_prev, total = c, 0.0
-        for i in side:
-            x = float(xs[i])
-            if x != x_prev:
-                total += _ratio_integral(op, x_prev, x)
-                x_prev = x
-            L[i] = total
-    return L
+    outside = ~((xs > op.x0) & (xs < op.y0))
+    if outside.any():
+        raise DomainError(f"{xs[outside][0]} outside ({op.x0}, {op.y0})")
+    pts = np.unique(xs)
+    up = np.concatenate(([c], pts[pts > c]))
+    down = np.concatenate(([c], pts[pts < c][::-1]))
+    gaps = _ratio_integrals(op, np.concatenate((up[:-1], down[:-1])),
+                            np.concatenate((up[1:], down[1:])))
+    n_up = up.size - 1
+    L = np.concatenate((np.cumsum(gaps[n_up:])[::-1], [0.0], np.cumsum(gaps[:n_up])))
+    return L[np.searchsorted(np.concatenate((down[:0:-1], up)), xs)]
 
 
 def probe_scale(op, c):

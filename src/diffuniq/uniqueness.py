@@ -24,7 +24,7 @@ is one 6x6 linear solve giving z -> P z + v, the solves are batched with
 numpy, and only the chaining of z is sequential.  The march lands on every
 quadrature node with m equal steps per gap and accepts once the m and 2m
 marches agree.  The truncated series is kept as an independent
-cross-check.
+cross-check, summed by a cumulative Simpson rule (``_cumulative_simpson``).
 
 Both integral tests share that march and one window helper
 (``_march_verdict``), which marches through the Gauss-Legendre nodes of
@@ -37,7 +37,9 @@ rho beyond it already forces the iterated integral to diverge.
 
 Every test takes the base point c itself.  Neither integral test needs the
 scale function; only ``monotone_solution`` and ``series_partial`` call
-``quadrature.log_scale`` to turn the flux back into u.
+``quadrature.log_scale`` to turn the flux back into u.  That scale function
+is summed with the same Gauss-Legendre rule as the windows, so every
+quadrature here is the module's own.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import quadrature as qd
 from .errors import DomainError, ValidationError
@@ -74,12 +75,39 @@ class SeriesTable:
         return self.partial_sums[n]
 
 
+def _simpson_forward(y, h):
+    """Integral over each [x_i, x_{i+1}] of the parabola through the samples
+    at x_i, x_{i+1}, x_{i+2}; ``h`` the interval widths."""
+    h1, h2 = h[:-1], h[1:]
+    r = h1 / (h1 + h2)
+    s = r * (h1 / h2)
+    return h1 / 6 * ((3 - r) * y[:-2] + (3 + s + r) * y[1:-1] - s * y[2:])
+
+
+def _cumulative_simpson(y, x):
+    """Cumulative integral of the samples ``y`` over the increasing grid
+    ``x`` (three points or more), 0 at x[0].  Each interval takes Simpson's
+    3-point parabola: the forward one (through the next point) on even
+    intervals, the backward one (through the previous point) on odd ones
+    and on the last."""
+    h = np.diff(x)
+    forward = _simpson_forward(y, h)
+    backward = _simpson_forward(y[::-1], h[::-1])[::-1]  # [j] is interval j+1
+    parts = np.empty(h.size)
+    parts[:-1:2] = forward[::2]
+    parts[1::2] = backward[::2]
+    parts[-1] = backward[-1]
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
 def series_partial(op, c, lam, direction, N, n_grid=1025):
     """Partial sums of the phi (toward upper) or psi (toward lower) series
     on a unit span from the base point c, by iterated cumulative
-    quadrature, one cumulative pass per level."""
+    quadrature, one cumulative Simpson pass per integral of each level."""
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
+    if n_grid < 3:
+        raise ValueError("n_grid must be at least 3")
     sgn = 1.0 if direction == TOWARD_UPPER else -1.0
     xs = c + sgn * np.linspace(0.0, 1.0, n_grid)
 
@@ -96,8 +124,8 @@ def series_partial(op, c, lam, direction, N, n_grid=1025):
     phi = np.ones_like(t)
     sums = [phi.copy()]
     for _ in range(N):
-        inner = cumulative_simpson(q * phi, x=t, initial=0.0)
-        phi = cumulative_simpson(inner / alpha, x=t, initial=0.0)
+        inner = _cumulative_simpson(q * phi, t)
+        phi = _cumulative_simpson(inner / alpha, t)
         sums.append(sums[-1] + phi)
     return SeriesTable(direction, lam, xs, np.vstack(sums), N)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import diffuniq
 from diffuniq import cli, operator, uniqueness
 from diffuniq.errors import ConfigError
 
@@ -261,7 +262,6 @@ def test_operator_parse_error_is_config_error(config, pointer):
     assert e.value.pointer == pointer
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("command, mode", [("classify", "classify1d"),
                                            ("entrance", "entrance")])
 def test_scale_probe_rejects_oscillating_drift(tmp_path, capsys, command, mode):
@@ -273,6 +273,19 @@ def test_scale_probe_rejects_oscillating_drift(tmp_path, capsys, command, mode):
         mode, operator={**_OU, "b": "sin(1/(x-0.3))"})))
     assert cli.main([command, "--config", str(path)]) == 3
     assert "b/a not integrable" in capsys.readouterr().err
+
+
+def test_scale_probe_rejects_pole_in_drift(tmp_path, capsys):
+    # b/a = -2x + 2/(x - 0.3) has a pole next to the base point: not
+    # integrable, so the run ends before any march
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(operator={**_OU, "b": "-x+1/(x-0.3)"})))
+    assert cli.main(["classify", "--config", str(path)]) == 3
+    assert "b/a not integrable" in capsys.readouterr().err
+
+
+def test_report_version_is_package_version():
+    assert cli.run(ou_config())["version"] == diffuniq.__version__
 
 
 def test_parsed_operator_failing_validation_exits_3(tmp_path):

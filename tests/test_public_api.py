@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import diffuniq
 
 
@@ -11,3 +15,13 @@ def test_removed_names_stay_gone():
     for name in ("FellerPair", "build_feller", "Budget"):
         assert name not in diffuniq.__all__ and not hasattr(diffuniq, name)
     assert "log_scale" in diffuniq.__all__
+
+
+def test_import_loads_no_scipy_integrate():
+    # every quadrature is the package's own Gauss-Legendre or Simpson rule
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(diffuniq.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, diffuniq; print(sorted(m for m in "
+         "sys.modules if m.startswith('scipy.integrate')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,10 +1,12 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from diffuniq import quadrature as Q
+from diffuniq.errors import DomainError
 from diffuniq.operator import make_operator_1d
 
 
@@ -153,6 +155,38 @@ def test_log_scale_inverse_drift_matches_log():
     op = make_operator_1d("0.5", "1/x", "0", (0.0, math.inf))
     xs = np.geomspace(1e-3, 20.0, 97)
     assert np.max(np.abs(Q.log_scale(op, 1.0, xs) - 2.0 * np.log(xs))) <= 1e-12
+
+
+@pytest.mark.parametrize("b, xs, expected", [
+    ("-x", [-300.0, -10.0, 0.5, math.nextafter(0.5, 1.0), 7.0, 1e3],
+     [-9e4, -100.0, -0.25, -0.25, -49.0, -1e6]),
+    ("abs(x-0.3)", [-1.0, 1.0], [-1.6, 0.58]),
+    ("abs(x-0.3)/(x-0.3)", [1.0], [0.8]),
+    ("log(abs(x-0.3))", [1.0], [2.0 * (0.3 * math.log(0.3) + 0.7 * math.log(0.7) - 1.0)]),
+], ids=["ou-sparse", "kink", "jump", "log"])
+def test_log_scale_closed_forms(b, xs, expected):
+    # a = 1/2, c = 0: L(x) = 2 * integral of b from 0 to x; a kink, a jump
+    # or a log singularity inside a gap is bisected down to it, and a gap
+    # one float spacing wide needs no halving
+    op = make_operator_1d("0.5", b, "0", (-math.inf, math.inf))
+    L = Q.log_scale(op, 0.0, xs)
+    assert np.all(np.abs(L - expected) <= 1e-11 * np.maximum(1.0, np.abs(expected))), L
+
+
+def test_log_scale_rejects_pole():
+    op = make_operator_1d("0.5", "-x+1/(x-0.3)", "0", (-math.inf, math.inf))
+    with pytest.raises(DomainError, match="b/a not integrable"):
+        Q.log_scale(op, 0.0, [-1.0, 1.0])
+
+
+def test_log_scale_rejects_oscillation_on_fine_grid_quickly():
+    # 4,097 gaps around the essential singularity: the cap on unresolved
+    # pieces per gap bounds the work
+    op = make_operator_1d("0.5", "sin(1/(x-0.3))", "0", (-math.inf, math.inf))
+    t0 = time.process_time()
+    with pytest.raises(DomainError, match="unresolved on"):
+        Q.log_scale(op, 0.0, np.linspace(0.29, 0.31, 4097))
+    assert time.process_time() - t0 < 1.0
 
 
 def test_log_scale_base_point_normalization():

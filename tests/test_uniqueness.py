@@ -33,6 +33,20 @@ def test_series_matches_ode_solution(b):
     assert np.max(np.abs(st.partial(30) - u_ode) / u_ode) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_cumulative_simpson_closed_forms(n):
+    # each interval's parabola is exact on a quadratic, on any grid and with
+    # either parity of the grid length (an even one ends on the backward form)
+    x = np.cumsum(np.linspace(0.1, 0.4, n)) - 0.1
+    assert np.max(np.abs(U._cumulative_simpson(3 * x**2 - 2 * x + 1, x)
+                         - (x**3 - x**2 + x))) <= 1e-14
+    # and third order on a smooth integrand: at most max|f'''| h^3 / 24 per
+    # unit span
+    t = np.linspace(0.0, 1.0, n)
+    err = np.max(np.abs(U._cumulative_simpson(np.exp(t), t) - np.expm1(t)))
+    assert err <= math.e * t[1] ** 3 / 24
+
+
 def test_series_brownian_cosh_oracle():
     # for a=1/2, lambda=1 the limit is cosh(sqrt(2) y)
     op = brownian()
