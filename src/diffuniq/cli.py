@@ -18,10 +18,10 @@ import numpy as np
 from . import __version__
 from . import expr as ex
 from . import fdsolver, montecarlo, quadrature, uniqueness
-from .errors import ConfigError, DiffuniqError, ValidationError
+from .errors import ConfigError, DiffuniqError, DomainError, ValidationError
 from .gridfn import GridFunction, whole_steps
-from .operator import (N_VAL_DEFAULT, Coefficient, _probe_points,
-                       coordinate_names, make_operator_1d, make_operator_nd)
+from .operator import (Coefficient, coordinate_names, make_operator_1d,
+                       make_operator_nd, probe_points, suspect_points)
 
 MODES = ("classify1d", "classifynd", "entrance", "fp", "fk", "xval")
 
@@ -194,7 +194,8 @@ def resolve_config(raw):
 def _check_sampling_sites(cfg):
     """The base point, the FP window, the probe windows and the FK start
     point must lie inside the open operator interval, and the FK terminal
-    function must be defined on the ladder that validates the operator."""
+    function must be defined on the ladder that validates the operator
+    (the config error names the first point where it is not)."""
     mode = cfg["mode"]
     lo, hi = cfg["operator"]["interval"]
     where = f"inside the operator interval ({lo}, {hi})"
@@ -211,10 +212,13 @@ def _check_sampling_sites(cfg):
             raise ConfigError("/fk/x0", f"must lie {where}")
         try:
             f = _fk_terminal(cfg)
-            for x in _probe_points(lo, hi, N_VAL_DEFAULT):
-                f(float(x))
         except DiffuniqError as exc:
             raise ConfigError("/fk/f", str(exc)) from None
+        for x in suspect_points(probe_points(lo, hi), (f,)):
+            try:
+                f(x)
+            except DomainError as exc:
+                raise ConfigError("/fk/f", f"{exc} at x={x!r}") from None
 
 
 def _parse(text, names, pointer):
@@ -328,7 +332,8 @@ def _run_xval(cfg, op, report):
     k, f = cfg["fk"], cfg["fp"]
     fterm, est = _feynman_kac(cfg, op)
     grid = fdsolver.Grid1D(f["window"][0], f["window"][1], int(f["m"]))
-    vals = fterm.array(grid.centers)
+    with np.errstate(all="ignore"):
+        vals = fterm.array(grid.centers)
     fb = fdsolver.backward_evolve(op, grid, vals, k["T"], f["dt"])
     fd_value = float(np.interp(k["x0"], grid.centers, fb))
     agree = abs(est.mean - fd_value) <= 3.0 * est.stderr + 5e-3

@@ -9,7 +9,17 @@ Grammar (precedence, loosest first):
 
 Function whitelist: exp, log, sqrt, abs, sin, cos, tanh (unary);
 min, max, pow (binary).  Any other identifier must be the declared
-variable name, otherwise parsing fails with UnknownIdentifier.
+variable name, otherwise parsing fails with UnknownIdentifier.  A numeric
+literal must be finite: one that overflows to inf (``1e999``) is a syntax
+error.
+
+Each tree compiles to one closure over numpy ufuncs, which evaluates floats
+and arrays alike.  The domain rule: an expression is defined at a point
+when its evaluation there raises no invalid, divide-by-zero or overflow
+flag (IEEE 754; underflow is allowed) and the result is finite.  Since
+every literal is finite, that rejects each node that leaves the real
+domain, even where a later node hides it (``tanh(exp(x^2))`` at x = 30).
+:func:`checked` enforces the rule; solver kernels evaluate unchecked.
 """
 
 from __future__ import annotations
@@ -92,6 +102,8 @@ def _tokenize(text):
             try:
                 val = float(lit)
             except ValueError:
+                val = math.nan
+            if not math.isfinite(val):  # malformed, or overflows to inf
                 raise ExprSyntaxError(f"bad numeric literal {lit!r}", i)
             tokens.append(("num", val, i))
             i = j
@@ -224,81 +236,24 @@ def parse_expr_multi(text, var_names):
 
 
 # ---------------------------------------------------------------------------
-# evaluation: each tree is compiled once into a closure
+# evaluation: each tree is compiled once into a closure over numpy ufuncs
 
-def _check_finite(v):
-    if not math.isfinite(v):
-        raise DomainError(f"non-finite value {v!r}")
-    return v
-
-
-def _power(base, exponent):
-    if base == 0.0 and exponent < 0.0:
-        raise DomainError("zero raised to a negative power")
-    if base < 0.0 and exponent != math.floor(exponent):
-        raise DomainError(
-            f"negative base {base!r} with non-integer exponent {exponent!r}")
-    try:
-        return _check_finite(math.pow(base, exponent))
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(str(exc)) from exc
-
-
-def _divide(lhs, rhs):
-    if rhs == 0.0:
-        raise DomainError("division by zero")
-    return _check_finite(lhs / rhs)
-
-
-def _checked(fn, outside=None, message=""):
-    """Checked scalar form of a unary function, off its domain where outside(v)."""
-    def checked(v):
-        if outside is not None and outside(v):
-            raise DomainError(f"{message} {v!r}")
-        try:
-            return _check_finite(fn(v))
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(str(exc)) from exc
-    return checked
-
-
-def _quiet(fn):
-    """numpy form that lets out-of-domain inputs give inf/nan silently."""
-    def quiet(*args):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return fn(*args)
-    return quiet
-
-
-# operator or function name -> (checked scalar form, numpy form)
+# operator or function name -> numpy ufunc
 _FUNCS = {
-    "+": (lambda lhs, rhs: _check_finite(lhs + rhs), np.add),
-    "-": (lambda lhs, rhs: _check_finite(lhs - rhs), np.subtract),
-    "*": (lambda lhs, rhs: _check_finite(lhs * rhs), np.multiply),
-    "/": (_divide, _quiet(np.divide)),
-    "^": (_power, _quiet(np.power)),
-    "pow": (_power, _quiet(np.power)),
-    "min": (min, _quiet(np.minimum)),
-    "max": (max, _quiet(np.maximum)),
-    "exp": (_checked(math.exp), _quiet(np.exp)),
-    "log": (_checked(math.log, lambda v: v <= 0.0, "log of non-positive value"),
-            _quiet(np.log)),
-    "sqrt": (_checked(math.sqrt, lambda v: v < 0.0, "sqrt of negative value"),
-             _quiet(np.sqrt)),
-    "abs": (_checked(abs), _quiet(np.abs)),
-    "sin": (_checked(math.sin), _quiet(np.sin)),
-    "cos": (_checked(math.cos), _quiet(np.cos)),
-    "tanh": (_checked(math.tanh), _quiet(np.tanh)),
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "^": np.power, "pow": np.power, "min": np.minimum, "max": np.maximum,
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
+    "sin": np.sin, "cos": np.cos, "tanh": np.tanh,
 }
 
 
-def compile_expr(e, vectorized=False):
-    """Compile ``e`` into ``f(env)``, ``env`` a dict of variable values.
+def compile_expr(e):
+    """Compile ``e`` into ``f(env)``, ``env`` a dict of variable values
+    (floats or numpy arrays).
 
-    The scalar form raises DomainError wherever ``e`` leaves the real domain
-    or a value is non-finite.  The vectorized form evaluates numpy arrays
-    unguarded (solver kernels, whose coefficients were validated pointwise):
-    out-of-domain inputs give inf/nan silently.
+    ``f`` is unchecked: off the domain it gives inf or nan, and numpy
+    reports the floating-point status under the caller's ``np.errstate``.
+    :func:`checked` runs it under the domain rule.
     """
     if isinstance(e, Num):
         value = e.value
@@ -306,29 +261,44 @@ def compile_expr(e, vectorized=False):
     if isinstance(e, Var):
         return itemgetter(e.name)
     if isinstance(e, Neg):
-        arg = compile_expr(e.arg, vectorized)
+        arg = compile_expr(e.arg)
         return lambda env: -arg(env)
     if isinstance(e, BinOp):
-        fn, args = _FUNCS[e.op][vectorized], (e.left, e.right)
+        fn, args = _FUNCS[e.op], (e.left, e.right)
     elif isinstance(e, Call):
-        fn, args = _FUNCS[e.func][vectorized], e.args
+        fn, args = _FUNCS[e.func], e.args
     else:
         raise TypeError(f"not an expression node: {e!r}")
     if len(args) == 1:
-        arg = compile_expr(args[0], vectorized)
+        arg = compile_expr(args[0])
         return lambda env: fn(arg(env))
-    lhs, rhs = (compile_expr(a, vectorized) for a in args)
+    lhs, rhs = (compile_expr(a) for a in args)
     return lambda env: fn(lhs(env), rhs(env))
 
 
+def checked(fn, *args):
+    """``fn(*args)`` under the domain rule: DomainError unless it raises no
+    invalid, divide-by-zero or overflow flag (underflow is allowed) and its
+    result is finite everywhere."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            value = fn(*args)
+    except FloatingPointError as exc:
+        raise DomainError(str(exc)) from None
+    if not np.isfinite(value).all():
+        raise DomainError("non-finite value")
+    return value
+
+
 def eval_env(e, env):
-    """Evaluate ``e`` with variables bound by the dict ``env``."""
-    return compile_expr(e)(env)
+    """Evaluate ``e`` with variables bound by the dict ``env``, under the
+    domain rule (:func:`checked`)."""
+    return checked(compile_expr(e), env)
 
 
 def eval_numpy(e, env):
-    """Evaluate on numpy arrays bound by ``env``, without domain guards."""
-    return compile_expr(e, vectorized=True)(env)
+    """Evaluate on numpy arrays bound by ``env``, unchecked."""
+    return compile_expr(e)(env)
 
 
 def eval_expr(e, value, var_name=None):

@@ -87,11 +87,6 @@ def _cc_delta(w):
     return out
 
 
-def _check_finite(*arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("array must not contain infs or NaNs")
-
-
 class Tridiagonal:
     """A tridiagonal operator A by its bands: ``lower`` (A[i, i-1]),
     ``diag``, ``upper`` (A[i, i+1]).
@@ -112,17 +107,16 @@ class Tridiagonal:
 
     def step(self, u, dt, theta):
         """One theta step: solve (I - theta dt A) u+ = (I + (1-theta) dt A) u."""
-        rhs = u + (1.0 - theta) * dt * self.apply(u)
-        _check_finite(rhs)
+        rhs = np.asarray_chkfinite(u + (1.0 - theta) * dt * self.apply(u))
         x, _ = dgttrs(*self._factor(dt, theta), rhs, overwrite_b=True)
         return x
 
     def _factor(self, dt, theta):
         factor = self._factors.get((dt, theta))
         if factor is None:
-            bands = (-theta * dt * self.lower, 1.0 - theta * dt * self.diag,
-                     -theta * dt * self.upper)
-            _check_finite(*bands)
+            bands = [np.asarray_chkfinite(band) for band in (
+                -theta * dt * self.lower, 1.0 - theta * dt * self.diag,
+                -theta * dt * self.upper)]
             *factor, info = dgttrf(*bands)
             if info > 0:
                 raise LinAlgError("singular matrix")
@@ -133,6 +127,7 @@ class Tridiagonal:
 class Discretization(Tridiagonal):
     """Tridiagonal generator A with d_t u = A u for a fixed grid and BC."""
 
+    @np.errstate(all="ignore")  # unchecked; step() rejects non-finite bands
     def __init__(self, op, grid, bc):
         x = grid.centers
         xf = grid.faces
@@ -190,7 +185,7 @@ def fp_step(state, op, dt, theta=0.5, disc=None):
     return FPState(state.grid, u_new, state.t + dt, state.bc, fallbacks)
 
 
-def fp_solve(op, u0, T, dt, theta=0.5, record_mass=True):
+def fp_solve(op, u0, T, dt, record_mass=True):
     """Repeated fp_step to time T; returns (final state, (times, masses)).
     T must be a whole number of steps ``dt`` (``gridfn.whole_steps``).
     The final state's ``theta_fallbacks`` adds this run's fallbacks to
@@ -203,7 +198,7 @@ def fp_solve(op, u0, T, dt, theta=0.5, record_mass=True):
     times = [state.t]
     masses = [state.mass()]
     for _ in range(n_steps):
-        state = fp_step(state, op, dt, theta, disc)
+        state = fp_step(state, op, dt, disc=disc)
         if record_mass:
             times.append(state.t)
             masses.append(state.mass())
@@ -214,6 +209,7 @@ class BackwardDiscretization(Tridiagonal):
     """Independent central-difference discretization of the operator itself,
     a f'' + b f' - V f, for the duality check (absorbing walls)."""
 
+    @np.errstate(all="ignore")  # unchecked; step() rejects non-finite bands
     def __init__(self, op, grid):
         x = grid.centers
         dx = grid.dx
@@ -225,21 +221,22 @@ class BackwardDiscretization(Tridiagonal):
                          upper=(a_c / dx ** 2 + b_c / (2.0 * dx))[:-1])
 
 
-def _evolve(disc, values, T, dt, theta):
-    """Fixed-theta steps of ``disc`` from ``values`` to time T."""
+def _evolve(disc, values, T, dt):
+    """Crank-Nicolson (theta = 1/2) steps of ``disc`` from ``values`` to
+    time T."""
     u = np.asarray(values, dtype=float)
     for _ in range(whole_steps(T, dt)):
-        u = disc.step(u, dt, theta)
+        u = disc.step(u, dt, 0.5)
     return u
 
 
-def backward_evolve(op, grid, values, T, dt, theta=0.5):
+def backward_evolve(op, grid, values, T, dt):
     """Evolve grid values of f to time T under the backward discretization
     (absorbing walls), i.e. approximate the semigroup applied to f."""
-    return _evolve(BackwardDiscretization(op, grid), values, T, dt, theta)
+    return _evolve(BackwardDiscretization(op, grid), values, T, dt)
 
 
-def duality_check(op, f, g, T, dt, grid=None, theta=0.5):
+def duality_check(op, f, g, T, dt, grid=None):
     """|<forward-evolved g, f> - <g, backward-evolved f>| on a shared grid.
 
     f, g: GridFunctions (or callables) supported well inside the window.
@@ -254,20 +251,19 @@ def duality_check(op, f, g, T, dt, grid=None, theta=0.5):
         return np.asarray([float(h(xi)) for xi in x])
 
     fv, gv = sample(f), sample(g)
-    gf = _evolve(Discretization(op, grid, ABSORBING), gv, T, dt, theta)
-    fb = backward_evolve(op, grid, fv, T, dt, theta)
+    gf = _evolve(Discretization(op, grid, ABSORBING), gv, T, dt)
+    fb = backward_evolve(op, grid, fv, T, dt)
     pair_fwd = float(np.sum(gf * fv) * grid.dx)
     pair_bwd = float(np.sum(gv * fb) * grid.dx)
     return abs(pair_fwd - pair_bwd)
 
 
-def probe_windows(windows, core_radius, dx=None, center=0.0):
+def probe_windows(windows, core_radius, center=0.0):
     """The grid of each probe window [center - R, center + R], cells about
-    ``dx`` wide (default: 1/800 of the widest window), and the mask of its
-    core cells |x - center| <= core_radius.  Raises ``ValueError`` when a
-    core holds no cell centre, i.e. core_radius is below half a cell."""
-    if dx is None:
-        dx = (2.0 * max(windows)) / 800.0
+    1/800 of the widest window wide, and the mask of its core cells
+    |x - center| <= core_radius.  Raises ``ValueError`` when a core holds
+    no cell centre, i.e. core_radius is below half a cell."""
+    dx = (2.0 * max(windows)) / 800.0
     out = []
     for R in windows:
         grid = Grid1D(center - R, center + R, max(16, int(round(2.0 * R / dx))))
@@ -282,7 +278,7 @@ def probe_windows(windows, core_radius, dx=None, center=0.0):
 
 
 def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0,
-                         dx=None, center=None):
+                         center=None):
     """Boundary inflow into the core region vs truncation radius.
 
     An entrance boundary is one from which mass can enter in finite time, and
@@ -309,7 +305,7 @@ def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0,
     if center is None:
         center = 0.0
     core_masses, fallbacks = [], 0
-    for grid, core in probe_windows(windows, core_radius, dx, center):
+    for grid, core in probe_windows(windows, core_radius, center):
         inflow = np.zeros(grid.m)
         inflow[[0, -1]] = 0.5 / grid.dx
         s_in, _ = fp_solve(op, FPState(grid, inflow, 0.0, REFLECTING), T, dt,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as ex
 from .gridfn import GridFunction, whole_steps
-from .operator import Operator1D
+from .operator import Coefficient, Operator1D
 
 R_EXPLODE_DEFAULT = 1e6
 GUARD_BAND = 1e-9  # relative band beyond a finite interval endpoint
@@ -57,6 +57,7 @@ def _path_rng(seed, i):
         np.random.Philox(key=int(seed), counter=[0, 0, int(i), 0]))
 
 
+@np.errstate(all="ignore")  # unchecked coefficients: one error state per block
 def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode, observe=None):
     """Euler-Maruyama for paths ``first .. first+n-1`` of ``seed``.
 
@@ -132,9 +133,7 @@ def _terminal_function(f):
     if callable(f):
         return f
     names = ex.free_vars(f)
-    name = next(iter(names)) if names else "_"
-    fn = ex.compile_expr(f, vectorized=True)
-    return lambda x: fn({name: np.asarray(x)})
+    return Coefficient.from_expr(f, next(iter(names)) if names else "_").array
 
 
 def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
@@ -159,8 +158,9 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
         nb = min(block, n_paths - start)
         x, alive, vint, _ = _em_block(op, x0, n_steps, dt, seed, start, nb,
                                       r_explode)
-        contribs[start:start + nb] = np.where(
-            alive, np.asarray(fterm(x), dtype=float) * _weights(vint), 0.0)
+        with np.errstate(all="ignore"):
+            fx = np.asarray(fterm(x), dtype=float)
+        contribs[start:start + nb] = np.where(alive, fx * _weights(vint), 0.0)
         exploded_total += int(np.sum(~alive))
 
     mean = float(np.sum(contribs) / n_paths)  # pairwise summation

@@ -16,16 +16,16 @@ from . import expr as ex
 from .errors import DomainError, ValidationError
 from .gridfn import GridFunction
 
-N_VAL_DEFAULT = 512
-
-
 class Coefficient:
     """A scalar coefficient: an expression or a bare callable.
 
-    An expression is compiled once, here: ``__call__`` is its scalar form
-    with full domain checking, ``array`` its vectorized fast path.  A bare
-    callable may bring its own ``array`` form; without one, ``array`` loops
-    over scalar calls.
+    An expression is compiled once, here, into one numpy closure.
+    ``__call__`` is its checked form at one point (a float, or DomainError
+    off the domain rule of :mod:`expr`), ``check`` the checked form over an
+    array of points, and ``array`` the unchecked form, which the solver
+    kernels call under their own ``np.errstate``.  A bare callable is its
+    own ``__call__`` and may bring its own ``array`` form; without one,
+    ``array`` loops over scalar calls.
     """
 
     def __init__(self, fn, expr=None, var=None, array=None):
@@ -35,11 +35,11 @@ class Coefficient:
             self._array = array or (lambda xs: np.array(
                 [fn(float(x)) for x in xs.ravel()]).reshape(xs.shape))
         else:
-            scalar, vector = ex.compile_expr(expr), ex.compile_expr(expr, True)
-            self._scalar = lambda x: scalar({var: x})
+            f = ex.compile_expr(expr)
+            self._scalar = lambda x: float(ex.checked(f, {var: x}))
 
             def array(xs):  # a fresh array of xs's shape, never xs itself
-                r = np.asarray(vector({var: xs}), dtype=float)
+                r = np.asarray(f({var: xs}), dtype=float)
                 return r.copy() if r.shape == xs.shape else np.full(xs.shape, r)
             self._array = array
 
@@ -56,6 +56,11 @@ class Coefficient:
 
     def array(self, xs):
         return self._array(np.asarray(xs, dtype=float))
+
+    def check(self, xs):
+        """The values at the points ``xs``; DomainError where the domain rule
+        fails at one of them."""
+        return ex.checked(self.array, xs)
 
     def text(self):
         if self.expr is not None:
@@ -96,8 +101,9 @@ class Operator1D:
         }
 
 
-def _probe_points(x0, y0, n_val):
-    """Deterministic sample points, laddered geometrically toward each endpoint."""
+def probe_points(x0, y0, per_gap=512):
+    """The validation ladder: marks laddered geometrically toward each
+    endpoint, and ``per_gap`` points inside each gap between marks."""
     if math.isinf(x0) and math.isinf(y0):
         center, lo_marks, hi_marks = 0.0, None, None
     elif math.isinf(x0):
@@ -123,17 +129,35 @@ def _probe_points(x0, y0, n_val):
     pts = []
     for lo, hi in zip(marks[:-1], marks[1:]):
         # open sampling: avoid the marks themselves (endpoints may be singular)
-        t = (np.arange(n_val) + 0.5) / n_val
+        t = (np.arange(per_gap) + 0.5) / per_gap
         pts.append(lo + (hi - lo) * t)
     return np.concatenate(pts)
 
 
-def make_operator_1d(a, b, V, interval, var="x", n_val=N_VAL_DEFAULT):
+def suspect_points(xs, coefs, flags=None):
+    """The points of ``xs``, in order, at which to run per-point checks:
+    every point when the checked pass of a coefficient of ``coefs`` over
+    ``xs`` raises DomainError, else those where ``flags`` of the values is
+    true (none without ``flags``).  The per-point checks then fail first
+    where a loop over every point would."""
+    try:
+        values = [c.check(xs) for c in coefs]
+    except DomainError:
+        return xs.tolist()
+    if flags is None:
+        return []
+    with np.errstate(all="ignore"):
+        return xs[flags(*values)].tolist()
+
+
+def make_operator_1d(a, b, V, interval, var="x"):
     """Validate the operator hypotheses by sampling and return the bundle.
 
-    Checks, at every sample point: a > 0, V >= 0, and finiteness of 1/a and
-    b/a (the weak ellipticity requirement).  Violations raise
-    ValidationError; passing means "not falsified", not "proved".
+    Checks, at every point of the validation ladder: a, b and V are defined
+    (the domain rule of :mod:`expr`), a > 0, V >= 0, and 1/a and b/a are
+    finite (the weak ellipticity requirement).  Violations raise
+    ValidationError at the first failing point; passing means "not
+    falsified", not "proved".
     """
     x0, y0 = float(interval[0]), float(interval[1])
     if not x0 < y0:
@@ -143,8 +167,11 @@ def make_operator_1d(a, b, V, interval, var="x", n_val=N_VAL_DEFAULT):
     b_c = as_coefficient(b, var)
     V_c = as_coefficient(V, var)
 
-    for x in _probe_points(x0, y0, n_val):
-        x = float(x)
+    def flags(av, bv, vv):
+        return (~(av > 0.0) | (vv < 0.0) | ~np.isfinite(1.0 / av)
+                | ~np.isfinite(bv / av))
+
+    for x in suspect_points(probe_points(x0, y0), (a_c, b_c, V_c), flags):
         try:
             av = a_c(x)
             bv = b_c(x)
@@ -175,10 +202,11 @@ class OperatorND:
 
     def __post_init__(self):  # compile the drift components once
         object.__setattr__(self, "_drift", tuple(
-            ex.compile_expr(e, vectorized=True) for e in self.b))
+            ex.compile_expr(e) for e in self.b))
 
+    @np.errstate(all="ignore")
     def drift_at(self, x):
-        """Drift vector at points x of shape (..., d)."""
+        """Drift vector at points x of shape (..., d), unchecked."""
         x = np.asarray(x, dtype=float)
         env = {name: x[..., i] for i, name in enumerate(self.coord_names)}
         comps = [np.broadcast_to(np.asarray(f(env), dtype=float), x.shape[:-1])
@@ -191,7 +219,7 @@ def coordinate_names(d):
     return tuple(f"x{i+1}" for i in range(d))
 
 
-def make_operator_nd(d, b_components, V, beta_override=None, n_val=N_VAL_DEFAULT):
+def make_operator_nd(d, b_components, V, beta_override=None):
     d = int(d)
     if d < 2:
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, d,
@@ -203,9 +231,10 @@ def make_operator_nd(d, b_components, V, beta_override=None, n_val=N_VAL_DEFAULT
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, d,
                               f"need {d} drift components, got {len(comps)}")
     V_c = as_coefficient(V, "r")
-    for r in _probe_points(0.0, math.inf, n_val // 4):
-        if V_c(float(r)) < 0.0:
-            raise ValidationError(ValidationError.NEGATIVE_POTENTIAL, float(r))
+    rs = probe_points(0.0, math.inf, 128)
+    for r in suspect_points(rs, (V_c,), lambda v: v < 0.0):
+        if V_c(r) < 0.0:
+            raise ValidationError(ValidationError.NEGATIVE_POTENTIAL, r)
     beta_c = as_coefficient(beta_override, "r") if beta_override is not None else None
     return OperatorND(d, tuple(comps), V_c, beta_c, names)
 
@@ -268,7 +297,7 @@ def unit_directions(n, d, seed=0):
     return g / norms
 
 
-def radial_bound(op: OperatorND, r_grid, n_dirs=None, seed=0):
+def radial_bound(op: OperatorND, r_grid, seed=0):
     """Tabulate beta(r): the override if given, else the sampled directional
     minimum of b(r e) . e over quasi-uniform unit directions e."""
     r_grid = np.asarray(r_grid, dtype=float)
@@ -276,15 +305,10 @@ def radial_bound(op: OperatorND, r_grid, n_dirs=None, seed=0):
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, r_grid,
                               "radii must be positive and increasing")
     if op.beta_override is not None:
-        vals = np.array([op.beta_override(float(r)) for r in r_grid])
+        vals = op.beta_override.check(r_grid)
         return RadialBound(GridFunction(r_grid, vals), USER_SUPPLIED,
                            op.beta_override)
-    if n_dirs is None:
-        n_dirs = max(64, 2 * op.d)
-    if n_dirs < 2 * op.d:
-        raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, n_dirs,
-                              f"need at least {2*op.d} directions")
-    dirs = unit_directions(n_dirs, op.d, seed)
+    dirs = unit_directions(max(64, 2 * op.d), op.d, seed)
     vals = np.empty_like(r_grid)
     for k, r in enumerate(r_grid):
         pts = r * dirs

@@ -51,7 +51,8 @@ import numpy as np
 
 from . import quadrature as qd
 from .errors import DomainError, ValidationError
-from .operator import Coefficient, RadialBound, SAMPLED, as_coefficient, make_operator_1d
+from .operator import (SAMPLED, Coefficient, RadialBound, as_coefficient,
+                       make_operator_1d, suspect_points)
 
 TOWARD_UPPER, TOWARD_LOWER = "TowardUpper", "TowardLower"
 UNIQUE, NOT_UNIQUE, INCONCLUSIVE = "Unique", "NotUnique", "Inconclusive"
@@ -115,8 +116,9 @@ def series_partial(op, c, lam, direction, N, n_grid=1025):
     # cumulative integrals in t for both directions
     t = np.abs(xs - c)
     L = qd.log_scale(op, c, xs)
-    a_vals = op.a.array(xs)
-    V_vals = op.V.array(xs)
+    with np.errstate(all="ignore"):
+        a_vals = op.a.array(xs)
+        V_vals = op.V.array(xs)
     alpha = np.exp(L)
     rho = alpha / a_vals
     q = rho * (lam + V_vals)
@@ -185,7 +187,7 @@ def _coefficient_arrays(coefs, xs):
                 reason = f"a coefficient is not finite at x={x:.6g}"
                 break
         except (DomainError, OverflowError, ValueError) as exc:
-            reason = str(exc)
+            reason = f"{exc} at x={x:.6g}"
             break
     raise _failed(reason)
 
@@ -386,7 +388,9 @@ def _log_rho_u(op):
     """log(rho u) = sigma + log h_hat - log a on the scaled state; NaN where
     h_hat <= 0, which the exact solution never reaches."""
     def log_integrand(y, xs):
-        return y[2] + _log_positive(y[0]) - np.log(op.a.array(xs))
+        with np.errstate(all="ignore"):
+            log_a = np.log(op.a.array(xs))
+        return y[2] + _log_positive(y[0]) - log_a
     return log_integrand
 
 
@@ -450,9 +454,9 @@ def entrance_test(op, c, endpoint):
     probe_hi = c + sgn * np.linspace(1e-3, min(4.0, abs(endpoint - c) * 0.5
                                                if math.isfinite(endpoint) else 4.0),
                                      256)
-    for x in probe_hi:
-        if op.V(float(x)) != 0.0:
-            raise ValidationError(ValidationError.NONZERO_POTENTIAL, float(x),
+    for x in suspect_points(probe_hi, (op.V,), lambda v: v != 0.0):
+        if op.V(x) != 0.0:
+            raise ValidationError(ValidationError.NONZERO_POTENTIAL, x,
                                   "entrance test requires V identically zero")
 
     def coeffs(xs):
@@ -472,7 +476,7 @@ def entrance_test(op, c, endpoint):
     march = _Propagator(coeffs, 1, c, (0.0, 0.0), guard)
 
     def log_integrand(y, xs):  # log(g / a); g vanishes at the base point
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(all="ignore"):
             return np.log(y[1]) - np.log(op.a.array(xs))
     return _march_verdict(endpoint, c, march, log_integrand)
 
@@ -574,8 +578,7 @@ def radial_reduce(beta: RadialBound, d, V):
                             (0.0, math.inf), var="r")
 
 
-def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), r_grid=None, n_dirs=None,
-                seed=0):
+def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), seed=0):
     """Both multidimensional verdicts, ``{mode: Verdict}``, from one radial
     bound and one 1D classification of the comparison operator on (0, inf).
 
@@ -583,11 +586,9 @@ def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), r_grid=None, n_dirs=None,
     argument consumes); StrictTheorem demands the full 1D classification.
     Neither asserts NotUnique.
     """
-    from .operator import radial_bound
+    from .operator import radial_bound  # looked up per call, so it can be wrapped
 
-    if r_grid is None:
-        r_grid = np.geomspace(1e-3, 256.0, 160)
-    rb = radial_bound(op_nd, r_grid, n_dirs=n_dirs, seed=seed)
+    rb = radial_bound(op_nd, np.geomspace(1e-3, 256.0, 160), seed=seed)
     op1 = radial_reduce(rb, op_nd.d, op_nd.V)
     c = 1.0
     v1 = uniqueness_1d(op1, lam_set, c=c)
@@ -623,10 +624,9 @@ def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), r_grid=None, n_dirs=None,
     return {PROOF_FAITHFUL: proof, STRICT_THEOREM: strict}
 
 
-def uniqueness_nd(op_nd, lam_set=(0.5, 1.0, 2.0), mode=PROOF_FAITHFUL,
-                  r_grid=None, n_dirs=None, seed=0):
+def uniqueness_nd(op_nd, lam_set=(0.5, 1.0, 2.0), mode=PROOF_FAITHFUL, seed=0):
     """Sufficiency verdict for the multidimensional operator via the radial
     comparison, under ``mode`` (see :func:`nd_verdicts`)."""
     if mode not in (PROOF_FAITHFUL, STRICT_THEOREM):
         raise ValueError(f"unknown mode {mode!r}")
-    return nd_verdicts(op_nd, lam_set, r_grid, n_dirs, seed)[mode]
+    return nd_verdicts(op_nd, lam_set, seed)[mode]

@@ -284,6 +284,42 @@ def test_scale_probe_rejects_pole_in_drift(tmp_path, capsys):
     assert "b/a not integrable" in capsys.readouterr().err
 
 
+def test_overflowing_literal_is_a_config_error(tmp_path, capsys):
+    # 1e999 reads as inf, which no floating-point flag would catch later
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(
+        operator={**_OU, "a": "1e999", "interval": [0, 1]})))
+    assert cli.main(["classify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "/operator/a" in err and "bad numeric literal '1e999'" in err
+
+
+def test_fk_terminal_error_names_the_point():
+    with pytest.raises(ConfigError) as e:
+        cli.resolve_config(ou_config("fk", fk={"f": "log(x)"}))
+    assert e.value.pointer == "/fk/f"
+    assert str(e.value).endswith("at x=-63.96875")
+
+
+def test_hidden_overflow_stays_strict(tmp_path, capsys):
+    # exp(x^2) overflows on the ladder and tanh hides it: rejected at the
+    # first ladder point
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(operator={**_OU, "b": "tanh(exp(x^2))"})))
+    assert cli.main(["classify", "--config", str(path)]) == 3
+    assert ("SingularCoefficient at x=-63.96875"
+            in capsys.readouterr().err)
+    # exp(x) overflows only past the ladder, inside the march: accepted, and
+    # the march reads tanh(inf) = 1 there
+    rep = cli.run({"mode": "classify1d", "lambda_set": [0.5, 1.0, 2.0],
+                   "operator": {**_OU, "b": "-x+tanh(exp(x))"}})
+    assert rep["verdict"]["kind"] == "Unique"
+    assert [(r["kind"], r["windows_used"])
+            for r in rep["verdict"]["per_endpoint"]] == [
+        ("Diverges", 4), ("Diverges", 3), ("Diverges", 3), ("Diverges", 3),
+        ("Diverges", 3), ("Diverges", 3)]
+
+
 def test_report_version_is_package_version():
     assert cli.run(ou_config())["version"] == diffuniq.__version__
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +76,25 @@ def test_domain_errors():
         ev("exp(x)", 1e6)           # overflow -> non-finite
 
 
+def test_hidden_overflow_is_undefined():
+    # exp overflows and tanh maps the inf to 1: the overflow flag still
+    # rules the point out
+    with pytest.raises(DomainError, match="overflow"):
+        ev("tanh(exp(x^2))", 30.0)
+    with pytest.raises(DomainError):
+        ev("min(exp(x), 1)", 1e3)
+    assert ev("tanh(exp(x))", 30.0) == 1.0
+
+
+def test_overflowing_literal_is_a_syntax_error():
+    # an inf literal would raise no flag in inf arithmetic, so min(1e999+x, 1)
+    # would read as defined
+    for text in ("1e999", "min(1e999+x, 1)", "-1e400*x"):
+        with pytest.raises(ExprSyntaxError, match="bad numeric literal"):
+            E.parse_expr(text, "x")
+    assert ev("1e308", 0.0) == 1e308
+
+
 def test_odd_power_negative_base():
     assert ev("x^3", -2.0) == -8.0
 
@@ -123,26 +143,68 @@ def test_subtraction_associativity(a, b, c):
     assert lhs == rhs
 
 
+def _agree_where_defined(tree, xs):
+    """The checked scalar form at each of ``xs``, the unchecked array form
+    and the checked array form over the points where the scalar is defined
+    agree bitwise, and the checked array form over all of ``xs`` raises
+    exactly when some point is undefined; returns how many are defined."""
+    with np.errstate(all="ignore"):
+        vec = E.eval_numpy(tree, {"x": xs})
+    vec = np.broadcast_to(vec, xs.shape)
+    defined = []
+    for i, xi in enumerate(xs.tolist()):
+        try:
+            want = E.eval_expr(tree, xi, "x")
+        except DomainError:
+            continue
+        defined.append(i)
+        assert np.float64(want).tobytes() == vec[i].tobytes(), xi
+    if len(defined) < xs.size:
+        with pytest.raises(DomainError):
+            E.eval_env(tree, {"x": xs})
+    if defined:
+        checked = E.eval_env(tree, {"x": xs[defined]})
+        assert np.broadcast_to(checked, (len(defined),)).tobytes() \
+            == vec[defined].tobytes()
+    return len(defined)
+
+
 def test_eval_numpy_matches_scalar():
-    import numpy as np
     xs = np.linspace(-2, 2, 41)
     # together the whole grammar: + - * / ^, unary minus and all ten calls
     for text in ("exp(-x^2) + min(x, 0.5)*max(x, -1)",
                  "x/(1 + x^2) - log(1 + x^2)*sqrt(abs(x))",
                  "sin(x)*cos(3*x) - tanh(x)/2 + pow(abs(x), 1.5)",
                  "log(x) - sqrt(x)/x + (x - 1)^3"):
-        tree = E.parse_expr(text, "x")
-        vec = E.eval_numpy(tree, {"x": xs})
-        defined = 0
-        for xi, vi in zip(xs, vec):
-            try:
-                want = E.eval_expr(tree, float(xi), "x")
-            except DomainError:  # compare where the scalar form is defined
-                continue
-            defined += 1
-            # numpy kernels may differ from libm by an ulp
-            assert vi == pytest.approx(want, rel=1e-15)
-        assert defined >= 20
+        assert _agree_where_defined(E.parse_expr(text, "x"), xs) >= 20
+
+
+def _grammar(depth):
+    """Random trees over the whole grammar."""
+    leaf = st.one_of(
+        st.floats(min_value=-10.0, max_value=10.0, allow_nan=False).map(E.Num),
+        st.just(E.Var("x")))
+    if depth == 0:
+        return leaf
+    sub = _grammar(depth - 1)
+    return st.one_of(
+        leaf,
+        sub.map(E.Neg),
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(
+            lambda t: E.BinOp(t[0], t[1], t[2])),
+        st.tuples(st.sampled_from(sorted(E._UNARY_NAMES)), sub).map(
+            lambda t: E.Call(t[0], (t[1],))),
+        st.tuples(st.sampled_from(["min", "max", "pow"]), sub, sub).map(
+            lambda t: E.Call(t[0], (t[1], t[2]))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grammar(5), st.lists(st.floats(min_value=-50.0, max_value=50.0,
+                                       allow_nan=False), min_size=1,
+                             max_size=12))
+def test_scalar_and_array_forms_agree_bitwise(tree, xs):
+    _agree_where_defined(tree, np.array(xs))
 
 
 def test_compiled_closure_reused():
@@ -150,6 +212,6 @@ def test_compiled_closure_reused():
     assert f({"x": 4.0}) == 2.25
     assert f({"x": 1.0}) == 2.0
     with pytest.raises(DomainError):
-        f({"x": 0.0})
+        E.checked(f, {"x": 0.0})
     with pytest.raises(TypeError):
         E.compile_expr([0])

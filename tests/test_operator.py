@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from diffuniq import expr as E, operator as OP
-from diffuniq.errors import ValidationError
+from diffuniq.errors import DomainError, ValidationError
+
+INF = math.inf
 
 
 def test_valid_operator_builds():
@@ -42,6 +44,67 @@ def test_singular_coefficient_rejected():
     assert e.value.kind == ValidationError.SINGULAR_COEFFICIENT
 
 
+def _first_failure_by_loop(a, b, V, interval):
+    """Kind and point of the first failure of the per-point loop over the
+    whole ladder, which validation runs only where its array pass flags."""
+    coefs = [OP.as_coefficient(s, "x") for s in (a, b, V)]
+    for x in OP.probe_points(*interval).tolist():
+        try:
+            av, bv, vv = (c(x) for c in coefs)
+        except DomainError:
+            return ValidationError.SINGULAR_COEFFICIENT, x
+        if not av > 0.0:
+            return ValidationError.NEGATIVE_DIFFUSION, x
+        if vv < 0.0:
+            return ValidationError.NEGATIVE_POTENTIAL, x
+        if not (math.isfinite(1.0 / av) and math.isfinite(bv / av)):
+            return ValidationError.SINGULAR_COEFFICIENT, x
+    return None
+
+
+@pytest.mark.parametrize("a, b, V, interval, want", [
+    # V negative at an early ladder point, b undefined at a later one
+    ("0.5", "sqrt(10 - x)", "x^2 - 1", (-INF, INF),
+     (ValidationError.NEGATIVE_POTENTIAL, -0.9990234375)),
+    # only the array pass flags: no coefficient is undefined anywhere
+    ("0.5", "-x", "x^2 - 1", (-INF, INF),
+     (ValidationError.NEGATIVE_POTENTIAL, -0.9990234375)),
+    ("1 - x^2/4", "0", "0", (-INF, INF),
+     (ValidationError.NEGATIVE_DIFFUSION, -63.96875)),
+    # a hidden overflow: tanh(inf) is finite, the exp overflow is not
+    ("0.5", "tanh(exp(x^2))", "0", (-INF, INF),
+     (ValidationError.SINGULAR_COEFFICIENT, -63.96875)),
+    ("0.5", "log(x - 50)", "0.5 - exp(-x^2)", (-INF, INF),
+     (ValidationError.SINGULAR_COEFFICIENT, -63.96875)),
+    # b/a overflows while a and b stay defined
+    ("exp(-x^2/4)", "exp(x^2/4)", "0", (-40.0, 40.0),
+     (ValidationError.SINGULAR_COEFFICIENT, -39.68719482421875)),
+])
+def test_validation_fails_where_the_point_loop_does(a, b, V, interval, want):
+    assert _first_failure_by_loop(a, b, V, interval) == want
+    with pytest.raises(ValidationError) as e:
+        OP.make_operator_1d(a, b, V, interval)
+    assert (e.value.kind, e.value.point) == want
+
+
+def test_valid_operator_makes_no_scalar_calls(monkeypatch):
+    calls = []
+    call = OP.Coefficient.__call__
+    monkeypatch.setattr(OP.Coefficient, "__call__",
+                        lambda self, x: calls.append(x) or call(self, x))
+    OP.make_operator_1d("0.5", "-x+tanh(exp(x))", "x^2", (-INF, INF))
+    OP.make_operator_nd(2, ["-x1", "-x2"], "r^2")
+    assert calls == []
+
+
+def test_nd_potential_checked_in_ladder_order():
+    # negative on (3, 4) before it is undefined from 4 on
+    with pytest.raises(ValidationError) as e:
+        OP.make_operator_nd(2, ["-x1", "-x2"], "log(4 - r)")
+    assert e.value.kind == ValidationError.NEGATIVE_POTENTIAL
+    assert 3.0 < e.value.point < 4.0
+
+
 def test_empty_interval_rejected():
     with pytest.raises(ValidationError):
         OP.make_operator_1d("1", "0", "0", (1.0, 1.0))
@@ -76,7 +139,7 @@ def test_constant_coefficient_array_keeps_shape():
 @pytest.mark.parametrize("text", ["0.5", "x", "x^3 - sin(x)/2"])
 def test_coefficient_array_is_fresh_and_shaped(text):
     c = OP.as_coefficient(text, "x")
-    vector = E.compile_expr(c.expr, vectorized=True)
+    vector = E.compile_expr(c.expr)
     for xs in (np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 6).reshape(2, 3),
                np.asarray(0.25)):
         out = c.array(xs)
