@@ -18,10 +18,10 @@ import numpy as np
 from . import __version__
 from . import expr as ex
 from . import fdsolver, montecarlo, quadrature, uniqueness
-from .errors import ConfigError, DiffuniqError, DomainError, ValidationError
+from .errors import ConfigError, DiffuniqError, ValidationError
 from .gridfn import GridFunction, whole_steps
-from .operator import (Coefficient, coordinate_names, make_operator_1d,
-                       make_operator_nd, probe_points, suspect_points)
+from .operator import (Coefficient, coordinate_names, first_failure,
+                       make_operator_1d, make_operator_nd, probe_points)
 
 MODES = ("classify1d", "classifynd", "entrance", "fp", "fk", "xval")
 
@@ -214,11 +214,10 @@ def _check_sampling_sites(cfg):
             f = _fk_terminal(cfg)
         except DiffuniqError as exc:
             raise ConfigError("/fk/f", str(exc)) from None
-        for x in suspect_points(probe_points(lo, hi), (f,)):
-            try:
-                f(x)
-            except DomainError as exc:
-                raise ConfigError("/fk/f", f"{exc} at x={x!r}") from None
+        bad = first_failure(probe_points(lo, hi), (f,))
+        if bad is not None:
+            x, _, error = bad
+            raise ConfigError("/fk/f", f"{error} at x={x!r}")
 
 
 def _parse(text, names, pointer):

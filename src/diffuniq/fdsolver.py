@@ -168,16 +168,16 @@ class Discretization(Tridiagonal):
                          upper=c_right / dx)   # G_{i+1/2} part of u_{i+1}
 
 
-def fp_step(state, op, dt, theta=0.5, disc=None):
-    """One time step; falls back to implicit Euler when theta = 1/2 breaks
+def fp_step(state, op, dt, disc=None):
+    """One Crank-Nicolson step; falls back to implicit Euler when it breaks
     positivity beyond roundoff, and counts that on the returned state."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if disc is None:
         disc = Discretization(op, state.grid, state.bc)
-    u_new = disc.step(state.values, dt, theta)
+    u_new = disc.step(state.values, dt, 0.5)
     fallbacks = state.theta_fallbacks
-    if theta != 1.0 and np.min(state.values) >= 0.0:
+    if np.min(state.values) >= 0.0:
         floor = -1e-12 * max(1e-300, float(np.max(np.abs(u_new))))
         if np.min(u_new) < floor:
             u_new = disc.step(state.values, dt, 1.0)

@@ -105,49 +105,60 @@ def probe_points(x0, y0, per_gap=512):
     """The validation ladder: marks laddered geometrically toward each
     endpoint, and ``per_gap`` points inside each gap between marks."""
     if math.isinf(x0) and math.isinf(y0):
-        center, lo_marks, hi_marks = 0.0, None, None
+        center = 0.0
     elif math.isinf(x0):
         center = y0 - 1.0
     elif math.isinf(y0):
         center = x0 + 1.0
     else:
         center = 0.5 * (x0 + y0)
-
-    marks = [center]
-    for j in range(7):
-        d = 2.0 ** j
-        if math.isinf(y0):
-            marks.append(center + d)
-        else:
-            marks.append(y0 - (y0 - center) * 2.0 ** (-(j + 1)))
-        if math.isinf(x0):
-            marks.append(center - d)
-        else:
-            marks.append(x0 + (center - x0) * 2.0 ** (-(j + 1)))
-    marks = np.unique(np.asarray(marks))
-
-    pts = []
-    for lo, hi in zip(marks[:-1], marks[1:]):
-        # open sampling: avoid the marks themselves (endpoints may be singular)
-        t = (np.arange(per_gap) + 0.5) / per_gap
-        pts.append(lo + (hi - lo) * t)
-    return np.concatenate(pts)
+    j = np.arange(7.0)
+    up = center + 2.0 ** j if math.isinf(y0) else y0 - (y0 - center) * 2.0 ** -(j + 1)
+    down = center - 2.0 ** j if math.isinf(x0) else x0 + (center - x0) * 2.0 ** -(j + 1)
+    marks = np.unique(np.concatenate(([center], up, down)))
+    # open sampling: avoid the marks themselves (endpoints may be singular)
+    t = (np.arange(per_gap) + 0.5) / per_gap
+    return (marks[:-1, None] + np.diff(marks)[:, None] * t).ravel()
 
 
-def suspect_points(xs, coefs, flags=None):
-    """The points of ``xs``, in order, at which to run per-point checks:
-    every point when the checked pass of a coefficient of ``coefs`` over
-    ``xs`` raises DomainError, else those where ``flags`` of the values is
-    true (none without ``flags``).  The per-point checks then fail first
-    where a loop over every point would."""
-    try:
-        values = [c.check(xs) for c in coefs]
-    except DomainError:
-        return xs.tolist()
-    if flags is None:
-        return []
-    with np.errstate(all="ignore"):
-        return xs[flags(*values)].tolist()
+def first_failure(xs, coefs, flags=None):
+    """The first point x of ``xs`` where a coefficient of ``coefs`` is
+    undefined or ``flags`` of their values holds, as ``(x, values, error)``:
+    the values there at a flagged x, else what the scalar form of the first
+    undefined coefficient raises at x (DomainError if it is not finite; if
+    it is defined after all, the search goes on past x).  None if there is
+    none.  One checked array pass per coefficient; when one raises,
+    bisection over passes on prefixes finds its first undefined point, and
+    the later coefficients and the flags are checked only before it."""
+    xs = np.asarray(xs, dtype=float)
+    while xs.size:
+        end, values, failing = xs.size, [], None
+        for c in coefs:
+            lo, hi, n, v = 0, end + 1, end, xs[:0]  # xs[:end] is tried first
+            while hi - lo > 1:  # the pass holds on xs[:lo], fails on xs[:hi]
+                try:
+                    v, lo = c.check(xs[:n]), n
+                except (DomainError, OverflowError, ValueError):
+                    hi = n
+                n = (lo + hi) // 2
+            if lo < end:
+                end, values, failing = lo, [u[:lo] for u in values], c
+            values.append(v)
+        with np.errstate(all="ignore"):
+            flagged = np.flatnonzero(flags(*values)) if flags else ()
+        if len(flagged):
+            k = flagged[0]
+            return float(xs[k]), tuple(float(u[k]) for u in values), None
+        if failing is None:
+            return None
+        x = float(xs[end])
+        try:
+            if not math.isfinite(failing(x)):
+                return x, None, DomainError("a coefficient is not finite")
+        except (DomainError, OverflowError, ValueError) as exc:
+            return x, None, exc
+        xs = xs[end + 1:]
+    return None
 
 
 def make_operator_1d(a, b, V, interval, var="x"):
@@ -156,8 +167,8 @@ def make_operator_1d(a, b, V, interval, var="x"):
     Checks, at every point of the validation ladder: a, b and V are defined
     (the domain rule of :mod:`expr`), a > 0, V >= 0, and 1/a and b/a are
     finite (the weak ellipticity requirement).  Violations raise
-    ValidationError at the first failing point; passing means "not
-    falsified", not "proved".
+    ValidationError at the first failing point, found by
+    :func:`first_failure`; passing means "not falsified", not "proved".
     """
     x0, y0 = float(interval[0]), float(interval[1])
     if not x0 < y0:
@@ -171,22 +182,20 @@ def make_operator_1d(a, b, V, interval, var="x"):
         return (~(av > 0.0) | (vv < 0.0) | ~np.isfinite(1.0 / av)
                 | ~np.isfinite(bv / av))
 
-    for x in suspect_points(probe_points(x0, y0), (a_c, b_c, V_c), flags):
-        try:
-            av = a_c(x)
-            bv = b_c(x)
-            vv = V_c(x)
-        except DomainError as exc:
-            raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, x, str(exc))
+    bad = first_failure(probe_points(x0, y0), (a_c, b_c, V_c), flags)
+    if bad is not None:
+        x, values, error = bad
+        if error is not None:
+            raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, x, str(error))
+        av, bv, vv = values  # where the flags hold
         if not (av > 0.0):
             raise ValidationError(ValidationError.NEGATIVE_DIFFUSION, x,
                                   f"a(x)={av!r}")
         if vv < 0.0:
             raise ValidationError(ValidationError.NEGATIVE_POTENTIAL, x,
                                   f"V(x)={vv!r}")
-        if not (math.isfinite(1.0 / av) and math.isfinite(bv / av)):
-            raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, x,
-                                  f"1/a or b/a non-finite, a={av!r} b={bv!r}")
+        raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, x,
+                              f"1/a or b/a non-finite, a={av!r} b={bv!r}")
     return Operator1D(a_c, b_c, V_c, x0, y0, var)
 
 
@@ -231,10 +240,10 @@ def make_operator_nd(d, b_components, V, beta_override=None):
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, d,
                               f"need {d} drift components, got {len(comps)}")
     V_c = as_coefficient(V, "r")
-    rs = probe_points(0.0, math.inf, 128)
-    for r in suspect_points(rs, (V_c,), lambda v: v < 0.0):
-        if V_c(r) < 0.0:
-            raise ValidationError(ValidationError.NEGATIVE_POTENTIAL, r)
+    bad = first_failure(probe_points(0.0, math.inf, 128), (V_c,), lambda v: v < 0.0)
+    if bad is not None:
+        r, _, error = bad
+        raise error or ValidationError(ValidationError.NEGATIVE_POTENTIAL, r)
     beta_c = as_coefficient(beta_override, "r") if beta_override is not None else None
     return OperatorND(d, tuple(comps), V_c, beta_c, names)
 
@@ -309,13 +318,9 @@ def radial_bound(op: OperatorND, r_grid, seed=0):
         return RadialBound(GridFunction(r_grid, vals), USER_SUPPLIED,
                            op.beta_override)
     dirs = unit_directions(max(64, 2 * op.d), op.d, seed)
-    vals = np.empty_like(r_grid)
-    for k, r in enumerate(r_grid):
-        pts = r * dirs
-        drift = op.drift_at(pts)
-        radial = np.einsum("ij,ij->i", drift, dirs)
-        if not np.all(np.isfinite(radial)):
-            bad = dirs[np.argmax(~np.isfinite(radial))]
-            raise DomainError(f"drift not finite at r={r}, direction {bad}")
-        vals[k] = radial.min()
-    return RadialBound(GridFunction(r_grid, vals), SAMPLED)
+    radial = np.einsum("kij,ij->ki", op.drift_at(r_grid[:, None, None] * dirs), dirs)
+    bad = np.argwhere(~np.isfinite(radial))
+    if bad.size:
+        k, i = bad[0]
+        raise DomainError(f"drift not finite at r={r_grid[k]}, direction {dirs[i]}")
+    return RadialBound(GridFunction(r_grid, radial.min(axis=1)), SAMPLED)

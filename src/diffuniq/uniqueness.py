@@ -52,7 +52,7 @@ import numpy as np
 from . import quadrature as qd
 from .errors import DomainError, ValidationError
 from .operator import (SAMPLED, Coefficient, RadialBound, as_coefficient,
-                       make_operator_1d, suspect_points)
+                       first_failure, make_operator_1d)
 
 TOWARD_UPPER, TOWARD_LOWER = "TowardUpper", "TowardLower"
 UNIQUE, NOT_UNIQUE, INCONCLUSIVE = "Unique", "NotUnique", "Inconclusive"
@@ -180,16 +180,9 @@ def _coefficient_arrays(coefs, xs):
             return vals
     except (DomainError, OverflowError, ValueError):
         pass
-    reason = "a coefficient array is not finite"
-    for x in xs.T.ravel().tolist():
-        try:
-            if not all(math.isfinite(c(x)) for c in coefs):
-                reason = f"a coefficient is not finite at x={x:.6g}"
-                break
-        except (DomainError, OverflowError, ValueError) as exc:
-            reason = f"{exc} at x={x:.6g}"
-            break
-    raise _failed(reason)
+    bad = first_failure(xs.T.ravel(), coefs)
+    raise _failed(f"{bad[2]} at x={bad[0]:.6g}" if bad
+                  else "a coefficient array is not finite")
 
 
 def _failed(reason):
@@ -454,10 +447,12 @@ def entrance_test(op, c, endpoint):
     probe_hi = c + sgn * np.linspace(1e-3, min(4.0, abs(endpoint - c) * 0.5
                                                if math.isfinite(endpoint) else 4.0),
                                      256)
-    for x in suspect_points(probe_hi, (op.V,), lambda v: v != 0.0):
-        if op.V(x) != 0.0:
-            raise ValidationError(ValidationError.NONZERO_POTENTIAL, x,
-                                  "entrance test requires V identically zero")
+    bad = first_failure(probe_hi, (op.V,), lambda v: v != 0.0)
+    if bad is not None:
+        x, _, error = bad
+        raise error or ValidationError(
+            ValidationError.NONZERO_POTENTIAL, x,
+            "entrance test requires V identically zero")
 
     def coeffs(xs):
         a, b = _coefficient_arrays((op.a, op.b), xs)

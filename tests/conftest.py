@@ -1,5 +1,9 @@
 import sys
 
+import pytest
+
+from diffuniq.operator import Coefficient
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     lines = []
@@ -12,3 +16,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def evaluation_counts(monkeypatch):
+    """Counts of the scalar calls and checked array passes of every
+    coefficient made during the test."""
+    counts = {"scalar": 0, "passes": 0}
+    call, check = Coefficient.__call__, Coefficient.check
+
+    def counted_call(self, x):
+        counts["scalar"] += 1
+        return call(self, x)
+
+    def counted_check(self, xs):
+        counts["passes"] += 1
+        return check(self, xs)
+    monkeypatch.setattr(Coefficient, "__call__", counted_call)
+    monkeypatch.setattr(Coefficient, "check", counted_check)
+    return counts

@@ -301,6 +301,16 @@ def test_fk_terminal_error_names_the_point():
     assert str(e.value).endswith("at x=-63.96875")
 
 
+def test_late_fk_terminal_error_is_cheap(evaluation_counts):
+    # defined up to x = 60, near the far end of the 7,168-point ladder
+    with pytest.raises(ConfigError) as e:
+        cli.resolve_config(ou_config("fk", fk={"f": "sqrt(60 - x)"}))
+    assert e.value.pointer == "/fk/f"
+    assert str(e.value).endswith("at x=60.03125")
+    assert evaluation_counts["scalar"] <= 1
+    assert evaluation_counts["passes"] <= 3 * math.ceil(math.log2(7168))
+
+
 def test_hidden_overflow_stays_strict(tmp_path, capsys):
     # exp(x^2) overflows on the ladder and tanh hides it: rejected at the
     # first ladder point

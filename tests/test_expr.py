@@ -146,8 +146,9 @@ def test_subtraction_associativity(a, b, c):
 def _agree_where_defined(tree, xs):
     """The checked scalar form at each of ``xs``, the unchecked array form
     and the checked array form over the points where the scalar is defined
-    agree bitwise, and the checked array form over all of ``xs`` raises
-    exactly when some point is undefined; returns how many are defined."""
+    agree bitwise, and the checked array form over each prefix of ``xs``
+    raises exactly when the prefix holds an undefined point (the property
+    the validation's bisection relies on); returns how many are defined."""
     with np.errstate(all="ignore"):
         vec = E.eval_numpy(tree, {"x": xs})
     vec = np.broadcast_to(vec, xs.shape)
@@ -159,9 +160,14 @@ def _agree_where_defined(tree, xs):
             continue
         defined.append(i)
         assert np.float64(want).tobytes() == vec[i].tobytes(), xi
-    if len(defined) < xs.size:
-        with pytest.raises(DomainError):
-            E.eval_env(tree, {"x": xs})
+    first_undefined = next(
+        (i for i in range(xs.size) if i not in defined), xs.size)
+    for n in range(1, xs.size + 1):
+        if n > first_undefined:
+            with pytest.raises(DomainError):
+                E.eval_env(tree, {"x": xs[:n]})
+        else:
+            E.eval_env(tree, {"x": xs[:n]})
     if defined:
         checked = E.eval_env(tree, {"x": xs[defined]})
         assert np.broadcast_to(checked, (len(defined),)).tobytes() \

@@ -79,6 +79,14 @@ def _first_failure_by_loop(a, b, V, interval):
     # b/a overflows while a and b stay defined
     ("exp(-x^2/4)", "exp(x^2/4)", "0", (-40.0, 40.0),
      (ValidationError.SINGULAR_COEFFICIENT, -39.68719482421875)),
+    # late failures: past x = 60, near the far end of the ladder
+    ("0.5", "sqrt(60 - x)", "0", (-INF, INF),
+     (ValidationError.SINGULAR_COEFFICIENT, 60.03125)),
+    ("0.5", "-x", "log(60 - x)", (-INF, INF),
+     (ValidationError.NEGATIVE_POTENTIAL, 59.03125)),
+    # a later coefficient undefined before an earlier one
+    ("0.5 + sqrt(60 - x)", "log(10 - x)", "0", (-INF, INF),
+     (ValidationError.SINGULAR_COEFFICIENT, 10.0078125)),
 ])
 def test_validation_fails_where_the_point_loop_does(a, b, V, interval, want):
     assert _first_failure_by_loop(a, b, V, interval) == want
@@ -87,14 +95,53 @@ def test_validation_fails_where_the_point_loop_does(a, b, V, interval, want):
     assert (e.value.kind, e.value.point) == want
 
 
-def test_valid_operator_makes_no_scalar_calls(monkeypatch):
-    calls = []
-    call = OP.Coefficient.__call__
-    monkeypatch.setattr(OP.Coefficient, "__call__",
-                        lambda self, x: calls.append(x) or call(self, x))
+def test_valid_operator_makes_no_scalar_calls(evaluation_counts):
+    # and one checked array pass per coefficient
     OP.make_operator_1d("0.5", "-x+tanh(exp(x))", "x^2", (-INF, INF))
+    assert evaluation_counts == {"scalar": 0, "passes": 3}
     OP.make_operator_nd(2, ["-x1", "-x2"], "r^2")
-    assert calls == []
+    assert evaluation_counts == {"scalar": 0, "passes": 4}
+
+
+# a bisection per coefficient over the whole-line ladder
+MAX_PASSES = 3 * math.ceil(math.log2(OP.probe_points(-INF, INF).size))
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: OP.make_operator_1d("0.5", "sqrt(60 - x)", "0", (-INF, INF)),
+     (ValidationError.SINGULAR_COEFFICIENT, 60.03125)),
+    (lambda: OP.make_operator_1d("0.5", "-x", "log(60 - x)", (-INF, INF)),
+     (ValidationError.NEGATIVE_POTENTIAL, 59.03125)),
+    (lambda: OP.make_operator_nd(2, ["-x1", "-x2"], "log(60 - r)"),
+     (ValidationError.NEGATIVE_POTENTIAL, 59.125)),
+], ids=["undefined-b", "negative-V", "nd-negative-V"])
+def test_late_rejection_is_cheap(evaluation_counts, build, want):
+    with pytest.raises(ValidationError) as e:
+        build()
+    assert (e.value.kind, e.value.point) == want
+    assert evaluation_counts["scalar"] <= 1
+    assert evaluation_counts["passes"] <= MAX_PASSES
+
+
+def test_first_failure_goes_past_points_the_scalar_form_accepts():
+    # the array form claims more than the scalar form: undefined from
+    # x > 9, where sqrt(10 - x) is still defined up to x = 10
+    c = OP.Coefficient(lambda x: math.sqrt(10.0 - x),
+                       array=lambda xs: np.sqrt(np.where(xs > 9.0, -1.0, 1.0)))
+    x, values, error = OP.first_failure(np.linspace(0.0, 12.0, 25), (c,))
+    assert (x, values) == (10.5, None)
+    assert isinstance(error, ValueError)
+    assert OP.first_failure(np.linspace(0.0, 10.0, 21), (c,)) is None
+
+
+def test_callable_not_finite_is_undefined():
+    # the domain rule: a non-finite value is undefined, whatever the kind
+    with pytest.raises(ValidationError) as e:
+        OP.make_operator_1d(lambda x: math.nan if x > 5.0 else 1.0, "0", "0",
+                            (-10.0, 10.0))
+    assert e.value.kind == ValidationError.SINGULAR_COEFFICIENT
+    assert 5.0 < e.value.point < 5.1
+    assert str(e.value).endswith("a coefficient is not finite")
 
 
 def test_nd_potential_checked_in_ladder_order():
