@@ -9,8 +9,12 @@ block of one path, and ``coupled_radial_comparison`` observes its steps.
 
 Path i draws its increments from a counter-based stream keyed by (seed, i):
 Philox with key ``seed`` started at counter word 2 = i, the state that
-``Philox(key=seed).jumped(i)`` reaches, built directly.  Estimates are
-therefore reproducible and independent of how paths are batched.
+``Philox(key=seed).jumped(i)`` reaches (``_path_rng``).  A block builds one
+Philox and sets it to path i's counter before path i's draws, which gives
+the same streams.  Estimates are therefore reproducible and independent of
+how paths are batched.  A coefficient with no free variable
+(``Coefficient.constant``) is stepped as one float, the value each entry
+of its array form would hold.
 """
 
 from __future__ import annotations
@@ -69,42 +73,64 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode, observe=None):
     Returns positions at the end (shape (n,) or (n, d)), the survival mask,
     int V up to the exit, and the number of steps each path took.
     """
+    sdt = math.sqrt(dt)
     if isinstance(op, Operator1D):
         shape, drift, site = (), op.b.array, (lambda x: x)
-        noise = lambda x: np.sqrt(2.0 * op.a.array(x))
+        a = op.a.constant
+        if a is None:
+            diffusion = lambda x: np.sqrt(2.0 * op.a.array(x)) * sdt
+        else:  # the same float as each entry of the array form
+            scale = math.sqrt(2.0 * a) * sdt
+            diffusion = lambda x: scale
         lo = op.x0 - GUARD_BAND * max(1.0, abs(op.x0))  # -inf when unbounded
         hi = op.y0 + GUARD_BAND * max(1.0, abs(op.y0))
     else:
         shape, drift = (op.d,), op.drift_at
         site = lambda x: np.linalg.norm(x, axis=-1)
-        noise = lambda x: 1.0
+        diffusion = lambda x: sdt
         lo, hi = -math.inf, math.inf
-    # the unit normals of the next steps, per path and in stream order
-    rngs = [_path_rng(seed, first + j) for j in range(n)]
+    walls = lo > -math.inf or hi < math.inf
+    v = op.V.constant
+    # one generator for the block, set to path i's counter before its draws;
+    # past one chunk each path's state is kept between its fills
+    bitgen = np.random.Philox(key=int(seed))
+    rng = np.random.Generator(bitgen)
+    start = bitgen.state
+    counter = start["state"]["counter"]
+    states = [None] * n
     xi = np.empty((n, min(n_steps, _CHUNK)) + shape)
     x = np.full((n,) + shape, x0, dtype=float)
     alive = np.ones(n, dtype=bool)
     col = (slice(None),) + (None,) * len(shape)  # alive against x's shape
     steps = np.full(n, n_steps)
     vint = np.zeros(n)
-    v_prev = op.V.array(site(x))
-    sdt = math.sqrt(dt)
+    v_prev = op.V.array(site(x)) if v is None else v
     for k in range(n_steps):
         if k % _CHUNK == 0:
-            for rng, row in zip(rngs, xi):
+            for j, row in enumerate(xi):
+                if k == 0:
+                    counter[2] = first + j
+                    bitgen.state = start
+                else:
+                    bitgen.state = states[j]
                 rng.standard_normal(out=row)
+                if n_steps - k > _CHUNK:
+                    states[j] = bitgen.state
         z = xi[:, k % _CHUNK]
-        x_new = np.where(alive[col], x + drift(x) * dt + noise(x) * sdt * z, x)
+        x_new = np.where(alive[col], x + drift(x) * dt + diffusion(x) * z, x)
         if observe is not None:
             observe(k, x, z, x_new)
         x = x_new
         s = site(x)
-        out = (np.abs(s) > r_explode) | (s < lo) | (s > hi)
+        out = np.abs(s) > r_explode
+        if walls:
+            out |= (s < lo) | (s > hi)
         steps[alive & out] = k + 1
         alive &= ~out
-        v_new = op.V.array(s)
-        vint = np.where(alive, vint + 0.5 * (v_prev + v_new) * dt, vint)
-        v_prev = v_new
+        if v != 0.0:  # V == 0 adds nothing
+            v_new = op.V.array(s) if v is None else v
+            vint = np.where(alive, vint + 0.5 * (v_prev + v_new) * dt, vint)
+            v_prev = v_new
     return x, alive, vint, steps
 
 

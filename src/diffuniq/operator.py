@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri  # inverse normal CDF, for sphere mapping
@@ -25,7 +26,8 @@ class Coefficient:
     array of points, and ``array`` the unchecked form, which the solver
     kernels call under their own ``np.errstate``.  A bare callable is its
     own ``__call__`` and may bring its own ``array`` form; without one,
-    ``array`` loops over scalar calls.
+    ``array`` loops over scalar calls.  ``constant`` is the value of an
+    expression with no free variable (None otherwise).
     """
 
     def __init__(self, fn, expr=None, var=None, array=None):
@@ -47,9 +49,12 @@ class Coefficient:
     def from_expr(cls, e, var):
         return cls(None, expr=e, var=var)
 
-    @classmethod
-    def constant(cls, value):
-        return cls(None, expr=ex.Num(float(value)), var="_")
+    @cached_property
+    def constant(self):
+        if self.expr is None or ex.free_vars(self.expr):
+            return None
+        with np.errstate(all="ignore"):  # the array form's bits, unchecked
+            return float(self.array(np.zeros(1))[0])
 
     def __call__(self, x):
         return self._scalar(x)
@@ -74,7 +79,7 @@ def as_coefficient(spec, var):
     if isinstance(spec, str):
         return Coefficient.from_expr(ex.parse_expr(spec, var), var)
     if isinstance(spec, (int, float)):
-        return Coefficient.constant(spec)
+        return Coefficient.from_expr(ex.Num(float(spec)), "_")
     if callable(spec):
         return Coefficient(spec)
     return Coefficient.from_expr(spec, var)  # assume parsed Expr

@@ -179,6 +179,64 @@ def test_block_kernel_matches_scalar_reference():
             assert out.terminal == pytest.approx(x, rel=1e-12, abs=1e-14)
 
 
+def test_chunk_boundaries_match_scalar_reference():
+    # 1,100 steps are three chunks of normals; each path's stream continues
+    # across the refills exactly as one draw of all its normals
+    op = ou("1")
+    n, n_steps, dt, seed = 6, 2 * MC._CHUNK + 76, 1e-3, 19
+    x, alive, vint, steps = MC._em_block(op, 0.4, n_steps, dt, seed, 0, n,
+                                         math.inf)
+    assert alive.all() and np.all(steps == n_steps)
+    scale = math.sqrt(2.0 * 0.5) * math.sqrt(dt)
+    for i in (0, 1, n - 1):
+        z = MC._path_rng(seed, i).standard_normal(n_steps)
+        xs, vs = 0.4, 0.0
+        for k in range(n_steps):
+            xs = xs + -xs * dt + scale * z[k]
+            vs = vs + 0.5 * (1.0 + 1.0) * dt
+        assert x[i].hex() == xs.hex() and vint[i].hex() == vs.hex(), i
+
+
+# (mean, stderr, explosion_fraction) as float.hex, recorded with one
+# generator per path and every coefficient in its array form: how the
+# kernel starts streams and steps constants must not move a bit
+BIT_PINS = {
+    "ou V=0": ("0x1.842ce58e07160p-1", "0x1.1ed9d169ea754p-8", "0x0.0p+0"),
+    "ou V=1 chunked": ("0x1.b77dddc16b479p-3", "0x1.a2e425684dd45p-9",
+                       "0x0.0p+0"),
+    "variable a, V, finite": ("0x1.063607d51d5b9p-1", "0x1.3720054ef5cc8p-7",
+                              "0x1.098ead65b7a33p-2"),
+    "folded constants": ("0x1.e31bbaf6e8452p-2", "0x1.db03606f6dfbcp-9",
+                         "0x0.0p+0"),
+    "nd V=1": ("0x1.beec73e672ea0p-3", "0x1.99546ac8ec0c2p-8", "0x0.0p+0"),
+}
+
+
+def _pinned_run(name):
+    f = E.parse_expr("exp(-x^2)", "x")
+    if name == "ou V=0":
+        return MC.feynman_kac(ou("0"), f, 0.5, 0.3, 3000, 1e-2, seed=21)
+    if name == "ou V=1 chunked":
+        return MC.feynman_kac(ou("1"), f, 1.2, 0.3, 700, 1e-3, seed=22,
+                              block=256)
+    if name == "variable a, V, finite":
+        op = make_operator_1d("0.5 + 0.25*sin(x)", "-x", "x^2", (-0.5, 1.5))
+        return MC.feynman_kac(op, f, 0.5, 0.5, 1500, 1e-2, seed=23)
+    if name == "folded constants":
+        op = make_operator_1d("2*0.25", "-x", "0.5*2", (-INF, INF))
+        return MC.feynman_kac(op, f, 0.5, 0.1, 1500, 1e-2, seed=24)
+    op = make_operator_nd(3, ["-x1", "-x2 + 0.3*sin(x1)", "-x3"], "1")
+    return MC.feynman_kac(op, lambda x: np.exp(-np.sum(x * x, axis=1)), 0.5,
+                          [1.0, 0.0, 0.0], 600, 1e-2, seed=25, block=256)
+
+
+@pytest.mark.parametrize("name", sorted(BIT_PINS))
+def test_estimates_keep_their_bits(name):
+    est = _pinned_run(name)
+    got = (est.mean.hex(), est.stderr.hex(), est.explosion_fraction.hex())
+    assert got == BIT_PINS[name]
+
+
 @pytest.mark.parametrize("seed", [0, 12345, 2 ** 31 - 1])
 def test_path_stream_is_the_jumped_stream(seed):
     # path i's stream is Philox(key=seed).jumped(i), built from its counter;

@@ -179,8 +179,22 @@ def test_coefficient_rejects_non_expression_at_construction():
 def test_constant_coefficient_array_keeps_shape():
     c = OP.as_coefficient(2.5, "x")
     assert c(7.0) == 2.5
+    assert c.constant == 2.5
     out = c.array(np.zeros((2, 3)))
     assert out.shape == (2, 3) and np.all(out == 2.5)
+
+
+@pytest.mark.parametrize("text", ["0.5", "2*0.25", "exp(0)", "-(3/7)"])
+def test_constant_is_the_array_value(text):
+    c = OP.as_coefficient(text, "x")
+    values = c.array(np.linspace(-3.0, 3.0, 7))
+    assert {float(v).hex() for v in values} == {c.constant.hex()}
+
+
+def test_constant_is_none_off_constants():
+    assert OP.as_coefficient("x", "x").constant is None
+    assert OP.as_coefficient("x - x + 1", "x").constant is None
+    assert OP.as_coefficient(lambda x: 1.0, "x").constant is None
 
 
 @pytest.mark.parametrize("text", ["0.5", "x", "x^3 - sin(x)/2"])
