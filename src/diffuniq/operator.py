@@ -42,7 +42,9 @@ class Coefficient:
 
             def array(xs):  # a fresh array of xs's shape, never xs itself
                 r = np.asarray(f({var: xs}), dtype=float)
-                return r.copy() if r.shape == xs.shape else np.full(xs.shape, r)
+                if r is xs:  # a bare variable; every ufunc gives a new array
+                    return r.copy()
+                return r if r.shape == xs.shape else np.full(xs.shape, r)
             self._array = array
 
     @classmethod

@@ -217,18 +217,15 @@ class _Propagator:
         by the 2m march; returns the states at ``xs``, shape (3, len(xs))."""
         order = np.argsort(xs if x_to > self.x else -xs, kind="stable")
         pts = np.concatenate(([self.x], xs[order], [x_to]))
-        coarse = self._pass(pts, self.m)
-        while True:
-            fine = self._pass(pts, 2 * self.m)
-            if self._agree(coarse, fine):
-                break
+        coarse, fine = self._pass(pts, (self.m, 2 * self.m))
+        while not self._agree(coarse, fine):
             if self.m >= MAX_SUBSTEPS:
                 raise qd.WindowStop(
                     f"march did not resolve the solution to {MARCH_TOL:g} "
                     f"with {2 * MAX_SUBSTEPS} steps per node gap in "
                     f"[{self.x:.6g}, {x_to:.6g}]")
             self.m *= 2
-            coarse = fine
+            coarse, (fine,) = fine, self._pass(pts, (2 * self.m,))
         states, crossed = fine
         if crossed is not None:
             raise qd.WindowStop(self.guard[1].format(x=crossed), diverges=True)
@@ -251,17 +248,36 @@ class _Propagator:
             close = np.abs(wc - wf) <= MARCH_TOL * np.maximum(1.0, np.abs(wf))
         return bool(np.all(close | (np.isnan(wc) & np.isnan(wf))))
 
-    def _pass(self, pts, m):
-        """One march from pts[0] through the gaps of ``pts``, m equal steps
-        each.  Returns the states landed on pts[1:] up to the guard
-        crossing, shape (3, k), and the crossing's x (None if none)."""
-        z0, z1, Q = self.y.tolist()
+    def _pass(self, pts, ms):
+        """Marches from pts[0] through the gaps of ``pts``, one for each m in
+        ``ms`` with m equal steps per gap.  Returns for each the states
+        landed on pts[1:] up to the guard crossing, shape (3, k), and the
+        crossing's x (None if none).
+
+        Each march takes its steps BATCH_STEPS at a time from its own start,
+        and batch i of every march still under way is built at once: one
+        ``coeffs`` call and one block elimination over their steps, in the
+        order of ``ms``, so a coefficient failure is named at the first
+        march's point first.  Each march restarts Q's running sum from its
+        own carried value and chains its own steps, so its floats are those
+        it has alone.  A march that crosses the guard builds no later
+        batch."""
         limit = self.guard[0] if self.guard else None
-        total = (pts.size - 1) * m
-        landed, crossing = [], None
-        for start in range(0, total, BATCH_STEPS):
-            gap, sub = np.divmod(np.arange(start, min(start + BATCH_STEPS,
-                                                      total)), m)
+        totals = [(pts.size - 1) * m for m in ms]
+        carried = [self.y.tolist() for _ in ms]  # z0, z1, Q
+        landed = [[] for _ in ms]
+        crossing = [None] * len(ms)
+        for start in range(0, max(totals), BATCH_STEPS):
+            live = [k for k, total in enumerate(totals)
+                    if crossing[k] is None and start < total]
+            if not live:
+                break
+            sizes = [min(BATCH_STEPS, totals[k] - start) for k in live]
+            ends = np.cumsum(sizes)
+            spans = list(zip(live, ends - sizes, ends))  # (march, lo, hi)
+            m = np.repeat([ms[k] for k in live], sizes)
+            gap, sub = np.divmod(np.concatenate(
+                [np.arange(start, start + n) for n in sizes]), m)
             h = (pts[gap + 1] - pts[gap]) / m
             x0 = pts[gap] + sub * h
             xs = x0 + _RADAU_C[:, None] * h  # (stage, step)
@@ -269,26 +285,32 @@ class _Propagator:
             q, system = self.coeffs(xs)
             with np.errstate(all="ignore"):
                 dQ = h * (_RADAU_A @ np.broadcast_to(q, xs.shape))
-                Q_end = Q + np.cumsum(dQ[2])
-                Q_start = np.concatenate(([Q], Q_end[:-1]))
+                Q_end = np.concatenate([carried[k][2] + np.cumsum(dQ[2, lo:hi])
+                                        for k, lo, hi in spans])
+                Q_start = np.concatenate(([0.0], Q_end[:-1]))
+                Q_start[ends - sizes] = [carried[k][2] for k in live]
                 P, v = _propagators(h, system(Q_start + dQ))
-            zs, crossed = _chain(P, v, z0, z1, limit)
-            n = len(zs) // 2
-            at_node = np.flatnonzero(sub[:n] == m - 1)
-            if crossed:  # keep only the nodes before the crossing step
-                at_node = at_node[at_node < n - 1]
-                crossing = float(x0[n - 1] + h[n - 1])
-            z = np.array(zs).reshape(-1, 2)[at_node]
-            landed.append(np.vstack((z.T, Q_end[at_node])))
-            if crossed:
-                break
-            z0, z1 = zs[-2:]
-            Q = float(Q_end[-1])
-        states = np.hstack(landed)
-        bad = np.flatnonzero(~np.isfinite(states).all(axis=0))
-        if bad.size:  # an overflow, which no step refinement mends
-            raise _failed(f"state not finite at x={pts[bad[0] + 1]:.6g}")
-        return states, crossing
+            # (p00, p01, p10, p11, v0, v1) of each step, as plain floats
+            flat = np.vstack((P.reshape(4, -1), v)).T.ravel().tolist()
+            for k, lo, hi in spans:
+                z0, z1, _ = carried[k]
+                zs, crossed = _chain(flat[6 * lo:6 * hi], z0, z1, limit)
+                n = len(zs) // 2
+                at_node = np.flatnonzero(sub[lo:lo + n] == ms[k] - 1)
+                if crossed:  # keep only the nodes before the crossing step
+                    at_node = at_node[at_node < n - 1]
+                    crossing[k] = float(x0[lo + n - 1] + h[lo + n - 1])
+                z = np.array(zs).reshape(-1, 2)[at_node]
+                landed[k].append(np.vstack((z.T, Q_end[lo + at_node])))
+                carried[k] = [*zs[-2:], float(Q_end[hi - 1])]
+        passes = []
+        for parts, crossed in zip(landed, crossing):
+            states = np.hstack(parts)
+            bad = np.flatnonzero(~np.isfinite(states).all(axis=0))
+            if bad.size:  # an overflow, which no step refinement mends
+                raise _failed(f"state not finite at x={pts[bad[0] + 1]:.6g}")
+            passes.append((states, crossed))
+        return passes
 
 
 def _propagators(h, system):
@@ -335,11 +357,12 @@ def _inverse_2x2(a):
     return np.array([[a11, -a01], [-a10, a00]]) / (a00 * a11 - a01 * a10)
 
 
-def _chain(P, v, z0, z1, limit):
+def _chain(steps, z0, z1, limit):
     """States after each step z -> P z + v from (z0, z1), flat (z0, z1,
     z0, ...), and whether they end early, with the first whose |z| reaches
-    ``limit``.  Plain floats: no per-step container for the collector."""
-    it = iter(np.vstack((P.reshape(4, -1), v)).T.ravel().tolist())
+    ``limit``; ``steps`` holds (p00, p01, p10, p11, v0, v1) of each step,
+    flat.  Plain floats: no per-step container for the collector."""
+    it = iter(steps)
     out = []
     for p00, p01, p10, p11, v0, v1 in zip(it, it, it, it, it, it):
         z0, z1 = p00 * z0 + p01 * z1 + v0, p10 * z0 + p11 * z1 + v1

@@ -197,8 +197,10 @@ def test_constant_is_none_off_constants():
     assert OP.as_coefficient(lambda x: 1.0, "x").constant is None
 
 
-@pytest.mark.parametrize("text", ["0.5", "x", "x^3 - sin(x)/2"])
+@pytest.mark.parametrize("text",
+                         ["0.5", "x", "-x", "x*1", "x^3 - sin(x)/2"])
 def test_coefficient_array_is_fresh_and_shaped(text):
+    # only a bare variable hands back its input, which array copies
     c = OP.as_coefficient(text, "x")
     vector = E.compile_expr(c.expr)
     for xs in (np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 6).reshape(2, 3),

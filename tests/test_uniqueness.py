@@ -7,7 +7,7 @@ import pytest
 from diffuniq import quadrature as Q, uniqueness as U
 from diffuniq.errors import DomainError, ValidationError
 from diffuniq.operator import (Coefficient, Operator1D, make_operator_1d,
-                               make_operator_nd)
+                               make_operator_nd, radial_bound)
 
 INF = math.inf
 
@@ -185,6 +185,81 @@ def test_converged_values_unchanged_by_scaling(a, b, interval, lam,
     v = U.endpoint_condition(op, c, lam, endpoint)
     assert v.is_converges
     assert v.value == pytest.approx(value, rel=1e-8)
+
+
+def _sampled_radial():
+    # sampled radial bound of a 3D drift: its march toward +inf refines to
+    # passes of several BATCH_STEPS batches
+    op = make_operator_nd(3, ["-x1 + 0.3*sin(x2)", "-x2", "-x3"], "0")
+    rb = radial_bound(op, np.geomspace(1e-3, 256.0, 160), seed=11)
+    return U.radial_reduce(rb, 3, op.V)
+
+
+def _whole_line(b, V="0"):
+    return make_operator_1d("0.5", b, V, (-INF, INF))
+
+
+_RISING = "window increments non-decreasing across 3 consecutive windows"
+_DECAYED = ("increments decayed with ratio <= 0.75 for 5 windows; "
+            "geometric tail ")
+
+# name: (record, (kind, value.hex(), err.hex(), windows_used, rhs_evals,
+# evidence)), recorded with the coarse and fine passes built separately
+_MARCH_PINS = {
+    "ou-upper": (
+        lambda: U.endpoint_condition(ou(), 0.0, 1.0, INF),
+        ("Diverges", None, None, 3, 2619, _RISING)),
+    "cubic-upper": (
+        lambda: U.endpoint_condition(_whole_line("-x^3"), 0.0, 1.0, INF),
+        ("Converges", "0x1.2a1b64098b7b3p+2", "0x1.2a1c8b4e3c0cbp-25",
+         13, 22116, _DECAYED + "3.47e-08")),
+    "x6-upper": (
+        lambda: U.endpoint_condition(_whole_line("-x^3", "x^6"), 0.0, 1.0,
+                                     INF),
+        ("Diverges", None, None, 3, 4656,
+         "cumulative integral exceeded 1e+12 after 3 windows (log-space sum "
+         "to x=7 is e^430.37; a lower bound, the integrand being positive)")),
+    "quintic-upper-m-doubles": (
+        lambda: U.endpoint_condition(_whole_line("-x^5"), 0.0, 1.0, INF),
+        ("Converges", "0x1.ed914efbeffb2p+1", "0x1.eb020f0924b31p-29",
+         7, 22698, _DECAYED + "3.57e-09")),
+    "bessel3-entrance-lower": (
+        lambda: U.entrance_test(
+            make_operator_1d("0.5", "1/x", "0", (0.0, INF)), 1.0, 0.0),
+        ("Converges", "0x1.111110fbbbef8p-3", "0x1.559192fbf1b99p-31",
+         15, 13095, _DECAYED + "6.21e-10")),
+    "x7-entrance-guard": (
+        lambda: U.entrance_test(_whole_line("x^7"), 0.0, INF),
+        ("Diverges", None, None, 2, 436902,
+         "speed-measure integral exceeded 1e+150 at x=2.4689")),
+    "radial-lower": (
+        lambda: U.endpoint_condition(_sampled_radial(), 1.0, 1.0, 0.0),
+        ("Converges", "0x1.57ab725e0a3b4p+0", "0x1.60b7d051143c1p-28",
+         14, 49761, _DECAYED + "5e-09")),
+    "radial-upper-multi-batch": (
+        lambda: U.endpoint_condition(_sampled_radial(), 1.0, 1.0, INF),
+        ("Diverges", None, None, 3, 116109, _RISING)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MARCH_PINS))
+def test_march_records_bit_pinned(name):
+    # exact floats and work counts of the Radau march; a change in how the
+    # steps are built, batched or chained moves them
+    run, want = _MARCH_PINS[name]
+    v = run()
+    hexed = [None if f is None else f.hex() for f in (v.value, v.err)]
+    got = (v.kind, *hexed, v.windows_used, v.rhs_evals, v.evidence)
+    assert got == want
+
+
+def test_multi_batch_march_bit_pinned():
+    # refined to 64 and 128 steps per node gap: both passes of the last
+    # check span several BATCH_STEPS batches, each with its own Q cumsum
+    ms = U.monotone_solution(_sampled_radial(), 1.0, 1.0, U.TOWARD_UPPER,
+                             x_end=4.0, n_grid=65)
+    assert ms.log_u[-1].hex() == "0x1.94f68cae96f00p+3"
+    assert ms.ratio[-1].hex() == "0x1.00f174fb384f3p+3"
 
 
 class _FixedStateMarch:
@@ -417,7 +492,6 @@ def test_nd_strict_mode_flags_origin():
 
 
 def test_radial_drift_array_form_matches_scalar():
-    from diffuniq.operator import radial_bound
     rs = np.geomspace(1e-4, 400.0, 1000)  # inside and past the table
     sampled = make_operator_nd(3, ["-x1 + 0.3*sin(x2)", "-x2", "-x3"], "0")
     override = make_operator_nd(3, ["x1", "x2", "x3"], "0",
@@ -433,7 +507,6 @@ def test_radial_drift_array_form_matches_scalar():
 
 def test_radial_reduce_closed_form():
     # beta = 0, d = 3 comparison operator: a=1/2, b=(d-1)/(2r)=1/r
-    from diffuniq.operator import radial_bound
     op = make_operator_nd(3, ["0", "0", "0"], "0", beta_override="0")
     rb = radial_bound(op, np.geomspace(1e-3, 256.0, 64))
     op1 = U.radial_reduce(rb, 3, op.V)
