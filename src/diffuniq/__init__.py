@@ -16,7 +16,7 @@ from .errors import (
     UnknownIdentifier,
     ValidationError,
 )
-from .expr import eval_expr, format_expr, free_vars, parse_expr, parse_expr_multi
+from .expr import format_expr, free_vars, parse_expr, parse_expr_multi
 from .gridfn import GridFunction
 from .operator import (
     Operator1D,
@@ -51,7 +51,7 @@ from .fdsolver import (
     fp_solve,
     gaussian_state,
 )
-from .montecarlo import FKEstimate, coupled_radial_comparison, feynman_kac
+from .montecarlo import FKEstimate, feynman_kac
 
 __all__ = [
     "ABSORBING", "ConfigError", "DiffuniqError",
@@ -59,11 +59,10 @@ __all__ = [
     "GridFunction", "Grid1D", "INCONCLUSIVE", "IntegralVerdict", "NOT_UNIQUE",
     "Operator1D", "OperatorND", "PROOF_FAITHFUL", "RadialBound",
     "REFLECTING", "STRICT_THEOREM", "UNIQUE", "UnknownIdentifier",
-    "ValidationError", "Verdict", "bc_sensitivity_probe",
-    "coupled_radial_comparison", "duality_check", "endpoint_condition",
-    "entrance_test", "eval_expr", "feynman_kac", "format_expr", "fp_solve",
-    "free_vars", "gaussian_state", "improper_integral", "log_scale",
-    "make_operator_1d",
-    "make_operator_nd", "monotone_solution", "nd_verdicts", "parse_expr",
-    "parse_expr_multi", "radial_bound", "uniqueness_1d", "uniqueness_nd",
+    "ValidationError", "Verdict", "bc_sensitivity_probe", "duality_check",
+    "endpoint_condition", "entrance_test", "feynman_kac", "format_expr",
+    "fp_solve", "free_vars", "gaussian_state", "improper_integral",
+    "log_scale", "make_operator_1d", "make_operator_nd", "monotone_solution",
+    "nd_verdicts", "parse_expr", "parse_expr_multi", "radial_bound",
+    "uniqueness_1d", "uniqueness_nd",
 ]

@@ -193,9 +193,11 @@ def resolve_config(raw):
 
 def _check_sampling_sites(cfg):
     """The base point, the FP window, the probe windows and the FK start
-    point must lie inside the open operator interval, and the FK terminal
-    function must be defined on the ladder that validates the operator
-    (the config error names the first point where it is not)."""
+    point must lie inside the open operator interval, in ``xval`` the FK
+    start point also inside the FP window, where the FD value is read, and
+    the FK terminal function must be defined on the ladder that validates
+    the operator (the config error names the first point where it is
+    not)."""
     mode = cfg["mode"]
     lo, hi = cfg["operator"]["interval"]
     where = f"inside the operator interval ({lo}, {hi})"
@@ -208,8 +210,12 @@ def _check_sampling_sites(cfg):
                                   for r in cfg["probe"]["windows"]):
         raise ConfigError("/probe/windows", f"every [-R, R] must lie {where}")
     if mode in ("fk", "xval"):
-        if not lo < cfg["fk"]["x0"] < hi:
+        x0 = cfg["fk"]["x0"]
+        if not lo < x0 < hi:
             raise ConfigError("/fk/x0", f"must lie {where}")
+        if mode == "xval" and not window[0] < x0 < window[1]:
+            raise ConfigError("/fk/x0", "must lie inside the FP window "
+                              f"({window[0]}, {window[1]})")
         try:
             f = _fk_terminal(cfg)
         except DiffuniqError as exc:
@@ -284,7 +290,10 @@ def _run_fp(cfg, op, report):
     state = _initial_state(f, grid, f["bc"])
     final, (times, masses) = fdsolver.fp_solve(op, state, f["T"], f["dt"])
     if f.get("csv"):
-        fdsolver.dump_csv(f["csv"], times, masses, final)
+        try:
+            fdsolver.dump_csv(f["csv"], times, masses, final)
+        except OSError as exc:  # a missing directory, say
+            raise ConfigError("/fp/csv", str(exc)) from None
     report["fokker_planck"] = {
         "mass_initial": masses[0], "mass_final": masses[-1],
         "T": f["T"], "dt": f["dt"], "m": f["m"], "bc": f["bc"],
@@ -386,8 +395,11 @@ def _jsonable(obj):
 def emit(report, out=None):
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a missing directory, say
+            raise ConfigError("/out", str(exc)) from None
     else:
         print(text)
 
@@ -432,7 +444,7 @@ def main(argv=None):
             raw["out"] = args.out
 
     try:
-        report = run(raw)
+        emit(run(raw), raw.get("out"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -442,7 +454,6 @@ def main(argv=None):
     except DiffuniqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    emit(report, raw.get("out"))
     return 0
 
 

@@ -290,31 +290,6 @@ def checked(fn, *args):
     return value
 
 
-def eval_env(e, env):
-    """Evaluate ``e`` with variables bound by the dict ``env``, under the
-    domain rule (:func:`checked`)."""
-    return checked(compile_expr(e), env)
-
-
-def eval_numpy(e, env):
-    """Evaluate on numpy arrays bound by ``env``, unchecked."""
-    return compile_expr(e)(env)
-
-
-def eval_expr(e, value, var_name=None):
-    """Evaluate a single-variable expression at ``value``.
-
-    When ``var_name`` is None the (unique) variable occurring in the tree is
-    bound; an expression with no variable occurrences evaluates as a constant.
-    """
-    if var_name is None:
-        names = free_vars(e)
-        if len(names) > 1:
-            raise TypeError(f"expression has several variables: {sorted(names)}")
-        var_name = next(iter(names)) if names else "_"
-    return eval_env(e, {var_name: value})
-
-
 def free_vars(e):
     """Set of variable names occurring in the tree."""
     if isinstance(e, Var):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .gridfn import GridFunction, whole_steps
+from .gridfn import whole_steps
 
 ABSORBING, REFLECTING = "Absorbing", "Reflecting"
 
@@ -239,18 +239,12 @@ def backward_evolve(op, grid, values, T, dt):
 def duality_check(op, f, g, T, dt, grid=None):
     """|<forward-evolved g, f> - <g, backward-evolved f>| on a shared grid.
 
-    f, g: GridFunctions (or callables) supported well inside the window.
+    f, g: functions on arrays of points (a GridFunction's ``zero_outside``,
+    say), supported well inside the window.
     """
     if grid is None:
         grid = Grid1D(-8.0, 8.0, 800)
-    x = grid.centers
-
-    def sample(h):
-        if isinstance(h, GridFunction):
-            return h.zero_outside(x)
-        return np.asarray([float(h(xi)) for xi in x])
-
-    fv, gv = sample(f), sample(g)
+    fv, gv = (np.asarray(h(grid.centers), dtype=float) for h in (f, g))
     gf = _evolve(Discretization(op, grid, ABSORBING), gv, T, dt)
     fb = backward_evolve(op, grid, fv, T, dt)
     pair_fwd = float(np.sum(gf * fv) * grid.dx)

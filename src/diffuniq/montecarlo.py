@@ -4,8 +4,7 @@ One Euler-Maruyama block kernel steps every path: diffusion sqrt(2 a) in 1D
 (unit Brownian term in R^d, where the generator fixes the Laplacian
 coefficient at 1/2), killing accumulated as the weight exp(-int V) by
 trapezoid along the path (V of |x| in R^d), and a finite-radius explosion
-surrogate.  ``feynman_kac`` runs it block by block, ``simulate_path`` is a
-block of one path, and ``coupled_radial_comparison`` observes its steps.
+surrogate.  ``feynman_kac`` runs it block by block.
 
 Path i draws its increments from a counter-based stream keyed by (seed, i):
 Philox with key ``seed`` started at counter word 2 = i, the state that
@@ -24,22 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
-from .gridfn import GridFunction, whole_steps
-from .operator import Coefficient, Operator1D
+from .gridfn import whole_steps
+from .operator import Operator1D
 
 R_EXPLODE_DEFAULT = 1e6
 GUARD_BAND = 1e-9  # relative band beyond a finite interval endpoint
 _W_FLOOR = 1e-300
 _CHUNK = 512  # steps of normals held per path; bounds the table's memory
-
-
-@dataclass(frozen=True)
-class PathOutcome:
-    terminal: float | np.ndarray | None  # None when exploded
-    weight: float
-    exploded: bool
-    exit_time: float | None = None
 
 
 @dataclass(frozen=True)
@@ -62,13 +52,12 @@ def _path_rng(seed, i):
 
 
 @np.errstate(all="ignore")  # unchecked coefficients: one error state per block
-def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode, observe=None):
+def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
     """Euler-Maruyama for paths ``first .. first+n-1`` of ``seed``.
 
     A path leaves when its site (x in 1D, |x| in R^d) passes ``r_explode`` in
     absolute value or a finite interval endpoint by more than the guard band;
-    it then stays where it left.  ``observe(k, x, z, x_new)``, if given, sees
-    each step k with the unit normals ``z`` of its increments.
+    it then stays where it left.
 
     Returns positions at the end (shape (n,) or (n, d)), the survival mask,
     int V up to the exit, and the number of steps each path took.
@@ -117,10 +106,7 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode, observe=None):
                 if n_steps - k > _CHUNK:
                     states[j] = bitgen.state
         z = xi[:, k % _CHUNK]
-        x_new = np.where(alive[col], x + drift(x) * dt + diffusion(x) * z, x)
-        if observe is not None:
-            observe(k, x, z, x_new)
-        x = x_new
+        x = np.where(alive[col], x + drift(x) * dt + diffusion(x) * z, x)
         s = site(x)
         out = np.abs(s) > r_explode
         if walls:
@@ -140,43 +126,20 @@ def _weights(vint):
     return w
 
 
-def simulate_path(op, x0, T, dt, seed=0, path_index=0,
-                  r_explode=R_EXPLODE_DEFAULT):
-    """One Euler-Maruyama path; explosion is data, not an error."""
-    x, alive, vint, steps = _em_block(op, x0, whole_steps(T, dt), dt, seed,
-                                      path_index, 1, r_explode)
-    w = float(_weights(vint)[0])
-    if alive[0]:
-        return PathOutcome(x[0], w, False)
-    return PathOutcome(None, w, True, steps[0] * dt)
-
-
-def _terminal_function(f):
-    if isinstance(f, GridFunction):
-        return f.zero_outside
-    if isinstance(f, str):
-        raise TypeError("pass a parsed expression or GridFunction, not text")
-    if callable(f):
-        return f
-    names = ex.free_vars(f)
-    return Coefficient.from_expr(f, next(iter(names)) if names else "_").array
-
-
 def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
                 r_explode=R_EXPLODE_DEFAULT, block=2048):
     """Monte Carlo estimate of E[ 1_survived f(X_T) exp(-int_0^T V) ].
 
-    In 1D ``f`` is a parsed expression, a GridFunction (zero outside its
-    table) or a callable on arrays of points; for an ``OperatorND`` it is a
-    callable on an (n, d) array of points returning n values.  Exploded
-    paths contribute zero (consistent with compactly supported f).
+    ``f`` maps an array of end points to their values, evaluated unchecked:
+    in 1D an (n,) array (an expression's ``Coefficient.array``, or a
+    GridFunction's ``zero_outside``), for an ``OperatorND`` an (n, d) array.
+    Exploded paths contribute zero (consistent with compactly supported f).
     Deterministic for a fixed (seed, n_paths, dt); batching does not change
     the result because streams are keyed per path.  T must be a whole
     number of steps ``dt`` (``gridfn.whole_steps``).
     """
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
-    fterm = _terminal_function(f)
     n_steps = whole_steps(T, dt)
     contribs = np.empty(n_paths)
     exploded_total = 0
@@ -185,7 +148,7 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
         x, alive, vint, _ = _em_block(op, x0, n_steps, dt, seed, start, nb,
                                       r_explode)
         with np.errstate(all="ignore"):
-            fx = np.asarray(fterm(x), dtype=float)
+            fx = np.asarray(f(x), dtype=float)
         contribs[start:start + nb] = np.where(alive, fx * _weights(vint), 0.0)
         exploded_total += int(np.sum(~alive))
 
@@ -193,26 +156,3 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
     var = float(np.sum((contribs - mean) ** 2) / max(1, n_paths - 1))
     stderr = math.sqrt(var / n_paths)
     return FKEstimate(mean, stderr, n_paths, exploded_total / n_paths)
-
-
-def coupled_radial_comparison(op_nd, beta_fn, x0, T, dt, seed=0, n_paths=100):
-    """Couple ND paths with the 1D radial comparison diffusion on the same
-    radially projected Brownian increments; returns per-step margins
-    radius_nd - radius_1d for each path (shape (n_paths, n_steps)).
-
-    ``beta_fn`` is called on an array of the n_paths comparison radii."""
-    n_steps = whole_steps(T, dt)
-    margins = np.empty((n_paths, n_steps))
-    geo = (op_nd.d - 1) / 2.0
-    sdt = math.sqrt(dt)
-    r1 = np.full(n_paths, float(np.linalg.norm(x0)))
-
-    def couple(k, x, z, x_new):
-        nonlocal r1
-        e = x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-300)
-        dw_rad = np.einsum("ij,ij->i", e, z) * sdt
-        r1 = r1 + (beta_fn(r1) + geo / r1) * dt + dw_rad
-        margins[:, k] = np.linalg.norm(x_new, axis=-1) - r1
-
-    _em_block(op_nd, x0, n_steps, dt, seed, 0, n_paths, math.inf, couple)
-    return margins

@@ -18,34 +18,24 @@ from .errors import DomainError, ValidationError
 from .gridfn import GridFunction
 
 class Coefficient:
-    """A scalar coefficient: an expression or a bare callable.
+    """A scalar coefficient: an expression or an elementwise array function.
 
-    An expression is compiled once, here, into one numpy closure.
-    ``__call__`` is its checked form at one point (a float, or DomainError
-    off the domain rule of :mod:`expr`), ``check`` the checked form over an
-    array of points, and ``array`` the unchecked form, which the solver
-    kernels call under their own ``np.errstate``.  A bare callable is its
-    own ``__call__`` and may bring its own ``array`` form; without one,
-    ``array`` loops over scalar calls.  ``constant`` is the value of an
+    An expression is compiled once, here, into one numpy closure; a bare
+    callable must already be one, mapping an array of points to the array
+    of its values there.  ``array`` is the unchecked form, which the solver
+    kernels call under their own ``np.errstate``: a fresh array of the
+    points' shape.  ``check`` is the checked form over an array of points
+    (DomainError off the domain rule of :mod:`expr`), and ``__call__`` the
+    checked form at one point, a float.  ``constant`` is the value of an
     expression with no free variable (None otherwise).
     """
 
-    def __init__(self, fn, expr=None, var=None, array=None):
+    def __init__(self, fn, expr=None, var=None):
         self.expr, self.var = expr, var
-        if expr is None:
-            self._scalar = fn
-            self._array = array or (lambda xs: np.array(
-                [fn(float(x)) for x in xs.ravel()]).reshape(xs.shape))
-        else:
+        if expr is not None:
             f = ex.compile_expr(expr)
-            self._scalar = lambda x: float(ex.checked(f, {var: x}))
-
-            def array(xs):  # a fresh array of xs's shape, never xs itself
-                r = np.asarray(f({var: xs}), dtype=float)
-                if r is xs:  # a bare variable; every ufunc gives a new array
-                    return r.copy()
-                return r if r.shape == xs.shape else np.full(xs.shape, r)
-            self._array = array
+            fn = lambda xs: f({var: xs})
+        self._fn = fn
 
     @classmethod
     def from_expr(cls, e, var):
@@ -59,10 +49,14 @@ class Coefficient:
             return float(self.array(np.zeros(1))[0])
 
     def __call__(self, x):
-        return self._scalar(x)
+        return float(self.check([x])[0])
 
-    def array(self, xs):
-        return self._array(np.asarray(xs, dtype=float))
+    def array(self, xs):  # a fresh array of xs's shape, never xs itself
+        xs = np.asarray(xs, dtype=float)
+        r = np.asarray(self._fn(xs), dtype=float)
+        if r is xs:  # a bare variable; every ufunc gives a new array
+            return r.copy()
+        return r if r.shape == xs.shape else np.full(xs.shape, r)
 
     def check(self, xs):
         """The values at the points ``xs``; DomainError where the domain rule
@@ -72,7 +66,7 @@ class Coefficient:
     def text(self):
         if self.expr is not None:
             return ex.format_expr(self.expr)
-        return f"<callable {self._scalar!r}>"
+        return f"<callable {self._fn!r}>"
 
 
 def as_coefficient(spec, var):
@@ -131,12 +125,12 @@ def probe_points(x0, y0, per_gap=512):
 def first_failure(xs, coefs, flags=None):
     """The first point x of ``xs`` where a coefficient of ``coefs`` is
     undefined or ``flags`` of their values holds, as ``(x, values, error)``:
-    the values there at a flagged x, else what the scalar form of the first
-    undefined coefficient raises at x (DomainError if it is not finite; if
-    it is defined after all, the search goes on past x).  None if there is
-    none.  One checked array pass per coefficient; when one raises,
-    bisection over passes on prefixes finds its first undefined point, and
-    the later coefficients and the flags are checked only before it."""
+    the values there at a flagged x, else what the checked pass of the first
+    undefined coefficient over x alone raises (if that pass holds, the
+    search goes on past x).  None if there is none.  One checked array pass
+    per coefficient; when one raises, bisection over passes on prefixes
+    finds its first undefined point, and the later coefficients and the
+    flags are checked only before it."""
     xs = np.asarray(xs, dtype=float)
     while xs.size:
         end, values, failing = xs.size, [], None
@@ -158,12 +152,10 @@ def first_failure(xs, coefs, flags=None):
             return float(xs[k]), tuple(float(u[k]) for u in values), None
         if failing is None:
             return None
-        x = float(xs[end])
         try:
-            if not math.isfinite(failing(x)):
-                return x, None, DomainError("a coefficient is not finite")
+            failing.check(xs[end:end + 1])
         except (DomainError, OverflowError, ValueError) as exc:
-            return x, None, exc
+            return float(xs[end]), None, exc
         xs = xs[end + 1:]
     return None
 
@@ -265,11 +257,6 @@ class RadialBound:
     table: GridFunction
     provenance: str  # Sampled | UserSupplied
     override: Coefficient | None = None
-
-    def __call__(self, r):
-        if self.override is not None:
-            return self.override(float(r))
-        return float(self.table(r))
 
     def array(self, rs):
         """The bound at an array of radii."""

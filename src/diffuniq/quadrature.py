@@ -240,17 +240,13 @@ def windowed_verdict(endpoint, anchor, open_window):
 
 def improper_integral(f, endpoint, anchor):
     """Three-valued verdict for the integral of a nonnegative ``f`` from
-    ``anchor`` toward ``endpoint`` (finite or infinite); a negative or NaN
-    value of ``f`` reads ``Inconclusive``."""
-    fv = np.vectorize(f, otypes=[float])
+    ``anchor`` toward ``endpoint`` (finite or infinite).  ``f`` maps an array
+    of points to its values there, evaluated unchecked; a negative or NaN
+    value reads ``Inconclusive``."""
 
     def log_f(lo, hi, xs):
-        try:
-            ys = fv(xs)
-        except DomainError as exc:
-            raise WindowStop(f"integrand evaluation failed: {exc}") from exc
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(ys)
+        with np.errstate(all="ignore"):
+            return np.log(f(xs))
 
     return windowed_verdict(endpoint, anchor, log_f)
 

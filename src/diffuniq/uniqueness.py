@@ -171,7 +171,7 @@ BATCH_STEPS = 1024
 def _coefficient_arrays(coefs, xs):
     """The coefficients' array forms at the stage points ``xs``, shape
     (stage, step).  Where one raises or is not finite, ``WindowStop`` names
-    the reason its scalar form gives at the first bad point in marching
+    the reason its checked form gives at the first bad point in marching
     order."""
     try:
         with np.errstate(all="ignore"):
@@ -590,8 +590,7 @@ def radial_reduce(beta: RadialBound, d, V):
     if d < 2:
         raise ValueError("dimension must be >= 2")
     geo = (d - 1) / 2.0
-    b_c = Coefficient(lambda r: beta(r) + geo / r,
-                      array=lambda rs: beta.array(rs) + geo / rs)
+    b_c = Coefficient(lambda rs: beta.array(rs) + geo / rs)
     return make_operator_1d("0.5", b_c, as_coefficient(V, "r"),
                             (0.0, math.inf), var="r")
 

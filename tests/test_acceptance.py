@@ -19,7 +19,8 @@ from scipy.interpolate import CubicSpline
 from diffuniq import (cli, expr as E, fdsolver as FD, montecarlo as MC,
                       quadrature as Q, uniqueness as U)
 from diffuniq.gridfn import GridFunction
-from diffuniq.operator import make_operator_1d, make_operator_nd, radial_bound
+from diffuniq.operator import (Coefficient, make_operator_1d, make_operator_nd,
+                              radial_bound)
 
 INF = math.inf
 
@@ -121,7 +122,7 @@ def test_criterion_05_fd_conservation_and_killing():
 
 def test_criterion_06_mc_fd_agreement():
     t0 = time.perf_counter()
-    f = E.parse_expr("exp(-x^2)", "x")
+    f = Coefficient.from_expr(E.parse_expr("exp(-x^2)", "x"), "x").array
     details, ok = [], True
     for V in ("0", "1"):
         op = make_operator_1d("0.5", "-x", V, (-INF, INF))
@@ -129,7 +130,7 @@ def test_criterion_06_mc_fd_agreement():
         g = FD.Grid1D(-8.0, 8.0, 3200)
         s0 = FD.gaussian_state(g, 0.0, 1e-3)
         fin, _ = FD.fp_solve(op, s0, 0.5, 1e-3)
-        vals = E.eval_numpy(f, {"x": g.centers})
+        vals = f(g.centers)
         fd_val = float(np.sum(fin.values * vals) * g.dx / s0.mass())
         diff = abs(est.mean - fd_val)
         tol = 3.0 * est.stderr + 5e-3

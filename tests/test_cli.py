@@ -199,6 +199,7 @@ def test_classifynd_makes_one_radial_pass(monkeypatch):
     ("fk", ou_config(fk={"T": 1.0, "dt": 0.7}), []),
     ("xval", ou_config(fp={"dt": 0.04}), []),
     ("xval", ou_config(fp={"dt": 0.04}, fk={"T": 0.4}, probe={"T": 0.1}), []),
+    ("xval", ou_config(fk={"x0": 12.0}), []),
 ], ids=["array-config", "lambda-abc", "fk-n_paths", "fp-m", "probe-windows",
         "fp-dt", "fp-dt-over-fk-T", "fp-dt-over-probe-T", "probe-core_radius",
         "fk-f-log", "xval-f-log", "fp-window-bessel", "xval-window-bessel",
@@ -206,7 +207,7 @@ def test_classifynd_makes_one_radial_pass(monkeypatch):
         "nd-V-unknown-identifier", "nd-b-unknown-identifier",
         "entrance-c-endpoint", "classify-c-outside", "fp-dt-not-dividing-T",
         "fk-dt-not-dividing-T", "fk-dt-over-half-T", "fp-dt-not-dividing-fk-T",
-        "fp-dt-not-dividing-probe-T"])
+        "fp-dt-not-dividing-probe-T", "xval-x0-outside-fp-window"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, config, args):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -220,6 +221,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, config, args):
     ({"probe": {"core_radius": 1e-4}}, "/probe/core_radius"),
     ({"fp": {"dt": 0.04}}, "/fp/dt"),
     ({"fp": {"dt": 0.04}, "fk": {"T": 0.4}, "probe": {"T": 0.1}}, "/fp/dt"),
+    # the FD value is read off the FP grid, which holds its edge cell's
+    # value past the window
+    ({"fk": {"x0": 12.0}}, "/fk/x0"),
 ])
 def test_xval_cross_section_limits(extra, pointer):
     with pytest.raises(ConfigError) as e:
@@ -227,6 +231,7 @@ def test_xval_cross_section_limits(extra, pointer):
     assert e.value.pointer == pointer
     # the same sections are not related outside xval
     cli.resolve_config(ou_config("fp", **extra))
+    cli.resolve_config(ou_config("fk", **extra))
 
 
 @pytest.mark.parametrize("config, pointer", [
@@ -247,6 +252,20 @@ def test_sampling_sites_and_expressions_checked(config, pointer):
     with pytest.raises(ConfigError) as e:
         cli.resolve_config(config)
     assert e.value.pointer == pointer
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # a missing directory: for the report at /out, for the fp trace at /fp/csv
+    missing = str(tmp_path / "no" / "such")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(fp={"T": 0.01,
+                                             "csv": f"{missing}/m.csv"})))
+    for args, pointer in ((["classify", "--out", f"{missing}/x.json"], "/out"),
+                          (["fp"], "/fp/csv")):
+        assert cli.main(args + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {pointer}: ") and missing in err
+    assert not (tmp_path / "no").exists()
 
 
 @pytest.mark.parametrize("config, pointer", [

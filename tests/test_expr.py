@@ -8,8 +8,13 @@ from diffuniq import expr as E
 from diffuniq.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
 
+def value(tree, x, var="x"):
+    """The value of ``tree`` at ``x`` under the domain rule."""
+    return E.checked(E.compile_expr(tree), {var: x})
+
+
 def ev(text, x, var="x"):
-    return E.eval_expr(E.parse_expr(text, var), x, var)
+    return value(E.parse_expr(text, var), x, var)
 
 
 def test_precedence_basic():
@@ -57,7 +62,8 @@ def test_unknown_identifiers():
 
 def test_multi_variable():
     tree = E.parse_expr_multi("x1*x2 - x3", ("x1", "x2", "x3"))
-    assert E.eval_env(tree, {"x1": 2.0, "x2": 3.0, "x3": 1.0}) == 5.0
+    f = E.compile_expr(tree)
+    assert E.checked(f, {"x1": 2.0, "x2": 3.0, "x3": 1.0}) == 5.0
     assert E.free_vars(tree) == {"x1", "x2", "x3"}
 
 
@@ -128,18 +134,18 @@ def test_print_parse_roundtrip(tree, x):
     reparsed = E.parse_expr(printed, "x")
     assert reparsed == tree
     try:
-        v1 = E.eval_expr(tree, x, "x")
+        v1 = value(tree, x)
     except DomainError:
         with pytest.raises(DomainError):
-            E.eval_expr(reparsed, x, "x")
+            value(reparsed, x)
         return
-    assert E.eval_expr(reparsed, x, "x") == v1  # bitwise
+    assert value(reparsed, x) == v1  # bitwise
 
 
 @given(st.floats(-100, 100), st.floats(-100, 100), st.floats(-100, 100))
 def test_subtraction_associativity(a, b, c):
-    lhs = E.eval_expr(E.parse_expr(f"{a!r}-{b!r}-{c!r}", "x"), 0.0, "x")
-    rhs = E.eval_expr(E.parse_expr(f"({a!r}-{b!r})-{c!r}", "x"), 0.0, "x")
+    lhs = ev(f"{a!r}-{b!r}-{c!r}", 0.0)
+    rhs = ev(f"({a!r}-{b!r})-{c!r}", 0.0)
     assert lhs == rhs
 
 
@@ -149,13 +155,14 @@ def _agree_where_defined(tree, xs):
     agree bitwise, and the checked array form over each prefix of ``xs``
     raises exactly when the prefix holds an undefined point (the property
     the validation's bisection relies on); returns how many are defined."""
+    f = E.compile_expr(tree)
     with np.errstate(all="ignore"):
-        vec = E.eval_numpy(tree, {"x": xs})
+        vec = f({"x": xs})
     vec = np.broadcast_to(vec, xs.shape)
     defined = []
     for i, xi in enumerate(xs.tolist()):
         try:
-            want = E.eval_expr(tree, xi, "x")
+            want = E.checked(f, {"x": xi})
         except DomainError:
             continue
         defined.append(i)
@@ -165,11 +172,11 @@ def _agree_where_defined(tree, xs):
     for n in range(1, xs.size + 1):
         if n > first_undefined:
             with pytest.raises(DomainError):
-                E.eval_env(tree, {"x": xs[:n]})
+                E.checked(f, {"x": xs[:n]})
         else:
-            E.eval_env(tree, {"x": xs[:n]})
+            E.checked(f, {"x": xs[:n]})
     if defined:
-        checked = E.eval_env(tree, {"x": xs[defined]})
+        checked = E.checked(f, {"x": xs[defined]})
         assert np.broadcast_to(checked, (len(defined),)).tobytes() \
             == vec[defined].tobytes()
     return len(defined)

@@ -89,7 +89,7 @@ def _bump(center=0.0, width=2.0, n=401):
     xs = np.linspace(center - width, center + width, n)
     t = (xs - center) / width
     vals = np.exp(-1.0 / np.maximum(1.0 - t * t, 1e-12)) * (np.abs(t) < 1.0)
-    return GridFunction(xs, vals)
+    return GridFunction(xs, vals).zero_outside
 
 
 def test_duality_self_adjoint_case():
@@ -253,8 +253,7 @@ def test_partial_last_step_rejected():
     g = FD.Grid1D(-8.0, 8.0, 400)
     f = _bump(0.0, 1.5)
     for run in (lambda: FD.fp_solve(op, FD.gaussian_state(g), 1.0, 3e-3),
-                lambda: FD.backward_evolve(op, g, f.zero_outside(g.centers),
-                                           1.0, 3e-3),
+                lambda: FD.backward_evolve(op, g, f(g.centers), 1.0, 3e-3),
                 lambda: FD.duality_check(op, f, f, 1.0, 3e-3, grid=g)):
         with pytest.raises(ValueError, match="whole number of steps"):
             run()

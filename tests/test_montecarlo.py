@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from diffuniq import expr as E, montecarlo as MC
-from diffuniq.operator import make_operator_1d, make_operator_nd
+from diffuniq import montecarlo as MC
+from diffuniq.gridfn import whole_steps
+from diffuniq.operator import (as_coefficient, make_operator_1d,
+                               make_operator_nd)
 
 INF = math.inf
 
@@ -13,8 +15,20 @@ def ou(V="0"):
     return make_operator_1d("0.5", "-x", V, (-INF, INF))
 
 
-ONE = E.parse_expr("1", "x")
-IDENT = E.parse_expr("x", "x")
+def term(text):
+    """An expression's array form, the terminal function the CLI passes."""
+    return as_coefficient(text, "x").array
+
+
+ONE = term("1")
+IDENT = term("x")
+
+
+def one_path(op, x0, T, dt, seed, i, r_explode=MC.R_EXPLODE_DEFAULT):
+    """Path i of ``seed`` alone: end point, survival, weight, steps taken."""
+    x, alive, vint, steps = MC._em_block(op, x0, whole_steps(T, dt), dt, seed,
+                                         i, 1, r_explode)
+    return x[0], bool(alive[0]), float(MC._weights(vint)[0]), int(steps[0])
 
 
 def test_deterministic_given_seed():
@@ -35,14 +49,13 @@ def test_batching_invariance():
 
 def test_single_path_matches_vectorized():
     op = ou()
-    out = MC.simulate_path(op, 1.0, 0.3, 1e-2, seed=4, path_index=7)
+    out = one_path(op, 1.0, 0.3, 1e-2, 4, 7)
     est = MC.feynman_kac(op, IDENT, 0.3, 1.0, 100, 1e-2, seed=4, block=25)
     # path 7 of the batch uses the same stream as the standalone simulation
     # (weights are 1 here since V=0)
-    xs = [MC.simulate_path(op, 1.0, 0.3, 1e-2, seed=4, path_index=i).terminal
-          for i in range(100)]
+    xs = [one_path(op, 1.0, 0.3, 1e-2, 4, i)[0] for i in range(100)]
     assert est.mean == pytest.approx(np.mean(xs), rel=1e-12)
-    assert out.terminal == xs[7]
+    assert out[0] == xs[7]
 
 
 def test_constant_killing():
@@ -66,7 +79,7 @@ def test_dt_consistency():
 
 def test_potential_monotonicity_coupled():
     # same seed => identical paths; a larger potential only shrinks weights
-    f = E.parse_expr("exp(-x^2)", "x")
+    f = term("exp(-x^2)")
     e0 = MC.feynman_kac(ou("0"), f, 0.5, 0.0, 5000, 1e-3, seed=8)
     e1 = MC.feynman_kac(ou("x^2"), f, 0.5, 0.0, 5000, 1e-3, seed=8)
     e2 = MC.feynman_kac(ou("x^2 + 1"), f, 0.5, 0.0, 5000, 1e-3, seed=8)
@@ -80,10 +93,9 @@ def test_explosion_surrogate():
     op = make_operator_1d("0.5", "x^3", "0", (-INF, INF))
     est = MC.feynman_kac(op, ONE, 1.0, 2.0, 500, 1e-3, seed=2, r_explode=50.0)
     assert est.explosion_fraction > 0.5
-    single = MC.simulate_path(op, 2.0, 1.0, 1e-3, seed=2, path_index=0,
-                              r_explode=50.0)
-    assert single.exploded and single.terminal is None
-    assert single.exit_time is not None and 0.0 < single.exit_time <= 1.0
+    _, alive, _, steps = one_path(op, 2.0, 1.0, 1e-3, 2, 0, r_explode=50.0)
+    assert not alive
+    assert 0.0 < steps * 1e-3 <= 1.0
 
 
 def test_finite_interval_absorption():
@@ -99,33 +111,16 @@ def test_terminal_gridfunction_zero_outside():
     xs = np.linspace(-1.0, 1.0, 101)
     f = GridFunction(xs, np.ones_like(xs))
     op = ou()
-    est = MC.feynman_kac(op, f, 0.5, 0.0, 4000, 1e-3, seed=7)
+    est = MC.feynman_kac(op, f.zero_outside, 0.5, 0.0, 4000, 1e-3, seed=7)
     assert 0.0 < est.mean < 1.0  # paths outside [-1,1] contribute zero
 
 
 def test_nd_path_runs():
     op = make_operator_nd(3, ["-x1", "-x2", "-x3"], "0")
-    out = MC.simulate_path(op, [1.0, 0.0, 0.0], 0.2, 1e-2, seed=1, path_index=0)
-    assert not out.exploded
-    assert out.terminal.shape == (3,)
-    assert out.weight == 1.0
-
-
-def test_coupled_radial_domination():
-    # beta strictly below the true radial drift: the ND radius dominates the
-    # 1D comparison radius on coupled increments, on average and at the end
-    op = make_operator_nd(3, ["-x1", "-x2", "-x3"], "0")
-    m_strict = MC.coupled_radial_comparison(op, lambda r: -r - 0.3,
-                                            [2.0, 0.0, 0.0], 1.0, 1e-3,
-                                            seed=12, n_paths=64)
-    assert m_strict[:, -1].mean() > 0.1
-    # with the exact radial drift as beta the margin is only the O(dt)
-    # discretization slack
-    m_exact = MC.coupled_radial_comparison(op, lambda r: -r,
-                                           [2.0, 0.0, 0.0], 1.0, 1e-3,
-                                           seed=12, n_paths=64)
-    assert m_exact[:, -1].mean() > -0.02
-    assert np.all(m_strict[:, -1] >= m_exact[:, -1] - 1e-9)
+    terminal, alive, weight, _ = one_path(op, [1.0, 0.0, 0.0], 0.2, 1e-2, 1, 0)
+    assert alive
+    assert terminal.shape == (3,)
+    assert weight == 1.0
 
 
 def test_nd_constant_killing():
@@ -150,9 +145,8 @@ def test_nd_single_path_is_path_of_block():
     block = np.concatenate(terminals)
     assert block.shape == (200, 3)
     for i in (0, 127, 128, 199):
-        out = MC.simulate_path(op, [1.0, 0.5, 0.0], 0.2, 1e-2, seed=5,
-                               path_index=i)
-        assert np.array_equal(out.terminal, block[i])
+        terminal = one_path(op, [1.0, 0.5, 0.0], 0.2, 1e-2, 5, i)[0]
+        assert np.array_equal(terminal, block[i])
 
 
 def test_block_kernel_matches_scalar_reference():
@@ -170,13 +164,13 @@ def test_block_kernel_matches_scalar_reference():
                 break
             vint += 0.5 * (op.V(x) + op.V(x_new)) * dt
             x = x_new
-        out = MC.simulate_path(op, 0.5, T, dt, seed=seed, path_index=i)
-        assert out.exploded == exited
-        assert out.weight == pytest.approx(math.exp(-vint), rel=1e-12)
+        terminal, alive, weight, steps = one_path(op, 0.5, T, dt, seed, i)
+        assert (not alive) == exited
+        assert weight == pytest.approx(math.exp(-vint), rel=1e-12)
         if exited:
-            assert out.exit_time == pytest.approx((k + 1) * dt)
+            assert steps * dt == pytest.approx((k + 1) * dt)
         else:
-            assert out.terminal == pytest.approx(x, rel=1e-12, abs=1e-14)
+            assert terminal == pytest.approx(x, rel=1e-12, abs=1e-14)
 
 
 def test_chunk_boundaries_match_scalar_reference():
@@ -213,7 +207,7 @@ BIT_PINS = {
 
 
 def _pinned_run(name):
-    f = E.parse_expr("exp(-x^2)", "x")
+    f = term("exp(-x^2)")
     if name == "ou V=0":
         return MC.feynman_kac(ou("0"), f, 0.5, 0.3, 3000, 1e-2, seed=21)
     if name == "ou V=1 chunked":
@@ -253,29 +247,9 @@ def test_path_stream_is_the_jumped_stream(seed):
 
 @pytest.mark.parametrize("run", [
     lambda: MC.feynman_kac(ou(), IDENT, 1.0, 0.0, 100, 3e-3),
-    lambda: MC.simulate_path(ou(), 0.0, 1.0, 3e-3),
-    lambda: MC.coupled_radial_comparison(
-        make_operator_nd(2, ["-x1", "-x2"], "0"), lambda r: -r, [1.0, 0.0],
-        1.0, 3e-3),
+    lambda: one_path(ou(), 0.0, 1.0, 3e-3, 0, 0),
 ])
 def test_partial_last_step_rejected(run):
     # 1.0 / 3e-3 = 333.33 steps: no run may stop short of T
     with pytest.raises(ValueError, match="whole number of steps"):
         run()
-
-
-def test_coupled_radial_matches_per_path_reference():
-    # the per-path loop the vectorized coupling replaced
-    op = make_operator_nd(3, ["-x1", "-x2 + 0.3*sin(x1)", "-x3"], "0")
-    x0, dt, n_steps = np.array([2.0, 0.5, 0.0]), 1e-2, 40
-    margins = MC.coupled_radial_comparison(op, lambda r: -r - 0.3, x0,
-                                           n_steps * dt, dt, seed=3, n_paths=4)
-    for i in range(4):
-        xi = MC._path_rng(3, i).standard_normal((n_steps, 3))
-        x, r1 = x0.copy(), float(np.linalg.norm(x0))
-        for k in range(n_steps):
-            dw_rad = float(x / np.linalg.norm(x) @ xi[k]) * math.sqrt(dt)
-            x = x + op.drift_at(x) * dt + math.sqrt(dt) * xi[k]
-            r1 = r1 + (-r1 - 0.3 + 1.0 / r1) * dt + dw_rad
-            assert margins[i, k] == pytest.approx(np.linalg.norm(x) - r1,
-                                                  rel=1e-12, abs=1e-12)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import diffuniq
+from diffuniq import expr, montecarlo
 
 
 def test_public_names_resolve_once():
@@ -12,9 +13,13 @@ def test_public_names_resolve_once():
 
 
 def test_removed_names_stay_gone():
-    for name in ("FellerPair", "build_feller", "Budget"):
+    for name in ("FellerPair", "build_feller", "Budget", "eval_expr",
+                 "coupled_radial_comparison"):
         assert name not in diffuniq.__all__ and not hasattr(diffuniq, name)
     assert "log_scale" in diffuniq.__all__
+    for module, name in ((montecarlo, "simulate_path"), (expr, "eval_env"),
+                         (expr, "eval_numpy")):
+        assert not hasattr(module, name)
 
 
 def test_import_loads_no_scipy_integrate():

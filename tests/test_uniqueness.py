@@ -398,11 +398,11 @@ def test_entrance_agrees_with_uniqueness_for_v0():
 def test_march_domain_error_is_inconclusive():
     # a leaves its domain past x = 5, inside the third window toward +inf;
     # built directly because validation would reject it
-    def a(x):
-        if x > 5.0:
-            raise DomainError(f"a undefined at {x}")
-        return 0.5
-    zero = Coefficient(lambda x: 0.0)
+    def a(xs):
+        if (xs > 5.0).any():
+            raise DomainError(f"a undefined at {xs[xs > 5.0][0]}")
+        return np.full(xs.shape, 0.5)
+    zero = Coefficient(np.zeros_like)
     op = Operator1D(Coefficient(a), zero, zero, -INF, INF)
     for v in (U.entrance_test(op, 0.0, INF),
               U.endpoint_condition(op, 0.0, 1.0, INF)):
@@ -412,13 +412,14 @@ def test_march_domain_error_is_inconclusive():
 
 def test_march_non_finite_coefficient_names_the_point():
     # the first stage point past x = 5 in marching order is the one named
-    b = Coefficient(lambda x: math.nan if x > 5.0 else 0.0)
-    zero = Coefficient(lambda x: 0.0)
-    op = Operator1D(Coefficient(lambda x: 0.5), b, zero, -INF, INF)
+    b = Coefficient(lambda xs: np.where(xs > 5.0, np.nan, 0.0))
+    zero = Coefficient(np.zeros_like)
+    op = Operator1D(Coefficient(lambda xs: np.full(xs.shape, 0.5)), b, zero,
+                    -INF, INF)
     v = U.endpoint_condition(op, 0.0, 1.0, INF)
     assert v.is_inconclusive and v.windows_used == 2
     assert v.evidence.startswith(
-        "ODE march failed (a coefficient is not finite at x=5.")
+        "ODE march failed (non-finite value at x=5.")
 
 
 # base point defaults -------------------------------------------------------
