@@ -26,7 +26,7 @@ from .operator import (
     make_operator_nd,
     radial_bound,
 )
-from .quadrature import IntegralVerdict, improper_integral, log_scale
+from .quadrature import IntegralVerdict, log_scale
 from .uniqueness import (
     INCONCLUSIVE,
     NOT_UNIQUE,
@@ -39,7 +39,6 @@ from .uniqueness import (
     monotone_solution,
     nd_verdicts,
     uniqueness_1d,
-    uniqueness_nd,
 )
 from .fdsolver import (
     ABSORBING,
@@ -61,8 +60,8 @@ __all__ = [
     "REFLECTING", "STRICT_THEOREM", "UNIQUE", "UnknownIdentifier",
     "ValidationError", "Verdict", "bc_sensitivity_probe", "duality_check",
     "endpoint_condition", "entrance_test", "feynman_kac", "format_expr",
-    "fp_solve", "free_vars", "gaussian_state", "improper_integral",
-    "log_scale", "make_operator_1d", "make_operator_nd", "monotone_solution",
+    "fp_solve", "free_vars", "gaussian_state", "log_scale",
+    "make_operator_1d", "make_operator_nd", "monotone_solution",
     "nd_verdicts", "parse_expr", "parse_expr_multi", "radial_bound",
-    "uniqueness_1d", "uniqueness_nd",
+    "uniqueness_1d",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -41,6 +42,11 @@ DEFAULTS = {
     "probe": {"windows": [4.0, 6.0, 8.0], "T": 1.0, "core_radius": 2.0},
     "out": None,
 }
+# the keys of an operator, and of each kind of fp.u0 profile
+_OPERATOR_KEYS = {"1D": ("a", "b", "V", "interval", "var"),
+                  "ND": ("d", "b", "V", "beta")}
+_PROFILE_KEYS = {"gaussian": ("type", "center", "var"),
+                 "table": ("type", "xs", "values")}
 
 
 def _number(v, pointer):
@@ -110,10 +116,19 @@ _RULES = {
 }
 
 
+def _known_keys(obj, known, pointer):
+    """A config error at the first key of ``obj`` that is not ``known``."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{pointer}/{key}",
+                              f"unknown key; expected one of {list(known)}")
+
+
 def resolve_config(raw):
     """Fill defaults and validate shape; the result is echoed in the report."""
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a JSON object")
+    _known_keys(raw, ("mode", "operator", *DEFAULTS), "")
     mode = raw.get("mode")
     if mode not in MODES:
         raise ConfigError("/mode", f"must be one of {MODES}, got {mode!r}")
@@ -122,9 +137,13 @@ def resolve_config(raw):
     if not isinstance(opspec, dict):
         raise ConfigError("/operator", "missing operator specification")
     cfg["operator"] = dict(opspec)
-    if "d" in opspec:  # multidimensional
-        if mode not in ("classify1d", "classifynd"):
-            raise ConfigError("/operator", f"{mode} mode takes a 1D operator")
+    nd = "d" in opspec
+    if nd != (mode == "classifynd"):  # only classifynd takes an ND operator
+        want = "a multidimensional" if mode == "classifynd" else "a 1D"
+        raise ConfigError("/mode" if mode.startswith("classify") else "/operator",
+                          f"{mode} mode takes {want} operator")
+    _known_keys(opspec, _OPERATOR_KEYS["ND" if nd else "1D"], "/operator")
+    if nd:
         d = opspec.get("d")
         if not isinstance(d, int) or d < 2:
             raise ConfigError("/operator/d", "dimension must be an integer >= 2")
@@ -163,6 +182,7 @@ def resolve_config(raw):
         user = raw.get(section, {})
         if not isinstance(user, dict):
             raise ConfigError(f"/{section}", "expected an object")
+        _known_keys(user, DEFAULTS[section], f"/{section}")
         merged.update(user)
         cfg[section] = merged
     for pointer, (ok, expected) in _RULES.items():
@@ -171,6 +191,14 @@ def resolve_config(raw):
             value = value[part]
         if not ok(value):
             raise ConfigError(pointer, f"expected {expected}, got {value!r}")
+    u0 = cfg["fp"]["u0"]
+    _known_keys(u0, _PROFILE_KEYS[u0["type"]], "/fp/u0")
+    # an output path needs its directory before the run, not after it
+    for pointer, path in (("/out", cfg["out"]),
+                          ("/fp/csv", mode == "fp" and cfg["fp"]["csv"])):
+        folder = os.path.dirname(path) if path else ""
+        if folder and not os.path.isdir(folder):
+            raise ConfigError(pointer, f"no directory {folder!r} for {path!r}")
     # every stepper runs whole_steps(T, dt) steps, which must exist
     clocks = [("fp", "fp"), ("fk", "fk")]
     if mode == "xval":  # fp.dt also steps the FD cross-check and the probe
@@ -392,7 +420,7 @@ def _jsonable(obj):
     return obj
 
 
-def emit(report, out=None):
+def emit(report, out):
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
     if out:
         try:

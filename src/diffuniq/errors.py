@@ -31,7 +31,8 @@ class DomainError(DiffuniqError):
 
 
 class ValidationError(DiffuniqError):
-    """An operator hypothesis was falsified at a sample point."""
+    """An operator hypothesis was falsified, at a sample point if one is
+    known (``point`` None otherwise)."""
 
     NEGATIVE_DIFFUSION = "NegativeDiffusion"
     NEGATIVE_POTENTIAL = "NegativePotential"
@@ -39,7 +40,7 @@ class ValidationError(DiffuniqError):
     NONZERO_POTENTIAL = "NonzeroPotential"
 
     def __init__(self, kind, point, detail=""):
-        msg = f"{kind} at x={point!r}"
+        msg = kind if point is None else f"{kind} at x={point!r}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

@@ -168,13 +168,10 @@ class Discretization(Tridiagonal):
                          upper=c_right / dx)   # G_{i+1/2} part of u_{i+1}
 
 
-def fp_step(state, op, dt, disc=None):
-    """One Crank-Nicolson step; falls back to implicit Euler when it breaks
-    positivity beyond roundoff, and counts that on the returned state."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if disc is None:
-        disc = Discretization(op, state.grid, state.bc)
+def fp_step(state, disc, dt):
+    """One Crank-Nicolson step of the state's discretization ``disc``; falls
+    back to implicit Euler when it breaks positivity beyond roundoff, and
+    counts that on the returned state."""
     u_new = disc.step(state.values, dt, 0.5)
     fallbacks = state.theta_fallbacks
     if np.min(state.values) >= 0.0:
@@ -198,7 +195,7 @@ def fp_solve(op, u0, T, dt, record_mass=True):
     times = [state.t]
     masses = [state.mass()]
     for _ in range(n_steps):
-        state = fp_step(state, op, dt, disc=disc)
+        state = fp_step(state, disc, dt)
         if record_mass:
             times.append(state.t)
             masses.append(state.mass())
@@ -252,16 +249,16 @@ def duality_check(op, f, g, T, dt, grid=None):
     return abs(pair_fwd - pair_bwd)
 
 
-def probe_windows(windows, core_radius, center=0.0):
-    """The grid of each probe window [center - R, center + R], cells about
-    1/800 of the widest window wide, and the mask of its core cells
-    |x - center| <= core_radius.  Raises ``ValueError`` when a core holds
+def probe_windows(windows, core_radius):
+    """The grid of each probe window [-R, R], cells about 1/800 of the
+    widest window wide, and the mask of its core cells |x| <= core_radius.
+    Raises ``ValueError`` when a core holds
     no cell centre, i.e. core_radius is below half a cell."""
     dx = (2.0 * max(windows)) / 800.0
     out = []
     for R in windows:
-        grid = Grid1D(center - R, center + R, max(16, int(round(2.0 * R / dx))))
-        core = np.abs(grid.centers - center) <= core_radius
+        grid = Grid1D(-R, R, max(16, int(round(2.0 * R / dx))))
+        core = np.abs(grid.centers) <= core_radius
         if not core.any():
             raise ValueError(
                 f"core_radius {core_radius:g} holds no cell of the window "
@@ -271,16 +268,15 @@ def probe_windows(windows, core_radius, center=0.0):
     return out
 
 
-def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0,
-                         center=None):
+def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0):
     """Boundary inflow into the core region vs truncation radius.
 
     An entrance boundary is one from which mass can enter in finite time, and
     it is what breaks L-infinity uniqueness.  For each window
-    [center - R, center + R] the probe puts half a unit of mass in the
-    outermost cell at each wall, evolves it under reflecting walls to time T
-    (one ``fp_solve`` per window), and records the mass inside the core
-    |x - center| <= core_radius as ``core_masses``.  Across an entrance the
+    [-R, R] the probe puts half a unit of mass in the outermost cell at each
+    wall, evolves it under reflecting walls to time T (one ``fp_solve`` per
+    window), and records the mass inside the core |x| <= core_radius as
+    ``core_masses``.  Across an entrance the
     core mass stays O(1) however far out the walls are; otherwise it decays
     as R grows.
 
@@ -296,10 +292,8 @@ def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0,
     The window grids come from :func:`probe_windows`, which raises
     ``ValueError`` before any solve when a core holds no cell.
     """
-    if center is None:
-        center = 0.0
     core_masses, fallbacks = [], 0
-    for grid, core in probe_windows(windows, core_radius, center):
+    for grid, core in probe_windows(windows, core_radius):
         inflow = np.zeros(grid.m)
         inflow[[0, -1]] = 0.5 / grid.dx
         s_in, _ = fp_solve(op, FPState(grid, inflow, 0.0, REFLECTING), T, dt,
@@ -319,14 +313,13 @@ def bc_sensitivity_probe(op, u0, T, windows, dt=1e-3, core_radius=2.0,
             "ratios": ratios, "label": label, "theta_fallbacks": fallbacks}
 
 
-def dump_csv(path, times, masses, final_state=None):
-    """CSV trace of (t, mass), 17 significant digits, plus an optional
-    final-profile section."""
+def dump_csv(path, times, masses, final_state):
+    """CSV trace of (t, mass), then the final profile (x, u), 17 significant
+    digits."""
     with open(path, "w") as fh:
         fh.write("t,mass\n")
         for t, m in zip(times, masses):
             fh.write(f"{t:.17g},{m:.17g}\n")
-        if final_state is not None:
-            fh.write("x,u\n")
-            for x, u in zip(final_state.grid.centers, final_state.values):
-                fh.write(f"{x:.17g},{u:.17g}\n")
+        fh.write("x,u\n")
+        for x, u in zip(final_state.grid.centers, final_state.values):
+            fh.write(f"{x:.17g},{u:.17g}\n")

@@ -30,6 +30,7 @@ R_EXPLODE_DEFAULT = 1e6
 GUARD_BAND = 1e-9  # relative band beyond a finite interval endpoint
 _W_FLOOR = 1e-300
 _CHUNK = 512  # steps of normals held per path; bounds the table's memory
+_BLOCK = 2048  # paths stepped together by one _em_block call
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def _weights(vint):
 
 
 def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
-                r_explode=R_EXPLODE_DEFAULT, block=2048):
+                r_explode=R_EXPLODE_DEFAULT):
     """Monte Carlo estimate of E[ 1_survived f(X_T) exp(-int_0^T V) ].
 
     ``f`` maps an array of end points to their values, evaluated unchecked:
@@ -143,8 +144,8 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
     n_steps = whole_steps(T, dt)
     contribs = np.empty(n_paths)
     exploded_total = 0
-    for start in range(0, n_paths, block):
-        nb = min(block, n_paths - start)
+    for start in range(0, n_paths, _BLOCK):
+        nb = min(_BLOCK, n_paths - start)
         x, alive, vint, _ = _em_block(op, x0, n_steps, dt, seed, start, nb,
                                       r_explode)
         with np.errstate(all="ignore"):

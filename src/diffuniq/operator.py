@@ -25,13 +25,12 @@ class Coefficient:
     of its values there.  ``array`` is the unchecked form, which the solver
     kernels call under their own ``np.errstate``: a fresh array of the
     points' shape.  ``check`` is the checked form over an array of points
-    (DomainError off the domain rule of :mod:`expr`), and ``__call__`` the
-    checked form at one point, a float.  ``constant`` is the value of an
-    expression with no free variable (None otherwise).
+    (DomainError off the domain rule of :mod:`expr`).  ``constant`` is the
+    value of an expression with no free variable (None otherwise).
     """
 
     def __init__(self, fn, expr=None, var=None):
-        self.expr, self.var = expr, var
+        self.expr = expr
         if expr is not None:
             f = ex.compile_expr(expr)
             fn = lambda xs: f({var: xs})
@@ -48,9 +47,6 @@ class Coefficient:
         with np.errstate(all="ignore"):  # the array form's bits, unchecked
             return float(self.array(np.zeros(1))[0])
 
-    def __call__(self, x):
-        return float(self.check([x])[0])
-
     def array(self, xs):  # a fresh array of xs's shape, never xs itself
         xs = np.asarray(xs, dtype=float)
         r = np.asarray(self._fn(xs), dtype=float)
@@ -62,11 +58,6 @@ class Coefficient:
         """The values at the points ``xs``; DomainError where the domain rule
         fails at one of them."""
         return ex.checked(self.array, xs)
-
-    def text(self):
-        if self.expr is not None:
-            return ex.format_expr(self.expr)
-        return f"<callable {self._fn!r}>"
 
 
 def as_coefficient(spec, var):
@@ -90,16 +81,9 @@ class Operator1D:
     V: Coefficient
     x0: float
     y0: float
-    var: str = "x"
 
     def interior(self, x):
         return self.x0 < x < self.y0
-
-    def describe(self):
-        return {
-            "a": self.a.text(), "b": self.b.text(), "V": self.V.text(),
-            "interval": [self.x0, self.y0], "var": self.var,
-        }
 
 
 def probe_points(x0, y0, per_gap=512):
@@ -195,7 +179,7 @@ def make_operator_1d(a, b, V, interval, var="x"):
                                   f"V(x)={vv!r}")
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, x,
                               f"1/a or b/a non-finite, a={av!r} b={bv!r}")
-    return Operator1D(a_c, b_c, V_c, x0, y0, var)
+    return Operator1D(a_c, b_c, V_c, x0, y0)
 
 
 @dataclass(frozen=True)
@@ -252,21 +236,11 @@ SAMPLED, USER_SUPPLIED = "Sampled", "UserSupplied"
 
 @dataclass(frozen=True)
 class RadialBound:
-    """Tabulated lower bound for the radial drift component b(x).x/|x|."""
+    """Lower bound for the radial drift component b(x).x/|x|: ``array`` maps
+    an array of radii to the bound there, unchecked."""
 
-    table: GridFunction
+    array: object  # the override's array form, or the sampled table
     provenance: str  # Sampled | UserSupplied
-    override: Coefficient | None = None
-
-    def array(self, rs):
-        """The bound at an array of radii."""
-        if self.override is not None:
-            return self.override.array(rs)
-        return self.table(rs)
-
-    @property
-    def r_max(self):
-        return self.table.x_max
 
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -301,16 +275,16 @@ def unit_directions(n, d, seed=0):
 
 
 def radial_bound(op: OperatorND, r_grid, seed=0):
-    """Tabulate beta(r): the override if given, else the sampled directional
-    minimum of b(r e) . e over quasi-uniform unit directions e."""
+    """beta(r): the override if given, checked on the radii, else the sampled
+    directional minimum of b(r e) . e over quasi-uniform unit directions e,
+    tabulated on the radii and held constant past them."""
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 2 or not np.all(np.diff(r_grid) > 0) or r_grid[0] <= 0.0:
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, r_grid,
                               "radii must be positive and increasing")
     if op.beta_override is not None:
-        vals = op.beta_override.check(r_grid)
-        return RadialBound(GridFunction(r_grid, vals), USER_SUPPLIED,
-                           op.beta_override)
+        op.beta_override.check(r_grid)
+        return RadialBound(op.beta_override.array, USER_SUPPLIED)
     dirs = unit_directions(max(64, 2 * op.d), op.d, seed)
     radial = np.einsum("kij,ij->ki", op.drift_at(r_grid[:, None, None] * dirs), dirs)
     bad = np.argwhere(~np.isfinite(radial))

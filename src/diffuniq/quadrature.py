@@ -116,8 +116,9 @@ class _WindowJudge:
         self.total = 0.0
         self.quad_err = 0.0
 
-    def feed(self, inc, quad_err=0.0):
-        """Register a window increment; returns a verdict or None."""
+    def feed(self, inc, quad_err):
+        """Register a window increment and its quadrature error; returns a
+        verdict or None."""
         self.increments.append(inc)
         self.total += inc
         self.quad_err += quad_err
@@ -236,19 +237,6 @@ def windowed_verdict(endpoint, anchor, open_window):
         if verdict is not None:
             return verdict
     return judge.inconclusive()
-
-
-def improper_integral(f, endpoint, anchor):
-    """Three-valued verdict for the integral of a nonnegative ``f`` from
-    ``anchor`` toward ``endpoint`` (finite or infinite).  ``f`` maps an array
-    of points to its values there, evaluated unchecked; a negative or NaN
-    value reads ``Inconclusive``."""
-
-    def log_f(lo, hi, xs):
-        with np.errstate(all="ignore"):
-            return np.log(f(xs))
-
-    return windowed_verdict(endpoint, anchor, log_f)
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,15 @@ quadrature node with m equal steps per gap and accepts once the m and 2m
 marches agree.  The truncated series is kept as an independent
 cross-check, summed by a cumulative Simpson rule (``_cumulative_simpson``).
 
-Both integral tests share that march and one window helper
-(``_march_verdict``), which marches through the Gauss-Legendre nodes of
-each window of ``quadrature.windowed_verdict`` and hands that walk the
-log-integrand there; the walk sums it in log space and owns the cumulative
-cap.  The endpoint test integrates rho u = exp(sigma + log h_hat - log a)
-and needs no overflow guard.  The entrance test (V = 0) marches (K, g) with
-the quadrature L, integrates g / a, and keeps a guard on K and g: K = int
-rho beyond it already forces the iterated integral to diverge.
+Both integral tests share that march and one helper (``_windowed_march``),
+which checks the base point and the endpoint, marches through the
+Gauss-Legendre nodes of each window of ``quadrature.windowed_verdict`` and
+hands that walk the log-integrand there; the walk sums it in log space and
+owns the cumulative cap.  The endpoint test integrates
+rho u = exp(sigma + log h_hat - log a) and needs no overflow guard.  The
+entrance test (V = 0) marches (K, g) with the quadrature L, integrates
+g / a, and keeps a guard on K and g: K = int rho beyond it already forces
+the iterated integral to diverge.
 
 Every test takes the base point c itself.  Neither integral test needs the
 scale function; only ``monotone_solution`` and ``series_partial`` call
@@ -52,7 +53,7 @@ import numpy as np
 from . import quadrature as qd
 from .errors import DomainError, ValidationError
 from .operator import (SAMPLED, Coefficient, RadialBound, as_coefficient,
-                       first_failure, make_operator_1d)
+                       first_failure, make_operator_1d, probe_points)
 
 TOWARD_UPPER, TOWARD_LOWER = "TowardUpper", "TowardLower"
 UNIQUE, NOT_UNIQUE, INCONCLUSIVE = "Unique", "NotUnique", "Inconclusive"
@@ -434,26 +435,31 @@ def monotone_solution(op, c, lam, direction, x_end=None, n_grid=513):
 # ---------------------------------------------------------------------------
 # endpoint conditions
 
-def _march_verdict(endpoint, anchor, march, log_integrand):
-    """Windowed verdict on the integral of exp(log_integrand(y, xs)) toward
-    ``endpoint``, y being the march's states at the window nodes xs.  The
-    march ends the walk early by raising ``WindowStop``.  The verdict
-    carries the march's count of evaluated coefficient points."""
+def _windowed_march(op, c, endpoint, start):
+    """Windowed verdict on an integral from the base point c (DomainError
+    unless interior) toward ``endpoint`` (ValueError unless one of the
+    operator's).  ``start(c, toward_upper)`` gives the march and the
+    log-integrand ``log_integrand(y, xs)``, y being the march's states at
+    the window nodes xs; the march ends the walk early by raising
+    ``WindowStop``.  The verdict carries the march's count of evaluated
+    coefficient points."""
+    c = qd.require_interior(op, c)
+    if endpoint not in (op.x0, op.y0):
+        raise ValueError(f"{endpoint!r} is not an endpoint of the operator")
+    march, log_integrand = start(c, endpoint == op.y0)
+
     def open_window(lo, hi, xs):
         return log_integrand(march.advance(xs, hi), xs)
 
-    v = qd.windowed_verdict(endpoint, anchor, open_window)
+    v = qd.windowed_verdict(endpoint, c, open_window)
     return replace(v, rhs_evals=march.evals)
 
 
 def endpoint_condition(op, c, lam, endpoint):
     """Verdict on divergence of the integral of rho * u toward ``endpoint``,
     u being the monotone solution marched from the base point c."""
-    c = qd.require_interior(op, c)
-    if endpoint not in (op.x0, op.y0):
-        raise ValueError(f"{endpoint!r} is not an endpoint of the operator")
-    march = _scaled_march(op, lam, c, endpoint == op.y0)
-    return _march_verdict(endpoint, c, march, _log_rho_u(op))
+    return _windowed_march(op, c, endpoint, lambda c, toward_upper: (
+        _scaled_march(op, lam, c, toward_upper), _log_rho_u(op)))
 
 
 def entrance_test(op, c, endpoint):
@@ -462,41 +468,41 @@ def entrance_test(op, c, endpoint):
 
     Marches (K, g) with the quadrature L = int b/a, K = int rho and
     g = alpha J, so the integrand is g / a without exponential blowup in the
-    decaying-speed-measure regime.
+    decaying-speed-measure regime.  V must be the constant 0; otherwise the
+    ValidationError names the first point of the validation ladder where V
+    is not 0, if there is one.
     """
-    c = qd.require_interior(op, c)
-    # V must vanish (sampled check)
-    sgn = 1.0 if endpoint == op.y0 else -1.0
-    probe_hi = c + sgn * np.linspace(1e-3, min(4.0, abs(endpoint - c) * 0.5
-                                               if math.isfinite(endpoint) else 4.0),
-                                     256)
-    bad = first_failure(probe_hi, (op.V,), lambda v: v != 0.0)
-    if bad is not None:
-        x, _, error = bad
-        raise error or ValidationError(
-            ValidationError.NONZERO_POTENTIAL, x,
-            "entrance test requires V identically zero")
-
-    def coeffs(xs):
-        a, b = _coefficient_arrays((op.a, op.b), xs)
-        with np.errstate(all="ignore"):
-            r = b / a
-
-        def system(L):  # K' = sgn rho, g' = r g + sgn K
-            rho = np.exp(np.minimum(L, 700.0)) / a
-            return (0.0, 0.0, sgn, r), (sgn * rho, 0.0)
-        return r, system
-
-    # K = int rho beyond the guard: since J is positive and nondecreasing
-    # past any interior point, int rho J diverges with it
-    guard = (_OVERFLOW_GUARD, f"speed-measure integral exceeded "
-             f"{_OVERFLOW_GUARD:g} at x={{x:.6g}}")
-    march = _Propagator(coeffs, 1, c, (0.0, 0.0), guard)
+    if op.V.constant != 0.0:
+        bad = first_failure(probe_points(op.x0, op.y0), (op.V,),
+                            lambda v: v != 0.0)
+        raise ValidationError(ValidationError.NONZERO_POTENTIAL,
+                              bad and bad[0],
+                              "entrance test requires V to be the constant 0")
 
     def log_integrand(y, xs):  # log(g / a); g vanishes at the base point
         with np.errstate(all="ignore"):
             return np.log(y[1]) - np.log(op.a.array(xs))
-    return _march_verdict(endpoint, c, march, log_integrand)
+
+    def start(c, toward_upper):
+        sgn = 1.0 if toward_upper else -1.0
+
+        def coeffs(xs):
+            a, b = _coefficient_arrays((op.a, op.b), xs)
+            with np.errstate(all="ignore"):
+                r = b / a
+
+            def system(L):  # K' = sgn rho, g' = r g + sgn K
+                rho = np.exp(np.minimum(L, 700.0)) / a
+                return (0.0, 0.0, sgn, r), (sgn * rho, 0.0)
+            return r, system
+
+        # K = int rho beyond the guard: since J is positive and nondecreasing
+        # past any interior point, int rho J diverges with it
+        guard = (_OVERFLOW_GUARD, f"speed-measure integral exceeded "
+                 f"{_OVERFLOW_GUARD:g} at x={{x:.6g}}")
+        return _Propagator(coeffs, 1, c, (0.0, 0.0), guard), log_integrand
+
+    return _windowed_march(op, c, endpoint, start)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +611,8 @@ def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), seed=0):
     """
     from .operator import radial_bound  # looked up per call, so it can be wrapped
 
-    rb = radial_bound(op_nd, np.geomspace(1e-3, 256.0, 160), seed=seed)
+    r_grid = np.geomspace(1e-3, 256.0, 160)
+    rb = radial_bound(op_nd, r_grid, seed=seed)
     op1 = radial_reduce(rb, op_nd.d, op_nd.V)
     c = 1.0
     v1 = uniqueness_1d(op1, lam_set, c=c)
@@ -613,7 +620,7 @@ def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), seed=0):
     diagnostics = []
     if rb.provenance == SAMPLED:
         diagnostics.append(
-            f"sampled radial bound held constant beyond r={rb.r_max:g}; "
+            f"sampled radial bound held constant beyond r={r_grid[-1]:g}; "
             "verdicts leaning on that tail carry extra risk")
 
     upper = tuple(rec for rec in v1.per_endpoint if rec[1] == "upper")
@@ -639,11 +646,3 @@ def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), seed=0):
                      v1.per_endpoint, v1.lambdas, c,
                      tuple(diagnostics) + v1.diagnostics)
     return {PROOF_FAITHFUL: proof, STRICT_THEOREM: strict}
-
-
-def uniqueness_nd(op_nd, lam_set=(0.5, 1.0, 2.0), mode=PROOF_FAITHFUL, seed=0):
-    """Sufficiency verdict for the multidimensional operator via the radial
-    comparison, under ``mode`` (see :func:`nd_verdicts`)."""
-    if mode not in (PROOF_FAITHFUL, STRICT_THEOREM):
-        raise ValueError(f"unknown mode {mode!r}")
-    return nd_verdicts(op_nd, lam_set, seed)[mode]

@@ -20,18 +20,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def evaluation_counts(monkeypatch):
-    """Counts of the scalar calls and checked array passes of every
-    coefficient made during the test."""
-    counts = {"scalar": 0, "passes": 0}
-    call, check = Coefficient.__call__, Coefficient.check
-
-    def counted_call(self, x):
-        counts["scalar"] += 1
-        return call(self, x)
+    """The count of checked array passes of every coefficient made during
+    the test."""
+    counts = {"passes": 0}
+    check = Coefficient.check
 
     def counted_check(self, xs):
         counts["passes"] += 1
         return check(self, xs)
-    monkeypatch.setattr(Coefficient, "__call__", counted_call)
     monkeypatch.setattr(Coefficient, "check", counted_check)
     return counts

@@ -52,7 +52,7 @@ def test_criterion_01_canonical_verdict_table():
             wrong.append(f"b={b},V={V}: {got}!={want}")
     # radial row: beta=0, d=3 -> condition (*) at +infinity must diverge
     op = make_operator_nd(3, ["0", "0", "0"], "0", beta_override="0")
-    v = U.uniqueness_nd(op, mode=U.PROOF_FAITHFUL, seed=0)
+    v = U.nd_verdicts(op, seed=0)[U.PROOF_FAITHFUL]
     upper = [rec for rec in v.per_endpoint if rec[1] == "upper"]
     if not (upper and all(rec[2].is_diverges for rec in upper)):
         wrong.append("radial beta=0 d=3: (*) at +inf did not diverge")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import diffuniq
-from diffuniq import cli, operator, uniqueness
+from diffuniq import cli, fdsolver, operator, uniqueness
 from diffuniq.errors import ConfigError
 
 
@@ -254,8 +254,14 @@ def test_sampling_sites_and_expressions_checked(config, pointer):
     assert e.value.pointer == pointer
 
 
-def test_unwritable_output_exits_2(tmp_path, capsys):
-    # a missing directory: for the report at /out, for the fp trace at /fp/csv
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
+    # a missing directory: for the report at /out, for the fp trace at
+    # /fp/csv; checked while the config is resolved, so no march and no FP
+    # solve runs
+    calls = []
+    monkeypatch.setattr(uniqueness, "endpoint_condition",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(fdsolver, "fp_solve", lambda *args: calls.append(args))
     missing = str(tmp_path / "no" / "such")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(ou_config(fp={"T": 0.01,
@@ -266,6 +272,39 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {pointer}: ") and missing in err
     assert not (tmp_path / "no").exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("config, pointer", [
+    (ou_config("classifynd"), "/mode"),
+    ({**nd_config(), "mode": "classify1d"}, "/mode"),
+    (ou_config(lambdas=[5]), "/lambdas"),
+    (ou_config("fp", fp={"TT": 3}), "/fp/TT"),
+    (ou_config(operator={**_OU, "beta": "-r"}), "/operator/beta"),
+    (nd_config(interval=[0, 1]), "/operator/interval"),
+    (ou_config("fp", fp={"u0": {"type": "gaussian", "varr": 0.2}}),
+     "/fp/u0/varr"),
+], ids=["classifynd-1d", "classify1d-nd", "top-level", "fp", "operator-1d",
+        "operator-nd", "fp-u0"])
+def test_unknown_keys_and_mismatched_modes_exit_2(tmp_path, capsys, config,
+                                                  pointer):
+    with pytest.raises(ConfigError) as e:
+        cli.resolve_config(config)
+    assert e.value.pointer == pointer
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    command = "classify" if config["mode"].startswith("classify") else "fp"
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {pointer}: ")
+
+
+def test_entrance_with_a_nonzero_potential_exits_3(tmp_path, capsys):
+    # V = 0 up to x = 5 only: the exact rule, not a probe near c
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(
+        "entrance", operator={**_OU, "V": "max(0, x - 5)"})))
+    assert cli.main(["entrance", "--config", str(path)]) == 3
+    assert "NonzeroPotential at x=5.00390625" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, pointer", [
@@ -326,7 +365,6 @@ def test_late_fk_terminal_error_is_cheap(evaluation_counts):
         cli.resolve_config(ou_config("fk", fk={"f": "sqrt(60 - x)"}))
     assert e.value.pointer == "/fk/f"
     assert str(e.value).endswith("at x=60.03125")
-    assert evaluation_counts["scalar"] <= 1
     assert evaluation_counts["passes"] <= 3 * math.ceil(math.log2(7168))
 
 

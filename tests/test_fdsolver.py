@@ -124,12 +124,11 @@ def test_duality_constant_killing_commutes():
 
 def test_probe_regular_interval_O1():
     # heat equation truncated at the interval itself: the unit of wall mass
-    # reaches the core [0.1, 0.9] at O(1) by T = 0.3 (measured 0.80; the
+    # reaches the core [-0.4, 0.4] at O(1) by T = 0.3 (measured 0.80; the
     # bound keeps a factor-two margin)
-    op = make_operator_1d("0.5", "0", "0", (0.0, 1.0))
-    u0 = _bump(0.5, 0.35)
-    tab = FD.bc_sensitivity_probe(op, u0, 0.3, [0.5], core_radius=0.4,
-                                  center=0.5)
+    op = make_operator_1d("0.5", "0", "0", (-0.5, 0.5))
+    u0 = _bump(0.0, 0.35)
+    tab = FD.bc_sensitivity_probe(op, u0, 0.3, [0.5], core_radius=0.4)
     assert tab["core_masses"][0] > 0.4
 
 

@@ -40,17 +40,20 @@ def test_deterministic_given_seed():
     assert e3.mean != e1.mean
 
 
-def test_batching_invariance():
+def test_batching_invariance(monkeypatch):
     op = ou()
-    e1 = MC.feynman_kac(op, IDENT, 0.3, 1.0, 1000, 1e-2, seed=4, block=64)
-    e2 = MC.feynman_kac(op, IDENT, 0.3, 1.0, 1000, 1e-2, seed=4, block=1000)
+    monkeypatch.setattr(MC, "_BLOCK", 64)
+    e1 = MC.feynman_kac(op, IDENT, 0.3, 1.0, 1000, 1e-2, seed=4)
+    monkeypatch.setattr(MC, "_BLOCK", 1000)
+    e2 = MC.feynman_kac(op, IDENT, 0.3, 1.0, 1000, 1e-2, seed=4)
     assert e1.mean == e2.mean
 
 
-def test_single_path_matches_vectorized():
+def test_single_path_matches_vectorized(monkeypatch):
     op = ou()
     out = one_path(op, 1.0, 0.3, 1e-2, 4, 7)
-    est = MC.feynman_kac(op, IDENT, 0.3, 1.0, 100, 1e-2, seed=4, block=25)
+    monkeypatch.setattr(MC, "_BLOCK", 25)
+    est = MC.feynman_kac(op, IDENT, 0.3, 1.0, 100, 1e-2, seed=4)
     # path 7 of the batch uses the same stream as the standalone simulation
     # (weights are 1 here since V=0)
     xs = [one_path(op, 1.0, 0.3, 1e-2, 4, i)[0] for i in range(100)]
@@ -123,25 +126,26 @@ def test_nd_path_runs():
     assert weight == 1.0
 
 
-def test_nd_constant_killing():
+def test_nd_constant_killing(monkeypatch):
     # V = 1 kills every path at rate 1: the weight is e^{-T} on each path
     op = make_operator_nd(3, ["-x1", "-x2", "-x3"], "1")
+    monkeypatch.setattr(MC, "_BLOCK", 128)
     est = MC.feynman_kac(op, lambda x: np.ones(len(x)), 0.5, [1.0, 0.0, 0.0],
-                         500, 1e-2, seed=3, block=128)
+                         500, 1e-2, seed=3)
     assert est.mean == pytest.approx(math.exp(-0.5), abs=1e-9)
     assert est.stderr <= 1e-9
     assert est.explosion_fraction == 0.0
 
 
-def test_nd_single_path_is_path_of_block():
+def test_nd_single_path_is_path_of_block(monkeypatch):
     op = make_operator_nd(3, ["-x1 + sin(x2)", "-x2", "-x3"], "r^2")
     terminals = []
 
     def record(x):  # a callable terminal function sees the (n, d) block
         terminals.append(x.copy())
         return np.ones(len(x))
-    MC.feynman_kac(op, record, 0.2, [1.0, 0.5, 0.0], 200, 1e-2, seed=5,
-                   block=128)
+    monkeypatch.setattr(MC, "_BLOCK", 128)
+    MC.feynman_kac(op, record, 0.2, [1.0, 0.5, 0.0], 200, 1e-2, seed=5)
     block = np.concatenate(terminals)
     assert block.shape == (200, 3)
     for i in (0, 127, 128, 199):
@@ -158,11 +162,12 @@ def test_block_kernel_matches_scalar_reference():
         xi = MC._path_rng(seed, i).standard_normal(50)
         x, vint, exited = 0.5, 0.0, False
         for k in range(50):
-            x_new = x + op.b(x) * dt + math.sqrt(2.0 * op.a(x) * dt) * xi[k]
+            a, b, v = (float(c.check([x])[0]) for c in (op.a, op.b, op.V))
+            x_new = x + b * dt + math.sqrt(2.0 * a * dt) * xi[k]
             if not -0.5 - 1e-9 <= x_new <= 1.5 + 1e-9:
                 exited = True
                 break
-            vint += 0.5 * (op.V(x) + op.V(x_new)) * dt
+            vint += 0.5 * (v + float(op.V.check([x_new])[0])) * dt
             x = x_new
         terminal, alive, weight, steps = one_path(op, 0.5, T, dt, seed, i)
         assert (not alive) == exited
@@ -206,13 +211,13 @@ BIT_PINS = {
 }
 
 
-def _pinned_run(name):
+def _pinned_run(name, monkeypatch):
     f = term("exp(-x^2)")
     if name == "ou V=0":
         return MC.feynman_kac(ou("0"), f, 0.5, 0.3, 3000, 1e-2, seed=21)
     if name == "ou V=1 chunked":
-        return MC.feynman_kac(ou("1"), f, 1.2, 0.3, 700, 1e-3, seed=22,
-                              block=256)
+        monkeypatch.setattr(MC, "_BLOCK", 256)
+        return MC.feynman_kac(ou("1"), f, 1.2, 0.3, 700, 1e-3, seed=22)
     if name == "variable a, V, finite":
         op = make_operator_1d("0.5 + 0.25*sin(x)", "-x", "x^2", (-0.5, 1.5))
         return MC.feynman_kac(op, f, 0.5, 0.5, 1500, 1e-2, seed=23)
@@ -220,13 +225,14 @@ def _pinned_run(name):
         op = make_operator_1d("2*0.25", "-x", "0.5*2", (-INF, INF))
         return MC.feynman_kac(op, f, 0.5, 0.1, 1500, 1e-2, seed=24)
     op = make_operator_nd(3, ["-x1", "-x2 + 0.3*sin(x1)", "-x3"], "1")
+    monkeypatch.setattr(MC, "_BLOCK", 256)
     return MC.feynman_kac(op, lambda x: np.exp(-np.sum(x * x, axis=1)), 0.5,
-                          [1.0, 0.0, 0.0], 600, 1e-2, seed=25, block=256)
+                          [1.0, 0.0, 0.0], 600, 1e-2, seed=25)
 
 
 @pytest.mark.parametrize("name", sorted(BIT_PINS))
-def test_estimates_keep_their_bits(name):
-    est = _pinned_run(name)
+def test_estimates_keep_their_bits(name, monkeypatch):
+    est = _pinned_run(name, monkeypatch)
     got = (est.mean.hex(), est.stderr.hex(), est.explosion_fraction.hex())
     assert got == BIT_PINS[name]
 

@@ -11,12 +11,11 @@ INF = math.inf
 
 def test_valid_operator_builds():
     op = OP.make_operator_1d("0.5", "-x", "x^2", (-math.inf, math.inf))
-    assert op.a(3.0) == 0.5
-    assert op.b(2.0) == -2.0
-    assert op.V(2.0) == 4.0
+    assert op.a.check([3.0]).tolist() == [0.5]
+    assert op.b.check([2.0]).tolist() == [-2.0]
+    assert op.V.check([2.0]).tolist() == [4.0]
     assert op.interior(0.0) and not op.interior(math.inf)
-    d = op.describe()
-    assert d["interval"] == [-math.inf, math.inf]
+    assert [op.x0, op.y0] == [-math.inf, math.inf]
 
 
 def test_negative_diffusion_rejected():
@@ -50,7 +49,7 @@ def _first_failure_by_loop(a, b, V, interval):
     coefs = [OP.as_coefficient(s, "x") for s in (a, b, V)]
     for x in OP.probe_points(*interval).tolist():
         try:
-            av, bv, vv = (c(x) for c in coefs)
+            av, bv, vv = (float(c.check([x])[0]) for c in coefs)
         except DomainError:
             return ValidationError.SINGULAR_COEFFICIENT, x
         if not av > 0.0:
@@ -96,11 +95,11 @@ def test_validation_fails_where_the_point_loop_does(a, b, V, interval, want):
 
 
 def test_valid_operator_makes_no_scalar_calls(evaluation_counts):
-    # and one checked array pass per coefficient
+    # one checked array pass per coefficient
     OP.make_operator_1d("0.5", "-x+tanh(exp(x))", "x^2", (-INF, INF))
-    assert evaluation_counts == {"scalar": 0, "passes": 3}
+    assert evaluation_counts == {"passes": 3}
     OP.make_operator_nd(2, ["-x1", "-x2"], "r^2")
-    assert evaluation_counts == {"scalar": 0, "passes": 4}
+    assert evaluation_counts == {"passes": 4}
 
 
 # a bisection per coefficient over the whole-line ladder
@@ -119,7 +118,6 @@ def test_late_rejection_is_cheap(evaluation_counts, build, want):
     with pytest.raises(ValidationError) as e:
         build()
     assert (e.value.kind, e.value.point) == want
-    assert evaluation_counts["scalar"] <= 1
     assert evaluation_counts["passes"] <= MAX_PASSES
 
 
@@ -164,12 +162,12 @@ def test_empty_interval_rejected():
 def test_singular_at_endpoint_is_fine():
     # 1/x is singular only at the boundary of (0, inf); interior sampling passes
     op = OP.make_operator_1d("0.5", "1/x", "0", (0.0, math.inf))
-    assert op.b(2.0) == 0.5
+    assert op.b.check([2.0]).tolist() == [0.5]
 
 
 def test_callable_coefficients():
     op = OP.make_operator_1d(lambda xs: 1.0 + xs * xs, "0", "0", (-2.0, 2.0))
-    assert op.a(1.0) == 2.0
+    assert op.a.check([1.0]).tolist() == [2.0]
     assert np.allclose(op.a.array([0.0, 1.0]), [1.0, 2.0])
 
 
@@ -182,7 +180,7 @@ def test_coefficient_rejects_non_expression_at_construction():
 
 def test_constant_coefficient_array_keeps_shape():
     c = OP.as_coefficient(2.5, "x")
-    assert c(7.0) == 2.5
+    assert c.check([7.0]).tolist() == [2.5]
     assert c.constant == 2.5
     out = c.array(np.zeros((2, 3)))
     assert out.shape == (2, 3) and np.all(out == 2.5)

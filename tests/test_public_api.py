@@ -1,9 +1,10 @@
+import dataclasses
 import os
 import subprocess
 import sys
 
 import diffuniq
-from diffuniq import expr, montecarlo
+from diffuniq import expr, montecarlo, operator, quadrature, uniqueness
 
 
 def test_public_names_resolve_once():
@@ -14,12 +15,24 @@ def test_public_names_resolve_once():
 
 def test_removed_names_stay_gone():
     for name in ("FellerPair", "build_feller", "Budget", "eval_expr",
-                 "coupled_radial_comparison"):
+                 "coupled_radial_comparison", "uniqueness_nd",
+                 "improper_integral"):
         assert name not in diffuniq.__all__ and not hasattr(diffuniq, name)
     assert "log_scale" in diffuniq.__all__
     for module, name in ((montecarlo, "simulate_path"), (expr, "eval_env"),
-                         (expr, "eval_numpy")):
+                         (expr, "eval_numpy"), (uniqueness, "uniqueness_nd"),
+                         (uniqueness, "_march_verdict"),
+                         (quadrature, "improper_integral")):
         assert not hasattr(module, name)
+    for cls, name in ((operator.Coefficient, "__call__"),
+                      (operator.Coefficient, "text"),
+                      (operator.Operator1D, "describe"),
+                      (operator.RadialBound, "r_max"),
+                      (operator.RadialBound, "override")):
+        assert name not in vars(cls)
+    assert not callable(operator.as_coefficient("x", "x"))
+    assert [f.name for f in dataclasses.fields(operator.RadialBound)] == [
+        "array", "provenance"]
 
 
 def test_import_loads_no_scipy_integrate():

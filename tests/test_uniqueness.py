@@ -6,8 +6,8 @@ import pytest
 
 from diffuniq import quadrature as Q, uniqueness as U
 from diffuniq.errors import DomainError, ValidationError
-from diffuniq.operator import (Coefficient, Operator1D, make_operator_1d,
-                               make_operator_nd, radial_bound)
+from diffuniq.operator import (Coefficient, Operator1D, as_coefficient,
+                               make_operator_1d, make_operator_nd, radial_bound)
 
 INF = math.inf
 
@@ -91,7 +91,7 @@ def test_sign_propagation_random_operators():
             a0, f"{c1!r}*x + {c3!r}*x^3", f"{v2!r}*x^2", (-INF, INF))
         lam = float(rng.uniform(0.3, 3.0))
         ms = U.monotone_solution(op, 0.0, lam, U.TOWARD_UPPER, x_end=2.0)
-        assert np.all(ms.ratio[1:] > 0.0), op.describe()
+        assert np.all(ms.ratio[1:] > 0.0), (a0, c1, c3, v2, lam)
         checked += 1
 
 
@@ -340,7 +340,8 @@ def test_block_elimination_matches_dense_stage_solve():
                          ids=["h_hat-zero", "h_hat-negative", "sigma-nan"])
 def test_undefined_log_integrand_is_inconclusive(state):
     op = ou()
-    v = U._march_verdict(INF, 0.0, _FixedStateMarch(state), U._log_rho_u(op))
+    v = U._windowed_march(op, 0.0, INF, lambda c, toward_upper: (
+        _FixedStateMarch(state), U._log_rho_u(op)))
     assert v.is_inconclusive and v.windows_used == 0
     assert "log-integrand undefined" in v.evidence
     assert v.rhs_evals == 7
@@ -360,6 +361,31 @@ def test_entrance_requires_zero_potential():
     with pytest.raises(ValidationError) as e:
         U.entrance_test(op, 0.0, INF)
     assert e.value.kind == ValidationError.NONZERO_POTENTIAL
+
+
+def test_entrance_potential_must_be_the_constant_zero():
+    # V vanishes near the base point but not past x = 5: the error names
+    # the first point of the validation ladder where V is not 0
+    op = make_operator_1d("0.5", "-x", "max(0, x - 5)", (-INF, INF))
+    with pytest.raises(ValidationError) as e:
+        U.entrance_test(op, 0.0, INF)
+    assert (e.value.kind, e.value.point) == (
+        ValidationError.NONZERO_POTENTIAL, 5.00390625)
+    # 0 at every point but not the constant 0: no point to name
+    op = make_operator_1d("0.5", "-x", "0*x", (-INF, INF))
+    with pytest.raises(ValidationError) as e:
+        U.entrance_test(op, 0.0, -INF)
+    assert (e.value.kind, e.value.point) == (
+        ValidationError.NONZERO_POTENTIAL, None)
+
+
+@pytest.mark.parametrize("test", [
+    lambda op: U.entrance_test(op, 0.0, 5.0),
+    lambda op: U.endpoint_condition(op, 0.0, 1.0, 5.0),
+], ids=["entrance_test", "endpoint_condition"])
+def test_integral_tests_take_only_an_endpoint(test):
+    with pytest.raises(ValueError, match="not an endpoint"):
+        test(ou())
 
 
 def test_entrance_bessel3_closed_form():
@@ -402,7 +428,7 @@ def test_march_domain_error_is_inconclusive():
         if (xs > 5.0).any():
             raise DomainError(f"a undefined at {xs[xs > 5.0][0]}")
         return np.full(xs.shape, 0.5)
-    zero = Coefficient(np.zeros_like)
+    zero = as_coefficient(0.0, "x")  # the entrance test's V is the constant 0
     op = Operator1D(Coefficient(a), zero, zero, -INF, INF)
     for v in (U.entrance_test(op, 0.0, INF),
               U.endpoint_condition(op, 0.0, 1.0, INF)):
@@ -453,7 +479,7 @@ def test_default_base_point():
 def test_nd_free_brownian_diverges_at_infinity():
     # beta = 0, d = 3: the comparison test at +infinity must diverge
     op = make_operator_nd(3, ["0", "0", "0"], "0")
-    v = U.uniqueness_nd(op, (1.0,), seed=3)
+    v = U.nd_verdicts(op, (1.0,), seed=3)[U.PROOF_FAITHFUL]
     assert v.kind == U.UNIQUE
     assert all(rec[2].is_diverges for rec in v.per_endpoint)
 
@@ -461,7 +487,8 @@ def test_nd_free_brownian_diverges_at_infinity():
 def test_nd_sampled_matches_override():
     ops = (make_operator_nd(3, ["-x1", "-x2", "-x3"], "0"),
            make_operator_nd(3, ["-x1", "-x2", "-x3"], "0", beta_override="-r"))
-    kinds = [U.uniqueness_nd(op, (0.5, 1.0, 2.0), seed=11).kind for op in ops]
+    kinds = [U.nd_verdicts(op, (0.5, 1.0, 2.0), seed=11)[U.PROOF_FAITHFUL].kind
+             for op in ops]
     assert kinds == [U.UNIQUE, U.UNIQUE]
 
 
@@ -479,7 +506,7 @@ def test_nd_never_notunique():
     # inward cubic radial drift: 1D comparison is NotUnique, ND must not claim it
     op = make_operator_nd(2, ["-x1^3", "-x2^3"], "0", beta_override="-r^3")
     for mode in (U.PROOF_FAITHFUL, U.STRICT_THEOREM):
-        v = U.uniqueness_nd(op, (1.0,), mode=mode, seed=0)
+        v = U.nd_verdicts(op, (1.0,), seed=0)[mode]
         assert v.kind != U.NOT_UNIQUE
 
 
@@ -487,7 +514,7 @@ def test_nd_strict_mode_flags_origin():
     # d=3 free Brownian: Bessel-3 comparison has an entrance boundary at 0,
     # so the literal two-endpoint hypothesis fails there
     op = make_operator_nd(3, ["0", "0", "0"], "0")
-    v = U.uniqueness_nd(op, (1.0,), mode=U.STRICT_THEOREM, seed=3)
+    v = U.nd_verdicts(op, (1.0,), seed=3)[U.STRICT_THEOREM]
     assert v.kind == U.INCONCLUSIVE
     assert any("entrance boundary at 0" in d for d in v.diagnostics)
 
@@ -500,9 +527,9 @@ def test_radial_drift_array_form_matches_scalar():
     grid = np.geomspace(1e-3, 256.0, 160)
     b_s = U.radial_reduce(radial_bound(sampled, grid), 3, sampled.V).b
     b_o = U.radial_reduce(radial_bound(override, grid), 3, override.V).b
-    scalar_s = np.array([b_s(float(r)) for r in rs])
+    scalar_s = np.array([b_s.check([r])[0] for r in rs])
     assert np.array_equal(b_s.array(rs), scalar_s)
-    scalar_o = np.array([b_o(float(r)) for r in rs])
+    scalar_o = np.array([b_o.check([r])[0] for r in rs])
     assert np.array_equal(b_o.array(rs), scalar_o)
 
 
@@ -512,5 +539,5 @@ def test_radial_reduce_closed_form():
     rb = radial_bound(op, np.geomspace(1e-3, 256.0, 64))
     op1 = U.radial_reduce(rb, 3, op.V)
     for r in (0.1, 1.0, 7.0):
-        assert op1.b(r) == pytest.approx(1.0 / r, rel=1e-12)
-        assert op1.a(r) == 0.5
+        assert op1.b.check([r])[0] == pytest.approx(1.0 / r, rel=1e-12)
+        assert op1.a.check([r])[0] == 0.5
