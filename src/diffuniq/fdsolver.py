@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from numpy.linalg import LinAlgError
 
 from .gridfn import whole_steps
 
@@ -96,6 +95,10 @@ class Tridiagonal:
     """
 
     def __init__(self, lower, diag, upper):
+        # imported here, not with the module, so that only FP solves load scipy
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        self._dgttrf, self._dgttrs = dgttrf, dgttrs
         self.lower, self.diag, self.upper = lower, diag, upper
         self._factors = {}  # (dt, theta) -> dgttrf factor of I - theta dt A
 
@@ -108,7 +111,7 @@ class Tridiagonal:
     def step(self, u, dt, theta):
         """One theta step: solve (I - theta dt A) u+ = (I + (1-theta) dt A) u."""
         rhs = np.asarray_chkfinite(u + (1.0 - theta) * dt * self.apply(u))
-        x, _ = dgttrs(*self._factor(dt, theta), rhs, overwrite_b=True)
+        x, _ = self._dgttrs(*self._factor(dt, theta), rhs, overwrite_b=True)
         return x
 
     def _factor(self, dt, theta):
@@ -117,7 +120,7 @@ class Tridiagonal:
             bands = [np.asarray_chkfinite(band) for band in (
                 -theta * dt * self.lower, 1.0 - theta * dt * self.diag,
                 -theta * dt * self.upper)]
-            *factor, info = dgttrf(*bands)
+            *factor, info = self._dgttrf(*bands)
             if info > 0:
                 raise LinAlgError("singular matrix")
             self._factors[(dt, theta)] = factor

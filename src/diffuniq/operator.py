@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri  # inverse normal CDF, for sphere mapping
 
 from . import expr as ex
 from .errors import DomainError, ValidationError
@@ -258,17 +258,18 @@ def _halton(index, base):
 def unit_directions(n, d, seed=0):
     """First ``n`` members of a nested quasi-uniform sequence on the sphere.
 
-    Halton points in (0,1)^d mapped through the inverse normal CDF and
-    normalized.  The seed shifts the start index, so for a fixed seed the
-    first n directions are a prefix of the first 2n.
+    Halton points in (0,1)^d mapped through the inverse normal CDF (the
+    standard library's, Wichura's AS241) and normalized.  The seed shifts the
+    start index, so for a fixed seed the first n directions are a prefix of
+    the first 2n.
     """
     start = 1 + int(seed) % 104729
-    pts = np.empty((n, d))
+    inv_cdf = NormalDist().inv_cdf
+    g = np.empty((n, d))
     for i in range(n):
         for j in range(d):
             u = _halton(start + i, _HALTON_PRIMES[j % len(_HALTON_PRIMES)])
-            pts[i, j] = min(max(u, 1e-12), 1.0 - 1e-12)
-    g = ndtri(pts)
+            g[i, j] = inv_cdf(min(max(u, 1e-12), 1.0 - 1e-12))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return g / norms

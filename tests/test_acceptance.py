@@ -13,14 +13,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.interpolate import CubicSpline
 
 from diffuniq import (cli, expr as E, fdsolver as FD, montecarlo as MC,
                       quadrature as Q, uniqueness as U)
 from diffuniq.gridfn import GridFunction
-from diffuniq.operator import (Coefficient, make_operator_1d, make_operator_nd,
-                              radial_bound)
+from diffuniq.operator import Coefficient, make_operator_1d, make_operator_nd
 
 INF = math.inf
 

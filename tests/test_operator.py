@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from diffuniq import expr as E, operator as OP
 from diffuniq.errors import DomainError, ValidationError
@@ -233,6 +234,20 @@ def test_unit_directions_nested_and_normalized():
     assert np.allclose(np.linalg.norm(d16, axis=1), 1.0)
     # different seeds give different sets
     assert not np.allclose(d8, OP.unit_directions(8, 3, seed=6))
+
+
+def test_unit_directions_match_the_ndtri_map():
+    # the standard library's inverse normal against scipy's ndtri on the
+    # same clipped Halton points: a few ulps per normalized coordinate
+    for d in (2, 3):
+        for seed in (0, 1, 5, 11, 99, 12345):
+            u = np.clip([[OP._halton(1 + seed + i, p)
+                          for p in OP._HALTON_PRIMES[:d]] for i in range(64)],
+                        1e-12, 1.0 - 1e-12)
+            g = ndtri(u)
+            want = g / np.linalg.norm(g, axis=1, keepdims=True)
+            got = OP.unit_directions(64, d, seed)
+            assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
 
 
 def test_radial_bound_sampled_vs_exact():

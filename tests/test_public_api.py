@@ -2,9 +2,14 @@ import dataclasses
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import diffuniq
 from diffuniq import expr, montecarlo, operator, quadrature, uniqueness
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def test_public_names_resolve_once():
@@ -35,11 +40,32 @@ def test_removed_names_stay_gone():
         "array", "provenance"]
 
 
-def test_import_loads_no_scipy_integrate():
-    # every quadrature is the package's own Gauss-Legendre or Simpson rule
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(diffuniq.__file__))}
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, diffuniq; print(sorted(m for m in "
-         "sys.modules if m.startswith('scipy.integrate')))"],
+        [sys.executable, "-c", code + "\nimport sys; print(' '.join(sorted(m "
+         "for m in sys.modules if m.startswith('scipy'))))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.split()
+
+
+def test_import_loads_no_scipy():
+    # the package's own quadratures, the standard library's inverse normal
+    # for the sphere directions, and LAPACK loaded only by an FP solve
+    assert _scipy_modules_after("import diffuniq") == []
+
+
+def _scipy_modules_after_run(example):
+    path = str(EXAMPLES / f"{example}.json")
+    return _scipy_modules_after(
+        f"import json; from diffuniq import cli; cli.run(json.load(open({path!r})))")
+
+
+@pytest.mark.parametrize("mode", ["classify1d", "classifynd", "entrance", "fk"])
+def test_example_runs_without_scipy(mode):
+    assert _scipy_modules_after_run(mode) == []
+
+
+def test_fp_run_loads_scipy_linalg():
+    assert "scipy.linalg" in _scipy_modules_after_run("fp")

@@ -234,7 +234,7 @@ _MARCH_PINS = {
          "speed-measure integral exceeded 1e+150 at x=2.4689")),
     "radial-lower": (
         lambda: U.endpoint_condition(_sampled_radial(), 1.0, 1.0, 0.0),
-        ("Converges", "0x1.57ab725e0a3b4p+0", "0x1.60b7d051143c1p-28",
+        ("Converges", "0x1.57ab725e0a3b4p+0", "0x1.60b7d051143b3p-28",
          14, 49761, _DECAYED + "5e-09")),
     "radial-upper-multi-batch": (
         lambda: U.endpoint_condition(_sampled_radial(), 1.0, 1.0, INF),
@@ -258,7 +258,7 @@ def test_multi_batch_march_bit_pinned():
     # check span several BATCH_STEPS batches, each with its own Q cumsum
     ms = U.monotone_solution(_sampled_radial(), 1.0, 1.0, U.TOWARD_UPPER,
                              x_end=4.0, n_grid=65)
-    assert ms.log_u[-1].hex() == "0x1.94f68cae96f00p+3"
+    assert ms.log_u[-1].hex() == "0x1.94f68cae96effp+3"
     assert ms.ratio[-1].hex() == "0x1.00f174fb384f3p+3"
 
 
