@@ -7,7 +7,7 @@ Intervals use plain floats with ``math.inf`` encoding infinite endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from statistics import NormalDist
 
@@ -27,10 +27,14 @@ class Coefficient:
     points' shape.  ``check`` is the checked form over an array of points
     (DomainError off the domain rule of :mod:`expr`).  ``constant`` is the
     value of an expression with no free variable (None otherwise).
+    ``knots`` are the points where the coefficient is known not to be
+    smooth, such as the radii of a tabulated function; the endpoint march
+    lands on them.
     """
 
-    def __init__(self, fn, expr=None, var=None):
+    def __init__(self, fn, expr=None, var=None, knots=()):
         self.expr = expr
+        self.knots = np.asarray(knots, dtype=float)
         if expr is not None:
             f = ex.compile_expr(expr)
             fn = lambda xs: f({var: xs})
@@ -84,6 +88,12 @@ class Operator1D:
 
     def interior(self, x):
         return self.x0 < x < self.y0
+
+    @property
+    def knots(self):
+        """The coefficients' knots, sorted, without repeats."""
+        return np.unique(np.concatenate((self.a.knots, self.b.knots,
+                                         self.V.knots)))
 
 
 def probe_points(x0, y0, per_gap=512):
@@ -237,10 +247,13 @@ SAMPLED, USER_SUPPLIED = "Sampled", "UserSupplied"
 @dataclass(frozen=True)
 class RadialBound:
     """Lower bound for the radial drift component b(x).x/|x|: ``array`` maps
-    an array of radii to the bound there, unchecked."""
+    an array of radii to the bound there, unchecked.  ``knots`` are the
+    radii where it is not smooth: the table's radii, where the linear
+    interpolation of a sampled bound has its kinks; none for an override."""
 
     array: object  # the override's array form, or the sampled table
     provenance: str  # Sampled | UserSupplied
+    knots: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -292,4 +305,5 @@ def radial_bound(op: OperatorND, r_grid, seed=0):
     if bad.size:
         k, i = bad[0]
         raise DomainError(f"drift not finite at r={r_grid[k]}, direction {dirs[i]}")
-    return RadialBound(GridFunction(r_grid, radial.min(axis=1)), SAMPLED)
+    return RadialBound(GridFunction(r_grid, radial.min(axis=1)), SAMPLED,
+                       r_grid)

@@ -99,6 +99,14 @@ def window_bounds(endpoint, anchor, n_windows):
     return bounds
 
 
+def _log_slope(values):
+    """Least-squares slope of log(values) against the index 0..4:
+    sum((i - 2) (y_i - mean y)) / 10 on the five logs y."""
+    logs = [math.log(v) for v in values]
+    mean = sum(logs) / 5.0
+    return sum((i - 2) * (y - mean) for i, y in enumerate(logs)) / 10.0
+
+
 class _WindowJudge:
     """Sequential verdict logic over window increments.
 
@@ -133,8 +141,7 @@ class _WindowJudge:
         if k >= 5:
             last = self.increments[-5:]
             if all(v > 0.0 for v in last):
-                logs = np.log(last)
-                slope = np.polyfit(np.arange(5.0), logs, 1)[0]
+                slope = _log_slope(last)
                 if slope >= SLOPE_THRESHOLD:
                     return IntegralVerdict.diverges(
                         f"log-increment slope {slope:.3g} >= {SLOPE_THRESHOLD} "

@@ -22,9 +22,12 @@ sigma is a plain quadrature, so it is marched by Radau IIA propagators
 (``_Propagator``): each 3-stage step (order 5, L-stable, stiffly accurate)
 is one 6x6 linear solve giving z -> P z + v, the solves are batched with
 numpy, and only the chaining of z is sequential.  The march lands on every
-quadrature node with m equal steps per gap and accepts once the m and 2m
-marches agree.  The truncated series is kept as an independent
-cross-check, summed by a cumulative Simpson rule (``_cumulative_simpson``).
+quadrature node and on every knot of the coefficients (a point where one is
+not smooth, such as a radius of a sampled radial bound), so that no step
+straddles a kink and loses the method's order.  It takes m equal steps per
+gap between landing points and accepts once the m and 2m marches agree.
+The truncated series is kept as an independent cross-check, summed by a
+cumulative Simpson rule (``_cumulative_simpson``).
 
 Both integral tests share that march and one helper (``_windowed_march``),
 which checks the base point and the endpoint, marches through the
@@ -202,11 +205,15 @@ class _Propagator:
     chaining of z is sequential.  The error control compares Q and the
     log of z's ``watched`` component.  A ``guard`` (limit,
     evidence) ends the walk ``Diverges`` at the first step whose |z|
-    reaches the limit; nothing past it is marched.  ``evals`` counts the
-    stage points evaluated."""
+    reaches the limit; nothing past it is marched, and once both passes
+    reach it nothing is refined.  The march lands on the
+    ``knots``, the points where a coefficient is not smooth, as on the
+    nodes: they split the gaps, but no state is returned there.  ``evals``
+    counts the stage points evaluated."""
 
-    def __init__(self, coeffs, watched, x, z, guard=None):
+    def __init__(self, coeffs, watched, x, z, knots, guard=None):
         self.coeffs, self.watched, self.guard = coeffs, watched, guard
+        self.knots = knots
         self.x = x
         self.y = np.array([z[0], z[1], 0.0])
         self.m = 1
@@ -214,10 +221,14 @@ class _Propagator:
 
     def advance(self, xs, x_to):
         """March through the nodes ``xs`` (any order, between here and
-        ``x_to``) to ``x_to``, with m equal steps per gap and error control
-        by the 2m march; returns the states at ``xs``, shape (3, len(xs))."""
-        order = np.argsort(xs if x_to > self.x else -xs, kind="stable")
-        pts = np.concatenate(([self.x], xs[order], [x_to]))
+        ``x_to``) and the knots strictly between here and ``x_to`` to
+        ``x_to``, with m equal steps per gap and error control by the 2m
+        march; returns the states at ``xs``, shape (3, len(xs))."""
+        k = self.knots
+        k = k[((k - self.x) * (x_to - k) > 0.0) & ~np.isin(k, xs)]
+        stops = np.concatenate((xs, k))
+        order = np.argsort(stops if x_to > self.x else -stops, kind="stable")
+        pts = np.concatenate(([self.x], stops[order], [x_to]))
         coarse, fine = self._pass(pts, (self.m, 2 * self.m))
         while not self._agree(coarse, fine):
             if self.m >= MAX_SUBSTEPS:
@@ -231,16 +242,19 @@ class _Propagator:
         if crossed is not None:
             raise qd.WindowStop(self.guard[1].format(x=crossed), diverges=True)
         self.x, self.y = x_to, states[:, -1]
-        out = np.empty((3, xs.size))
+        out = np.empty((3, stops.size))
         out[:, order] = states[:, :-1]
-        return out
+        return out[:, :xs.size]
 
     def _agree(self, coarse, fine):
-        """Both passes crossed the guard or neither did, and the watched
-        state agrees at every point both reached before it."""
+        """Both passes crossed the guard, or neither did and the watched
+        state agrees at every point.  Either crossing certifies divergence,
+        so two crossings need no refinement: the 2m pass's is taken."""
         (yc, xc), (yf, xf) = coarse, fine
         if (xc is None) != (xf is None):
             return False
+        if xf is not None:
+            return True
         n = min(yc.shape[1], yf.shape[1])
         rows = [self.watched, 2]
         wc, wf = yc[rows, :n], yf[rows, :n]
@@ -392,7 +406,7 @@ def _scaled_march(op, lam, c, toward_upper):
             mu = np.where(s * p >= 0.0, 0.5 * (p + root), 2.0 * q / (root - p))
         return mu, lambda sigma: ((p - mu, 1.0, q, -mu), (0.0, 0.0))
 
-    return _Propagator(coeffs, 0, c, (1.0, 0.0))
+    return _Propagator(coeffs, 0, c, (1.0, 0.0), op.knots)
 
 
 def _log_positive(v):
@@ -500,7 +514,8 @@ def entrance_test(op, c, endpoint):
         # past any interior point, int rho J diverges with it
         guard = (_OVERFLOW_GUARD, f"speed-measure integral exceeded "
                  f"{_OVERFLOW_GUARD:g} at x={{x:.6g}}")
-        return _Propagator(coeffs, 1, c, (0.0, 0.0), guard), log_integrand
+        return (_Propagator(coeffs, 1, c, (0.0, 0.0), op.knots, guard),
+                log_integrand)
 
     return _windowed_march(op, c, endpoint, start)
 
@@ -590,13 +605,15 @@ def default_base_point(op):
 def radial_reduce(beta: RadialBound, d, V):
     """Comparison operator on (0, inf): a = 1/2, drift beta(r) + (d-1)/(2r).
 
-    A sampled beta is extended past its table by its last value;
-    :func:`nd_verdicts` calls out verdicts that lean on the extension.
+    The drift carries beta's knots, so the march lands on the radii of a
+    sampled table.  A sampled beta is extended past its table by its last
+    value; :func:`nd_verdicts` calls out verdicts that lean on the
+    extension.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     geo = (d - 1) / 2.0
-    b_c = Coefficient(lambda rs: beta.array(rs) + geo / rs)
+    b_c = Coefficient(lambda rs: beta.array(rs) + geo / rs, knots=beta.knots)
     return make_operator_1d("0.5", b_c, as_coefficient(V, "r"),
                             (0.0, math.inf), var="r")
 

@@ -37,7 +37,7 @@ def test_removed_names_stay_gone():
         assert name not in vars(cls)
     assert not callable(operator.as_coefficient("x", "x"))
     assert [f.name for f in dataclasses.fields(operator.RadialBound)] == [
-        "array", "provenance"]
+        "array", "provenance", "knots"]
 
 
 def _scipy_modules_after(code):

@@ -10,6 +10,20 @@ from diffuniq.errors import DomainError
 from diffuniq.operator import make_operator_1d
 
 
+def test_log_slope_matches_polyfit():
+    # rule (iii)'s closed-form least-squares slope over 5 windows against
+    # numpy's fit, on increments from near-flat to steep and across 52
+    # orders of magnitude; the error is of the size of the logs' rounding
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        spread = rng.choice([1e-6, 1e-2, 1.0, 10.0])
+        logs = rng.uniform(-60.0, 60.0) + spread * rng.normal(size=5)
+        values = np.exp(logs)
+        want = np.polyfit(np.arange(5.0), np.log(values), 1)[0]
+        got = Q._log_slope(values.tolist())
+        assert abs(got - want) <= 1e-14 * max(1.0, np.abs(logs).max())
+
+
 def test_window_bounds_doubling():
     b = Q.window_bounds(math.inf, 1.0, 4)
     assert b[0] == 1.0

@@ -188,8 +188,8 @@ def test_converged_values_unchanged_by_scaling(a, b, interval, lam,
 
 
 def _sampled_radial():
-    # sampled radial bound of a 3D drift: its march toward +inf refines to
-    # passes of several BATCH_STEPS batches
+    # sampled radial bound of a 3D drift: a table with a kink at each of its
+    # 160 radii, which the march lands on
     op = make_operator_nd(3, ["-x1 + 0.3*sin(x2)", "-x2", "-x3"], "0")
     rb = radial_bound(op, np.geomspace(1e-3, 256.0, 160), seed=11)
     return U.radial_reduce(rb, 3, op.V)
@@ -230,15 +230,15 @@ _MARCH_PINS = {
          15, 13095, _DECAYED + "6.21e-10")),
     "x7-entrance-guard": (
         lambda: U.entrance_test(_whole_line("x^7"), 0.0, INF),
-        ("Diverges", None, None, 2, 436902,
-         "speed-measure integral exceeded 1e+150 at x=2.4689")),
+        ("Diverges", None, None, 2, 1746,
+         "speed-measure integral exceeded 1e+150 at x=2.47585")),
     "radial-lower": (
         lambda: U.endpoint_condition(_sampled_radial(), 1.0, 1.0, 0.0),
-        ("Converges", "0x1.57ab725e0a3b4p+0", "0x1.60b7d051143b3p-28",
-         14, 49761, _DECAYED + "5e-09")),
-    "radial-upper-multi-batch": (
+        ("Converges", "0x1.57ab725e35ac5p+0", "0x1.609d5c2e416c6p-28",
+         14, 13023, _DECAYED + "5e-09")),
+    "radial-upper": (
         lambda: U.endpoint_condition(_sampled_radial(), 1.0, 1.0, INF),
-        ("Diverges", None, None, 3, 116109, _RISING)),
+        ("Diverges", None, None, 3, 4125, _RISING)),
 }
 
 
@@ -254,12 +254,77 @@ def test_march_records_bit_pinned(name):
 
 
 def test_multi_batch_march_bit_pinned():
-    # refined to 64 and 128 steps per node gap: both passes of the last
-    # check span several BATCH_STEPS batches, each with its own Q cumsum
-    ms = U.monotone_solution(_sampled_radial(), 1.0, 1.0, U.TOWARD_UPPER,
-                             x_end=4.0, n_grid=65)
-    assert ms.log_u[-1].hex() == "0x1.94f68cae96effp+3"
-    assert ms.ratio[-1].hex() == "0x1.00f174fb384f3p+3"
+    # refined to 8 and 16 steps per node gap over 514 gaps: both passes of
+    # the last check span several BATCH_STEPS batches (4,112 and 8,224
+    # steps), each with its own Q cumsum
+    op = _whole_line("-x^3", "x^6")
+    ms = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=64.0)
+    assert ms.log_u[-1].hex() == "0x1.5db3c460bed8ap+23"
+    assert ms.ratio[-1].hex() == "0x1.5db3d613ed173p+19"
+
+
+# (lambda, lower value, lower windows_used, upper windows_used) of the
+# sampled radial records, the values from a march that straddled the kinks
+_SAMPLED_RADIAL = [
+    (0.5, "0x1.37aceb474bef4p+0", 13, 4),
+    (1.0, "0x1.57ab725e0a3b4p+0", 14, 3),
+    (2.0, "0x1.9ebed1ea7b1f3p+0", 14, 3),
+]
+
+
+@pytest.mark.parametrize("lam, value, lower_windows, upper_windows",
+                         _SAMPLED_RADIAL)
+def test_sampled_radial_march_lands_on_the_table_radii(
+        lam, value, lower_windows, upper_windows):
+    # a step that straddles a radius of the table loses Radau's order and
+    # makes m double for every later window; landing on the radii keeps m
+    # small, and the converged value within the march tolerance of one
+    # marched across the kinks
+    op = _sampled_radial()
+    lower = U.endpoint_condition(op, 1.0, lam, 0.0)
+    upper = U.endpoint_condition(op, 1.0, lam, INF)
+    assert (lower.kind, lower.windows_used) == ("Converges", lower_windows)
+    assert (upper.kind, upper.windows_used) == ("Diverges", upper_windows)
+    assert lower.rhs_evals <= 20_000 and upper.rhs_evals <= 10_000
+    assert lower.value == pytest.approx(float.fromhex(value),
+                                        rel=U.MARCH_TOL, abs=0.0)
+
+
+def _knotted(knots):
+    # Brownian motion (a = 1/2, b = 0) with knots on its drift: alpha = 1,
+    # so u = e^sigma h_hat = cosh(sqrt(2 lam) x)
+    b = Coefficient(np.zeros_like, knots=knots)
+    return make_operator_1d("0.5", b, "0", (-INF, INF))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+def test_advance_returns_the_nodes_in_their_order(sign):
+    # three knots lie strictly inside the window: the march lands on them
+    # as on the nodes, but returns one state per node, in the nodes' order
+    xs = sign * np.random.default_rng(5).permutation(np.linspace(0.05, 1.95, 20))
+    inside = sign * np.array([0.3, 0.3141, 1.7])
+    outside = sign * np.array([-1.0, 0.0, 2.0, 3.0])
+    plain = U._scaled_march(_knotted(()), 1.0, 0.0, sign > 0)
+    march = U._scaled_march(_knotted(np.concatenate((inside, outside))),
+                            1.0, 0.0, sign > 0)
+    h_hat, _, sigma = march.advance(xs, sign * 2.0)
+    assert h_hat.shape == sigma.shape == xs.shape
+    u = np.exp(sigma) * h_hat
+    assert np.max(np.abs(u / np.cosh(math.sqrt(2.0) * xs) - 1.0)) <= 1e-8
+    # the 21 gaps of the nodes and the end become 24, each as finely stepped
+    plain.advance(xs, sign * 2.0)
+    assert march.m == plain.m and march.evals * 21 == plain.evals * 24
+
+
+def test_knots_on_nodes_or_window_ends_add_no_step():
+    # a knot equal to the start, to a node or to x_to splits no gap: the
+    # march is the one without knots, bit for bit
+    xs = np.linspace(0.1, 1.9, 10)
+    plain = U._scaled_march(_knotted(()), 1.0, 0.0, True)
+    march = U._scaled_march(_knotted((0.0, xs[3], xs[7], 2.0)), 1.0, 0.0,
+                            True)
+    assert np.array_equal(march.advance(xs, 2.0), plain.advance(xs, 2.0))
+    assert march.evals == plain.evals
 
 
 class _FixedStateMarch:
@@ -531,6 +596,19 @@ def test_radial_drift_array_form_matches_scalar():
     assert np.array_equal(b_s.array(rs), scalar_s)
     scalar_o = np.array([b_o.check([r])[0] for r in rs])
     assert np.array_equal(b_o.array(rs), scalar_o)
+
+
+def test_radial_reduce_carries_the_table_radii():
+    # the comparison operator's knots are the radii of a sampled table, where
+    # its linear interpolation has kinks; an override has none
+    grid = np.geomspace(1e-3, 256.0, 160)
+    sampled = make_operator_nd(3, ["-x1", "-x2", "-x3"], "0")
+    override = make_operator_nd(3, ["-x1", "-x2", "-x3"], "0",
+                                beta_override="-r")
+    op_s = U.radial_reduce(radial_bound(sampled, grid), 3, sampled.V)
+    op_o = U.radial_reduce(radial_bound(override, grid), 3, override.V)
+    assert np.array_equal(op_s.knots, grid)
+    assert op_o.knots.size == 0
 
 
 def test_radial_reduce_closed_form():
