@@ -177,9 +177,11 @@ def fp_step(state, disc, dt):
     counts that on the returned state."""
     u_new = disc.step(state.values, dt, 0.5)
     fallbacks = state.theta_fallbacks
-    if np.min(state.values) >= 0.0:
+    low = np.min(u_new)
+    # the floor is below 0, so a step with no negative value never falls back
+    if low < 0.0 and np.min(state.values) >= 0.0:
         floor = -1e-12 * max(1e-300, float(np.max(np.abs(u_new))))
-        if np.min(u_new) < floor:
+        if low < floor:
             u_new = disc.step(state.values, dt, 1.0)
             fallbacks += 1
     return FPState(state.grid, u_new, state.t + dt, state.bc, fallbacks)

@@ -62,6 +62,10 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
 
     Returns positions at the end (shape (n,) or (n, d)), the survival mask,
     int V up to the exit, and the number of steps each path took.
+
+    Each step updates x in place, in the float order of
+    ``x + drift(x) * dt + diffusion(x) * z``.  Until the first path leaves
+    every path takes its step unmasked; from then on only the live ones do.
     """
     sdt = math.sqrt(dt)
     if isinstance(op, Operator1D):
@@ -80,7 +84,10 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
         diffusion = lambda x: sdt
         lo, hi = -math.inf, math.inf
     walls = lo > -math.inf or hi < math.inf
+    if walls:  # |s| > r_explode is s < -r_explode or s > r_explode
+        lo, hi = max(lo, -r_explode), min(hi, r_explode)
     v = op.V.constant
+    kill = None if v is None else 0.5 * (v + v) * dt  # constant V's increment
     # one generator for the block, set to path i's counter before its draws;
     # past one chunk each path's state is kept between its fills
     bitgen = np.random.Philox(key=int(seed))
@@ -88,13 +95,19 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
     start = bitgen.state
     counter = start["state"]["counter"]
     states = [None] * n
-    xi = np.empty((n, min(n_steps, _CHUNK)) + shape)
+    # a step reads one column of the table: rows padded by 8 steps do not lie
+    # a power of two apart, where they would all share a few cache sets
+    width = min(n_steps, _CHUNK)
+    xi = np.empty((n, width + 8) + shape)[:, :width]
     x = np.full((n,) + shape, x0, dtype=float)
     alive = np.ones(n, dtype=bool)
     col = (slice(None),) + (None,) * len(shape)  # alive against x's shape
     steps = np.full(n, n_steps)
     vint = np.zeros(n)
     v_prev = op.V.array(site(x)) if v is None else v
+    noise = np.empty_like(x)
+    out = np.empty(n, dtype=bool)
+    everyone = True  # no path has left yet
     for k in range(n_steps):
         if k % _CHUNK == 0:
             for j, row in enumerate(xi):
@@ -106,18 +119,42 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
                 rng.standard_normal(out=row)
                 if n_steps - k > _CHUNK:
                     states[j] = bitgen.state
-        z = xi[:, k % _CHUNK]
-        x = np.where(alive[col], x + drift(x) * dt + diffusion(x) * z, x)
+        # coefficient arrays are fresh, so the drift's can hold drift * dt
+        step = drift(x)
+        step *= dt
+        np.multiply(diffusion(x), xi[:, k % _CHUNK], out=noise)
+        if everyone:
+            x += step
+            x += noise
+        else:
+            step += x
+            step += noise
+            np.copyto(x, step, where=alive[col])
         s = site(x)
-        out = np.abs(s) > r_explode
         if walls:
-            out |= (s < lo) | (s > hi)
-        steps[alive & out] = k + 1
-        alive &= ~out
+            np.less(s, lo, out=out)
+            out |= s > hi
+        else:
+            np.greater(np.abs(s), r_explode, out=out)
+        if not everyone:
+            out &= alive
+        if out.any():  # some path leaves in this step
+            steps[out] = k + 1
+            alive &= ~out
+            everyone = False
         if v != 0.0:  # V == 0 adds nothing
-            v_new = op.V.array(s) if v is None else v
-            vint = np.where(alive, vint + 0.5 * (v_prev + v_new) * dt, vint)
-            v_prev = v_new
+            if v is None:
+                v_new = op.V.array(s)
+                v_prev += v_new
+                v_prev *= 0.5
+                v_prev *= dt
+                inc, v_prev = v_prev, v_new
+            else:
+                inc = kill
+            if everyone:
+                vint += inc
+            else:
+                np.add(vint, inc, out=vint, where=alive)
     return x, alive, vint, steps
 
 

@@ -225,7 +225,8 @@ class _Propagator:
         ``x_to``, with m equal steps per gap and error control by the 2m
         march; returns the states at ``xs``, shape (3, len(xs))."""
         k = self.knots
-        k = k[((k - self.x) * (x_to - k) > 0.0) & ~np.isin(k, xs)]
+        if k.size:  # np.isin costs about 20 us a call even with no knots
+            k = k[((k - self.x) * (x_to - k) > 0.0) & ~np.isin(k, xs)]
         stops = np.concatenate((xs, k))
         order = np.argsort(stops if x_to > self.x else -stops, kind="stable")
         pts = np.concatenate(([self.x], stops[order], [x_to]))

@@ -190,6 +190,37 @@ def test_theta_fallbacks_counted():
     assert float(fin.values.min()) >= 0.0
 
 
+class _FixedSteps:
+    """A discretization whose theta step returns a given array per theta and
+    records the thetas it was asked for."""
+
+    def __init__(self, crank_nicolson, implicit_euler):
+        self.out = {0.5: crank_nicolson, 1.0: implicit_euler}
+        self.thetas = []
+
+    def step(self, u, dt, theta):
+        self.thetas.append(theta)
+        return self.out[theta]
+
+
+@pytest.mark.parametrize("start, dip, fallbacks", [
+    (1.0, -0.5e-12, 0),  # a dip within the roundoff floor -1e-12 max|u+|
+    (1.0, -2e-12, 1),    # a dip past it
+    (-1.0, -0.5, 0),     # a start that is already negative
+])
+def test_fp_step_fallback_rule(start, dip, fallbacks):
+    crank_nicolson, implicit_euler = np.ones(16), np.full(16, 0.5)
+    crank_nicolson[3] = dip
+    values = np.ones(16)
+    values[0] = start
+    disc = _FixedSteps(crank_nicolson, implicit_euler)
+    state = FD.FPState(FD.Grid1D(0.0, 1.0, 16), values, 0.0, FD.REFLECTING, 2)
+    new = FD.fp_step(state, disc, 1e-3)
+    assert disc.thetas == [0.5, 1.0][:1 + fallbacks]
+    assert new.theta_fallbacks == 2 + fallbacks
+    assert new.values is (implicit_euler if fallbacks else crank_nicolson)
+
+
 def _banded_step(disc, u, dt, theta):
     """The theta step by one banded solve, the matrix rebuilt each call."""
     ab = np.zeros((3, disc.diag.size))

@@ -178,6 +178,24 @@ def test_block_kernel_matches_scalar_reference():
             assert terminal == pytest.approx(x, rel=1e-12, abs=1e-14)
 
 
+def test_paths_leaving_at_different_steps_keep_their_bits():
+    # paths leave through the wall at 0 and past r_explode, one in step 1
+    # and some after the first chunk refill; after the first exit the block
+    # steps only its live paths, and each path keeps the floats it has alone
+    op = make_operator_1d("0.25 + 0.05*sin(x)", "2*(1 - x)", "x^2", (0.0, INF))
+    n_steps, dt, seed, first, n, r = MC._CHUNK + 100, 1e-2, 31, 5, 32, 1.8
+    block = MC._em_block(op, 0.05, n_steps, dt, seed, first, n, r)
+    x, alive, _, steps = block
+    left = ~alive
+    assert alive.any() and np.count_nonzero(steps == 1) == 1
+    assert (left & (x > r)).any() and (left & (x < 0.0)).any()
+    assert (left & (steps > MC._CHUNK)).any()
+    alone = [MC._em_block(op, 0.05, n_steps, dt, seed, first + i, 1, r)
+             for i in range(n)]
+    for got, want in zip(block, zip(*alone)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+
 def test_chunk_boundaries_match_scalar_reference():
     # 1,100 steps are three chunks of normals; each path's stream continues
     # across the refills exactly as one draw of all its normals
