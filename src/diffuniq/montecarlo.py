@@ -63,9 +63,9 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
     Returns positions at the end (shape (n,) or (n, d)), the survival mask,
     int V up to the exit, and the number of steps each path took.
 
-    Each step updates x in place, in the float order of
-    ``x + drift(x) * dt + diffusion(x) * z``.  Until the first path leaves
-    every path takes its step unmasked; from then on only the live ones do.
+    Every path takes every step, in place and in the float order of
+    ``x + drift(x) * dt + diffusion(x) * z``; a path that leaves has its
+    position and int V saved then and put back at the end.
     """
     sdt = math.sqrt(dt)
     if isinstance(op, Operator1D):
@@ -95,19 +95,15 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
     start = bitgen.state
     counter = start["state"]["counter"]
     states = [None] * n
-    # a step reads one column of the table: rows padded by 8 steps do not lie
-    # a power of two apart, where they would all share a few cache sets
-    width = min(n_steps, _CHUNK)
-    xi = np.empty((n, width + 8) + shape)[:, :width]
+    xi = np.empty((n, min(n_steps, _CHUNK)) + shape)
     x = np.full((n,) + shape, x0, dtype=float)
     alive = np.ones(n, dtype=bool)
-    col = (slice(None),) + (None,) * len(shape)  # alive against x's shape
     steps = np.full(n, n_steps)
     vint = np.zeros(n)
     v_prev = op.V.array(site(x)) if v is None else v
     noise = np.empty_like(x)
+    x_left, vint_left = np.empty_like(x), np.empty(n)  # as they were at exit
     out = np.empty(n, dtype=bool)
-    everyone = True  # no path has left yet
     for k in range(n_steps):
         if k % _CHUNK == 0:
             for j, row in enumerate(xi):
@@ -123,25 +119,20 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
         step = drift(x)
         step *= dt
         np.multiply(diffusion(x), xi[:, k % _CHUNK], out=noise)
-        if everyone:
-            x += step
-            x += noise
-        else:
-            step += x
-            step += noise
-            np.copyto(x, step, where=alive[col])
+        x += step
+        x += noise
         s = site(x)
         if walls:
             np.less(s, lo, out=out)
             out |= s > hi
         else:
             np.greater(np.abs(s), r_explode, out=out)
-        if not everyone:
-            out &= alive
+        out &= alive
         if out.any():  # some path leaves in this step
             steps[out] = k + 1
             alive &= ~out
-            everyone = False
+            x_left[out] = x[out]
+            vint_left[out] = vint[out]
         if v != 0.0:  # V == 0 adds nothing
             if v is None:
                 v_new = op.V.array(s)
@@ -151,10 +142,10 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
                 inc, v_prev = v_prev, v_new
             else:
                 inc = kill
-            if everyone:
-                vint += inc
-            else:
-                np.add(vint, inc, out=vint, where=alive)
+            vint += inc
+    left = ~alive
+    x[left] = x_left[left]
+    vint[left] = vint_left[left]
     return x, alive, vint, steps
 
 

@@ -180,8 +180,8 @@ def test_block_kernel_matches_scalar_reference():
 
 def test_paths_leaving_at_different_steps_keep_their_bits():
     # paths leave through the wall at 0 and past r_explode, one in step 1
-    # and some after the first chunk refill; after the first exit the block
-    # steps only its live paths, and each path keeps the floats it has alone
+    # and some after the first chunk refill; each gets back the position and
+    # int V it left with, and each path keeps the floats it has alone
     op = make_operator_1d("0.25 + 0.05*sin(x)", "2*(1 - x)", "x^2", (0.0, INF))
     n_steps, dt, seed, first, n, r = MC._CHUNK + 100, 1e-2, 31, 5, 32, 1.8
     block = MC._em_block(op, 0.05, n_steps, dt, seed, first, n, r)
