@@ -46,7 +46,6 @@ from .fdsolver import (
     FPState,
     Grid1D,
     bc_sensitivity_probe,
-    duality_check,
     fp_solve,
     gaussian_state,
 )
@@ -58,7 +57,7 @@ __all__ = [
     "GridFunction", "Grid1D", "INCONCLUSIVE", "IntegralVerdict", "NOT_UNIQUE",
     "Operator1D", "OperatorND", "PROOF_FAITHFUL", "RadialBound",
     "REFLECTING", "STRICT_THEOREM", "UNIQUE", "UnknownIdentifier",
-    "ValidationError", "Verdict", "bc_sensitivity_probe", "duality_check",
+    "ValidationError", "Verdict", "bc_sensitivity_probe",
     "endpoint_condition", "entrance_test", "feynman_kac", "format_expr",
     "fp_solve", "free_vars", "gaussian_state", "log_scale",
     "make_operator_1d", "make_operator_nd", "monotone_solution",

@@ -9,7 +9,7 @@ exponential-fitting weight (Chang-Cooper style), which preserves exact
 discrete conservation, is positivity-friendly at large cell Peclet
 number, and stays second-order accurate for smooth profiles.
 The forward generator here and the central-difference backward operator of
-the duality check are both tridiagonal bands (lower, diag, upper) sharing
+``backward_evolve`` are both tridiagonal bands (lower, diag, upper) sharing
 one theta step, u + (1 - theta) dt A u followed by a solve with
 I - theta dt A (theta = 1/2 default), whose LU factor is made once per
 (dt, theta) and reused.  Only ``fp_step`` falls back to theta = 1 when
@@ -209,7 +209,7 @@ def fp_solve(op, u0, T, dt, record_mass=True):
 
 class BackwardDiscretization(Tridiagonal):
     """Independent central-difference discretization of the operator itself,
-    a f'' + b f' - V f, for the duality check (absorbing walls)."""
+    a f'' + b f' - V f, for ``backward_evolve`` (absorbing walls)."""
 
     @np.errstate(all="ignore")  # unchecked; step() rejects non-finite bands
     def __init__(self, op, grid):
@@ -223,35 +223,15 @@ class BackwardDiscretization(Tridiagonal):
                          upper=(a_c / dx ** 2 + b_c / (2.0 * dx))[:-1])
 
 
-def _evolve(disc, values, T, dt):
-    """Crank-Nicolson (theta = 1/2) steps of ``disc`` from ``values`` to
-    time T."""
+def backward_evolve(op, grid, values, T, dt):
+    """Evolve grid values of f to time T under the backward discretization
+    (absorbing walls) by Crank-Nicolson (theta = 1/2) steps, i.e.
+    approximate the semigroup applied to f."""
+    disc = BackwardDiscretization(op, grid)
     u = np.asarray(values, dtype=float)
     for _ in range(whole_steps(T, dt)):
         u = disc.step(u, dt, 0.5)
     return u
-
-
-def backward_evolve(op, grid, values, T, dt):
-    """Evolve grid values of f to time T under the backward discretization
-    (absorbing walls), i.e. approximate the semigroup applied to f."""
-    return _evolve(BackwardDiscretization(op, grid), values, T, dt)
-
-
-def duality_check(op, f, g, T, dt, grid=None):
-    """|<forward-evolved g, f> - <g, backward-evolved f>| on a shared grid.
-
-    f, g: functions on arrays of points (a GridFunction's ``zero_outside``,
-    say), supported well inside the window.
-    """
-    if grid is None:
-        grid = Grid1D(-8.0, 8.0, 800)
-    fv, gv = (np.asarray(h(grid.centers), dtype=float) for h in (f, g))
-    gf = _evolve(Discretization(op, grid, ABSORBING), gv, T, dt)
-    fb = backward_evolve(op, grid, fv, T, dt)
-    pair_fwd = float(np.sum(gf * fv) * grid.dx)
-    pair_bwd = float(np.sum(gv * fb) * grid.dx)
-    return abs(pair_fwd - pair_bwd)
 
 
 def probe_windows(windows, core_radius):

@@ -25,7 +25,10 @@ numpy, and only the chaining of z is sequential.  The march lands on every
 quadrature node and on every knot of the coefficients (a point where one is
 not smooth, such as a radius of a sampled radial bound), so that no step
 straddles a kink and loses the method's order.  It takes m equal steps per
-gap between landing points and accepts once the m and 2m marches agree.
+gap between landing points and accepts once the m and 2m marches agree:
+m doubles until they do, and halves for the next window where they agree
+with room to spare, so one hard window does not set the step for the rest
+of the walk.
 The truncated series is kept as an independent cross-check, summed by a
 cumulative Simpson rule (``_cumulative_simpson``).
 
@@ -166,8 +169,11 @@ _RADAU_A = np.array([
 
 # limits of the march: the watched state of the m and 2m passes must agree
 # to MARCH_TOL (absolute, relative above 1) at every node, m doubling up to
-# MAX_SUBSTEPS; steps are built and solved BATCH_STEPS at a time
+# MAX_SUBSTEPS; m halves for the next window where they agree to
+# MARCH_TOL / STEP_DOWN, 2^6 being the local-error ratio of halving an
+# order-5 step; steps are built and solved BATCH_STEPS at a time
 MARCH_TOL = 1e-9
+STEP_DOWN = 64
 MAX_SUBSTEPS = 1024
 BATCH_STEPS = 1024
 
@@ -203,10 +209,11 @@ class _Propagator:
     there, given Q's stage values.  On a linear system each step is one 6x6
     stage solve, giving z -> P z + v; the solves are batched and only the
     chaining of z is sequential.  The error control compares Q and the
-    log of z's ``watched`` component.  A ``guard`` (limit,
-    evidence) ends the walk ``Diverges`` at the first step whose |z|
-    reaches the limit; nothing past it is marched, and once both passes
-    reach it nothing is refined.  The march lands on the
+    log of z's ``watched`` component; ``m``, the steps per gap, carries
+    from window to window, doubling and halving (see ``advance``).  A
+    ``guard`` (limit, evidence) ends the walk ``Diverges`` at the first
+    step whose |z| reaches the limit; nothing past it is marched, and once
+    both passes reach it nothing is refined.  The march lands on the
     ``knots``, the points where a coefficient is not smooth, as on the
     nodes: they split the gaps, but no state is returned there.  ``evals``
     counts the stage points evaluated."""
@@ -223,7 +230,9 @@ class _Propagator:
         """March through the nodes ``xs`` (any order, between here and
         ``x_to``) and the knots strictly between here and ``x_to`` to
         ``x_to``, with m equal steps per gap and error control by the 2m
-        march; returns the states at ``xs``, shape (3, len(xs))."""
+        march; returns the states at ``xs``, shape (3, len(xs)).  m doubles
+        until the passes agree to MARCH_TOL, and halves for the next window
+        when they agree to MARCH_TOL / STEP_DOWN."""
         k = self.knots
         if k.size:  # np.isin costs about 20 us a call even with no knots
             k = k[((k - self.x) * (x_to - k) > 0.0) & ~np.isin(k, xs)]
@@ -231,7 +240,7 @@ class _Propagator:
         order = np.argsort(stops if x_to > self.x else -stops, kind="stable")
         pts = np.concatenate(([self.x], stops[order], [x_to]))
         coarse, fine = self._pass(pts, (self.m, 2 * self.m))
-        while not self._agree(coarse, fine):
+        while not (gap := self._discrepancy(coarse, fine)) <= MARCH_TOL:
             if self.m >= MAX_SUBSTEPS:
                 raise qd.WindowStop(
                     f"march did not resolve the solution to {MARCH_TOL:g} "
@@ -242,27 +251,32 @@ class _Propagator:
         states, crossed = fine
         if crossed is not None:
             raise qd.WindowStop(self.guard[1].format(x=crossed), diverges=True)
+        if self.m > 1 and gap <= MARCH_TOL / STEP_DOWN:
+            self.m //= 2
         self.x, self.y = x_to, states[:, -1]
         out = np.empty((3, stops.size))
         out[:, order] = states[:, :-1]
         return out[:, :xs.size]
 
-    def _agree(self, coarse, fine):
-        """Both passes crossed the guard, or neither did and the watched
-        state agrees at every point.  Either crossing certifies divergence,
-        so two crossings need no refinement: the 2m pass's is taken."""
+    def _discrepancy(self, coarse, fine):
+        """max |w_m - w_2m| / max(1, |w_2m|) over the points and the watched
+        state (its log) and Q, where w_m is the m pass's; points where both
+        are NaN agree.  0 when both passes crossed the guard: either
+        crossing certifies divergence, so two crossings need no refinement
+        and the 2m pass's is taken.  inf when only one did."""
         (yc, xc), (yf, xf) = coarse, fine
         if (xc is None) != (xf is None):
-            return False
+            return math.inf
         if xf is not None:
-            return True
+            return 0.0
         n = min(yc.shape[1], yf.shape[1])
         rows = [self.watched, 2]
         wc, wf = yc[rows, :n], yf[rows, :n]
         wc[0], wf[0] = _log_positive(wc[0]), _log_positive(wf[0])
         with np.errstate(invalid="ignore"):
-            close = np.abs(wc - wf) <= MARCH_TOL * np.maximum(1.0, np.abs(wf))
-        return bool(np.all(close | (np.isnan(wc) & np.isnan(wf))))
+            scaled = np.abs(wc - wf) / np.maximum(1.0, np.abs(wf))
+        scaled[np.isnan(wc) & np.isnan(wf)] = 0.0
+        return float(np.max(scaled))
 
     def _pass(self, pts, ms):
         """Marches from pts[0] through the gaps of ``pts``, one for each m in

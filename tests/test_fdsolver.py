@@ -7,6 +7,7 @@ from scipy.linalg import LinAlgError, lapack, solve_banded
 from diffuniq import fdsolver as FD, uniqueness as U
 from diffuniq.gridfn import GridFunction, whole_steps
 from diffuniq.operator import make_operator_1d
+from fd_duality import duality_check
 
 INF = math.inf
 
@@ -95,20 +96,20 @@ def _bump(center=0.0, width=2.0, n=401):
 def test_duality_self_adjoint_case():
     op = make_operator_1d("0.5", "0", "0", (-INF, INF))
     f = _bump()
-    assert FD.duality_check(op, f, f, 0.5, 1e-3) <= 1e-6
+    assert duality_check(op, f, f, 0.5, 1e-3) <= 1e-6
 
 
 def test_duality_ou():
     op = make_operator_1d("0.5", "-x", "0", (-INF, INF))
-    d = FD.duality_check(op, _bump(), _bump(0.8, 1.5), 0.5, 1e-3)
+    d = duality_check(op, _bump(), _bump(0.8, 1.5), 0.5, 1e-3)
     assert d <= 5e-4
 
 
 def test_duality_shrinks_second_order():
     op = make_operator_1d("0.5", "-x", "0", (-INF, INF))
     f, g = _bump(), _bump(0.8, 1.5)
-    d1 = FD.duality_check(op, f, g, 0.5, 5e-4, grid=FD.Grid1D(-8, 8, 400))
-    d2 = FD.duality_check(op, f, g, 0.5, 5e-4, grid=FD.Grid1D(-8, 8, 800))
+    d1 = duality_check(op, f, g, 0.5, 5e-4, grid=FD.Grid1D(-8, 8, 400))
+    d2 = duality_check(op, f, g, 0.5, 5e-4, grid=FD.Grid1D(-8, 8, 800))
     assert d1 / d2 == pytest.approx(4.0, rel=0.5)
 
 
@@ -116,8 +117,8 @@ def test_duality_constant_killing_commutes():
     op0 = make_operator_1d("0.5", "-x", "0", (-INF, INF))
     op1 = make_operator_1d("0.5", "-x", "1", (-INF, INF))
     f, g = _bump(), _bump(0.8, 1.5)
-    d0 = FD.duality_check(op0, f, g, 0.5, 1e-3)
-    d1 = FD.duality_check(op1, f, g, 0.5, 1e-3)
+    d0 = duality_check(op0, f, g, 0.5, 1e-3)
+    d1 = duality_check(op1, f, g, 0.5, 1e-3)
     # V = const multiplies both pairings by e^{-VT}; discrepancy scales along
     assert d1 == pytest.approx(math.exp(-0.5) * d0, rel=1e-3, abs=1e-9)
 
@@ -286,7 +287,7 @@ def test_partial_last_step_rejected():
     f = _bump(0.0, 1.5)
     for run in (lambda: FD.fp_solve(op, FD.gaussian_state(g), 1.0, 3e-3),
                 lambda: FD.backward_evolve(op, g, f(g.centers), 1.0, 3e-3),
-                lambda: FD.duality_check(op, f, f, 1.0, 3e-3, grid=g)):
+                lambda: duality_check(op, f, f, 1.0, 3e-3, grid=g)):
         with pytest.raises(ValueError, match="whole number of steps"):
             run()
 

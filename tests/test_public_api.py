@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import diffuniq
-from diffuniq import expr, montecarlo, operator, quadrature, uniqueness
+from diffuniq import (expr, fdsolver, montecarlo, operator, quadrature,
+                      uniqueness)
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
@@ -21,13 +22,14 @@ def test_public_names_resolve_once():
 def test_removed_names_stay_gone():
     for name in ("FellerPair", "build_feller", "Budget", "eval_expr",
                  "coupled_radial_comparison", "uniqueness_nd",
-                 "improper_integral"):
+                 "improper_integral", "duality_check"):
         assert name not in diffuniq.__all__ and not hasattr(diffuniq, name)
     assert "log_scale" in diffuniq.__all__
     for module, name in ((montecarlo, "simulate_path"), (expr, "eval_env"),
                          (expr, "eval_numpy"), (uniqueness, "uniqueness_nd"),
                          (uniqueness, "_march_verdict"),
-                         (quadrature, "improper_integral")):
+                         (quadrature, "improper_integral"),
+                         (fdsolver, "duality_check")):
         assert not hasattr(module, name)
     for cls, name in ((operator.Coefficient, "__call__"),
                       (operator.Coefficient, "text"),

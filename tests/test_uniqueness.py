@@ -211,8 +211,8 @@ _MARCH_PINS = {
         ("Diverges", None, None, 3, 2619, _RISING)),
     "cubic-upper": (
         lambda: U.endpoint_condition(_whole_line("-x^3"), 0.0, 1.0, INF),
-        ("Converges", "0x1.2a1b64098b7b3p+2", "0x1.2a1c8b4e3c0cbp-25",
-         13, 22116, _DECAYED + "3.47e-08")),
+        ("Converges", "0x1.2a1b64098b7b3p+2", "0x1.2a1c8b7e4cc72p-25",
+         13, 15132, _DECAYED + "3.47e-08")),
     "x6-upper": (
         lambda: U.endpoint_condition(_whole_line("-x^3", "x^6"), 0.0, 1.0,
                                      INF),
@@ -221,8 +221,8 @@ _MARCH_PINS = {
          "to x=7 is e^430.37; a lower bound, the integrand being positive)")),
     "quintic-upper-m-doubles": (
         lambda: U.endpoint_condition(_whole_line("-x^5"), 0.0, 1.0, INF),
-        ("Converges", "0x1.ed914efbeffb2p+1", "0x1.eb020f0924b31p-29",
-         7, 22698, _DECAYED + "3.57e-09")),
+        ("Converges", "0x1.ed914efbeffb2p+1", "0x1.eb020f08fe95fp-29",
+         7, 15714, _DECAYED + "3.57e-09")),
     "bessel3-entrance-lower": (
         lambda: U.entrance_test(
             make_operator_1d("0.5", "1/x", "0", (0.0, INF)), 1.0, 0.0),
@@ -263,6 +263,81 @@ def test_multi_batch_march_bit_pinned():
     assert ms.ratio[-1].hex() == "0x1.5db3d613ed173p+19"
 
 
+@pytest.fixture
+def passes_per_window(monkeypatch):
+    """The ``ms`` of each pass the march builds, one list per window: a
+    window that refines has more than one."""
+    windows = []
+    advance, build = U._Propagator.advance, U._Propagator._pass
+
+    def logged_advance(self, xs, x_to):
+        windows.append([])
+        return advance(self, xs, x_to)
+
+    def logged_pass(self, pts, ms):
+        windows[-1].append(ms)
+        return build(self, pts, ms)
+    monkeypatch.setattr(U._Propagator, "advance", logged_advance)
+    monkeypatch.setattr(U._Propagator, "_pass", logged_pass)
+    return windows
+
+
+def test_march_steps_back_down_after_refining(passes_per_window):
+    # b = -x^3 refines in its second window toward +inf; once the passes
+    # agree to MARCH_TOL / STEP_DOWN, m halves window by window back to 1
+    # and stays there
+    v = U.endpoint_condition(_whole_line("-x^3"), 0.0, 1.0, INF)
+    assert v.is_converges and len(passes_per_window) == v.windows_used
+    refined = [i for i, w in enumerate(passes_per_window) if len(w) > 1]
+    assert refined
+    starts = [w[0][0] for w in passes_per_window[refined[-1] + 1:]]
+    assert starts == sorted(starts, reverse=True) and starts[-1] == 1
+
+
+def test_discrepancy_of_two_passes():
+    # log h_hat and Q, scaled by the fine pass above 1; a node where both
+    # passes lost positivity agrees, one where only one did does not; a
+    # guard crossing agrees only with another crossing
+    march = U._scaled_march(ou(), 1.0, 0.0, True)
+
+    def landed(h_hat, Q, crossed=None):
+        return np.array([h_hat, np.zeros(len(Q)), Q]), crossed
+    coarse = landed([1.0, -1.0, 2.0], [0.5, 1.0, 3.0])
+    fine = landed([1.0, -2.0, 2.0 + 4e-10], [0.5, 1.0, 3.0 + 3e-9])
+    assert march._discrepancy(coarse, fine) == pytest.approx(1e-9, rel=1e-6)
+    positive = landed([1.0, 1.0, 2.0], [0.5, 1.0, 3.0])
+    assert math.isnan(march._discrepancy(coarse, positive))
+    crossing = landed([1.0], [0.5], crossed=0.7)
+    assert march._discrepancy(crossing, crossing) == 0.0
+    assert march._discrepancy(coarse, crossing) == math.inf
+
+
+def test_stepping_down_cuts_the_refined_cubic_march():
+    # the lambda = 2 record refines to m = 4 over windows 2 and 3
+    v = U.endpoint_condition(_whole_line("-x^3"), 0.0, 2.0, INF)
+    assert v.is_converges and v.rhs_evals <= 21_000
+
+
+def test_stepped_down_window_refines_again(passes_per_window, monkeypatch):
+    # smooth past its second window, then sharp near x = 45: the march
+    # steps down to m = 1 before the window [31, 63] and must refine that
+    # window again; the record stays within the march tolerance of a march
+    # that never steps down
+    op = _whole_line("-x^3*(1 + 0.5*tanh(5*(x-45)))")
+    v = U.endpoint_condition(op, 0.0, 1.0, INF)
+    stepped = [w for prev, w in zip(passes_per_window, passes_per_window[1:])
+               if w[0][0] < prev[-1][-1] // 2]
+    assert any(len(w) > 1 for w in stepped)
+    passes_per_window.clear()
+    monkeypatch.setattr(U, "STEP_DOWN", math.inf)
+    ref = U.endpoint_condition(op, 0.0, 1.0, INF)
+    starts = [w[0][0] for w in passes_per_window]
+    assert starts == sorted(starts)
+    assert (v.kind, v.windows_used) == (ref.kind, ref.windows_used)
+    assert v.is_converges and v.rhs_evals < ref.rhs_evals
+    assert v.value == pytest.approx(ref.value, rel=U.MARCH_TOL, abs=0.0)
+
+
 # (lambda, lower value, lower windows_used, upper windows_used) of the
 # sampled radial records, the values from a march that straddled the kinks
 _SAMPLED_RADIAL = [
@@ -277,7 +352,7 @@ _SAMPLED_RADIAL = [
 def test_sampled_radial_march_lands_on_the_table_radii(
         lam, value, lower_windows, upper_windows):
     # a step that straddles a radius of the table loses Radau's order and
-    # makes m double for every later window; landing on the radii keeps m
+    # makes m double until the passes agree; landing on the radii keeps m
     # small, and the converged value within the march tolerance of one
     # marched across the kinks
     op = _sampled_radial()
