@@ -36,7 +36,6 @@ from .uniqueness import (
     Verdict,
     endpoint_condition,
     entrance_test,
-    monotone_solution,
     nd_verdicts,
     uniqueness_1d,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ValidationError", "Verdict", "bc_sensitivity_probe",
     "endpoint_condition", "entrance_test", "feynman_kac", "format_expr",
     "fp_solve", "free_vars", "gaussian_state", "log_scale",
-    "make_operator_1d", "make_operator_nd", "monotone_solution",
-    "nd_verdicts", "parse_expr", "parse_expr_multi", "radial_bound",
-    "uniqueness_1d",
+    "make_operator_1d", "make_operator_nd", "nd_verdicts", "parse_expr",
+    "parse_expr_multi", "radial_bound", "uniqueness_1d",
 ]

@@ -29,8 +29,6 @@ gap between landing points and accepts once the m and 2m marches agree:
 m doubles until they do, and halves for the next window where they agree
 with room to spare, so one hard window does not set the step for the rest
 of the walk.
-The truncated series is kept as an independent cross-check, summed by a
-cumulative Simpson rule (``_cumulative_simpson``).
 
 Both integral tests share that march and one helper (``_windowed_march``),
 which checks the base point and the endpoint, marches through the
@@ -43,10 +41,9 @@ g / a, and keeps a guard on K and g: K = int rho beyond it already forces
 the iterated integral to diverge.
 
 Every test takes the base point c itself.  Neither integral test needs the
-scale function; only ``monotone_solution`` and ``series_partial`` call
-``quadrature.log_scale`` to turn the flux back into u.  That scale function
-is summed with the same Gauss-Legendre rule as the windows, so every
-quadrature here is the module's own.
+scale function ``quadrature.log_scale``, which would turn the flux back
+into u.  The tests' oracles do: a march of u itself and the truncated
+series, summed by cumulative Simpson quadrature (``tests/march_oracles.py``).
 """
 
 from __future__ import annotations
@@ -61,99 +58,10 @@ from .errors import DomainError, ValidationError
 from .operator import (SAMPLED, Coefficient, RadialBound, as_coefficient,
                        first_failure, make_operator_1d, probe_points)
 
-TOWARD_UPPER, TOWARD_LOWER = "TowardUpper", "TowardLower"
 UNIQUE, NOT_UNIQUE, INCONCLUSIVE = "Unique", "NotUnique", "Inconclusive"
 PROOF_FAITHFUL, STRICT_THEOREM = "ProofFaithful", "StrictTheorem"
 
 _OVERFLOW_GUARD = 1e150
-
-
-# ---------------------------------------------------------------------------
-# series tables (independent cross-check oracle)
-
-@dataclass(frozen=True)
-class SeriesTable:
-    direction: str
-    lam: float
-    xs: np.ndarray          # grid, marching away from the base point
-    partial_sums: np.ndarray  # shape (N+1, len(xs)); row N is S_N
-    N_max: int
-
-    def partial(self, n):
-        return self.partial_sums[n]
-
-
-def _simpson_forward(y, h):
-    """Integral over each [x_i, x_{i+1}] of the parabola through the samples
-    at x_i, x_{i+1}, x_{i+2}; ``h`` the interval widths."""
-    h1, h2 = h[:-1], h[1:]
-    r = h1 / (h1 + h2)
-    s = r * (h1 / h2)
-    return h1 / 6 * ((3 - r) * y[:-2] + (3 + s + r) * y[1:-1] - s * y[2:])
-
-
-def _cumulative_simpson(y, x):
-    """Cumulative integral of the samples ``y`` over the increasing grid
-    ``x`` (three points or more), 0 at x[0].  Each interval takes Simpson's
-    3-point parabola: the forward one (through the next point) on even
-    intervals, the backward one (through the previous point) on odd ones
-    and on the last."""
-    h = np.diff(x)
-    forward = _simpson_forward(y, h)
-    backward = _simpson_forward(y[::-1], h[::-1])[::-1]  # [j] is interval j+1
-    parts = np.empty(h.size)
-    parts[:-1:2] = forward[::2]
-    parts[1::2] = backward[::2]
-    parts[-1] = backward[-1]
-    return np.concatenate(([0.0], np.cumsum(parts)))
-
-
-def series_partial(op, c, lam, direction, N, n_grid=1025):
-    """Partial sums of the phi (toward upper) or psi (toward lower) series
-    on a unit span from the base point c, by iterated cumulative
-    quadrature, one cumulative Simpson pass per integral of each level."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    if n_grid < 3:
-        raise ValueError("n_grid must be at least 3")
-    sgn = 1.0 if direction == TOWARD_UPPER else -1.0
-    xs = c + sgn * np.linspace(0.0, 1.0, n_grid)
-
-    # work in the marched coordinate t >= 0; integrals from c become
-    # cumulative integrals in t for both directions
-    t = np.abs(xs - c)
-    L = qd.log_scale(op, c, xs)
-    with np.errstate(all="ignore"):
-        a_vals = op.a.array(xs)
-        V_vals = op.V.array(xs)
-    alpha = np.exp(L)
-    rho = alpha / a_vals
-    q = rho * (lam + V_vals)
-
-    phi = np.ones_like(t)
-    sums = [phi.copy()]
-    for _ in range(N):
-        inner = _cumulative_simpson(q * phi, t)
-        phi = _cumulative_simpson(inner / alpha, t)
-        sums.append(sums[-1] + phi)
-    return SeriesTable(direction, lam, xs, np.vstack(sums), N)
-
-
-# ---------------------------------------------------------------------------
-# monotone solutions (ODE march)
-
-@dataclass(frozen=True)
-class MonotoneSolution:
-    """u with u(c)=1, (alpha u')(c)=0, stored as log u and u'/u."""
-
-    direction: str
-    lam: float
-    xs: np.ndarray
-    log_u: np.ndarray
-    ratio: np.ndarray  # u'/u at the nodes
-
-    def u(self):
-        return np.exp(self.log_u)
 
 
 # 3-stage Radau IIA (Hairer & Wanner, Solving ODEs II, table IV.5.6): stage
@@ -204,9 +112,10 @@ class _Propagator:
     quadrature Q' = q(x) away from the base point, by 3-stage Radau IIA
     steps: order 5, L-stable and stiffly accurate.
 
-    ``coeffs(xs)`` returns ``(q, system)`` at an array of stage points, and
-    ``system(Q)`` returns A's entries (a00, a01, a10, a11) and f's (f0, f1)
-    there, given Q's stage values.  On a linear system each step is one 6x6
+    ``coeffs(xs)`` returns ``(q, system)`` at an array of stage points (q
+    an array of their shape), and ``system(Q)`` returns A's entries (a00,
+    a01, a10, a11) and f's (f0, f1) there, given Q's stage values, each
+    broadcastable to that shape.  On a linear system each step is one 6x6
     stage solve, giving z -> P z + v; the solves are batched and only the
     chaining of z is sequential.  The error control compares Q and the
     log of z's ``watched`` component; ``m``, the steps per gap, carries
@@ -271,8 +180,9 @@ class _Propagator:
             return 0.0
         n = min(yc.shape[1], yf.shape[1])
         rows = [self.watched, 2]
-        wc, wf = yc[rows, :n], yf[rows, :n]
-        wc[0], wf[0] = _log_positive(wc[0]), _log_positive(wf[0])
+        w = np.array((yc[rows, :n], yf[rows, :n]))  # (pass, row, point)
+        w[:, 0] = _log_positive(w[:, 0])
+        wc, wf = w
         with np.errstate(invalid="ignore"):
             scaled = np.abs(wc - wf) / np.maximum(1.0, np.abs(wf))
         scaled[np.isnan(wc) & np.isnan(wf)] = 0.0
@@ -290,8 +200,11 @@ class _Propagator:
         order of ``ms``, so a coefficient failure is named at the first
         march's point first.  Each march restarts Q's running sum from its
         own carried value and chains its own steps, so its floats are those
-        it has alone.  A march that crosses the guard builds no later
-        batch."""
+        it has alone.  The build's (P | v) is copied once to step order, and
+        each ``_chain`` reads its span of that buffer and writes its states
+        into one array; a march lands on a gap's end every m steps, so its
+        landed states are a slice.  A march that crosses the guard builds no
+        later batch."""
         limit = self.guard[0] if self.guard else None
         totals = [(pts.size - 1) * m for m in ms]
         carried = [self.y.tolist() for _ in ms]  # z0, z1, Q
@@ -314,72 +227,94 @@ class _Propagator:
             self.evals += xs.size
             q, system = self.coeffs(xs)
             with np.errstate(all="ignore"):
-                dQ = h * (_RADAU_A @ np.broadcast_to(q, xs.shape))
+                dQ = h * (_RADAU_A @ q)
                 Q_end = np.concatenate([carried[k][2] + np.cumsum(dQ[2, lo:hi])
                                         for k, lo, hi in spans])
                 Q_start = np.concatenate(([0.0], Q_end[:-1]))
                 Q_start[ends - sizes] = [carried[k][2] for k in live]
-                P, v = _propagators(h, system(Q_start + dQ))
-            # (p00, p01, p10, p11, v0, v1) of each step, as plain floats
-            flat = np.vstack((P.reshape(4, -1), v)).T.ravel().tolist()
+                Pv = _propagators(h, system(Q_start + dQ))
+            # (p00, p01, v0, p10, p11, v1) of each step, read as plain floats
+            steps = memoryview(np.ascontiguousarray(Pv.transpose(2, 0, 1))
+                               .ravel())
+            zs = np.empty((h.size, 2))
+            out = memoryview(zs.ravel())
             for k, lo, hi in spans:
                 z0, z1, _ = carried[k]
-                zs, crossed = _chain(flat[6 * lo:6 * hi], z0, z1, limit)
-                n = len(zs) // 2
-                at_node = np.flatnonzero(sub[lo:lo + n] == ms[k] - 1)
+                n, crossed = _chain(steps[6 * lo:6 * hi], z0, z1, limit,
+                                    out[2 * lo:2 * hi])
                 if crossed:  # keep only the nodes before the crossing step
-                    at_node = at_node[at_node < n - 1]
                     crossing[k] = float(x0[lo + n - 1] + h[lo + n - 1])
-                z = np.array(zs).reshape(-1, 2)[at_node]
-                landed[k].append(np.vstack((z.T, Q_end[lo + at_node])))
-                carried[k] = [*zs[-2:], float(Q_end[hi - 1])]
+                    n -= 1
+                else:
+                    carried[k] = [*out[2 * hi - 2:2 * hi],
+                                  float(Q_end[hi - 1])]
+                # step start + j ends a gap when (start + j) % m == m - 1
+                m_k = ms[k]
+                at_node = slice(lo + (m_k - 1 - start) % m_k, lo + n, m_k)
+                landed[k].append(np.vstack((zs[at_node].T, Q_end[at_node])))
         passes = []
         for parts, crossed in zip(landed, crossing):
-            states = np.hstack(parts)
-            bad = np.flatnonzero(~np.isfinite(states).all(axis=0))
-            if bad.size:  # an overflow, which no step refinement mends
+            states = parts[0] if len(parts) == 1 else np.hstack(parts)
+            if not np.isfinite(states).all():
+                # an overflow, which no step refinement mends
+                bad = np.flatnonzero(~np.isfinite(states).all(axis=0))
                 raise _failed(f"state not finite at x={pts[bad[0] + 1]:.6g}")
             passes.append((states, crossed))
         return passes
 
 
+_IDENTITY_6 = np.eye(6).reshape(3, 2, 3, 2, 1)  # (i, r, j, s, step)
+
+
 def _propagators(h, system):
-    """P (2, 2, n) and v (2, n) of the steps z -> P z + v of sizes h, from
-    A's and f's entries at the stage points, each broadcastable to (3, n).
+    """(P | v) of the steps z -> P z + v of sizes h, shape (2, 3, n): P in
+    columns 0 and 1, v in column 2; from A's and f's entries at the stage
+    points, each broadcastable to (3, n).
 
     The stage system (I - h (a_ij A_j)) Z = (z, z, z) + h (sum_j a_ij f_j)
     is solved by Gaussian elimination on its 2x2 blocks, for all steps at
-    once.  The step ends on the last stage, so no back substitution is
-    needed.  The pivot blocks I - h a A stay regular on the decaying modes
-    (h A's eigenvalues in the left half plane); where a growing mode makes
-    one singular, the states go non-finite and the march fails."""
+    once.  The three block rows i are stacked, each with its right-hand
+    side (I | h sum_j a_ij f_j), into one (3, 2, 9, n) array: for pivot k,
+    the factors of the blocks below it are one product and the update of
+    everything right of them another.  Each element takes the arithmetic of
+    a block-by-block elimination (a block is 0.0 or 1.0 minus h a_ij A_j),
+    so its bits depend neither on the stacking nor on how the steps are
+    split into builds of two steps or more; in a one-step build einsum sums
+    the forcing's stage terms in another order.  The step ends on the last
+    stage, so no back substitution is needed.  The pivot blocks I - h a A
+    stay regular on the decaying modes (h A's eigenvalues in the left half
+    plane); where a growing mode makes one singular, the states go
+    non-finite and the march fails."""
     (a00, a01, a10, a11), (f0, f1) = system
     n = h.size
-    A, f = np.empty((2, 2, 3, n)), np.empty((2, 3, n))
-    A[0, 0], A[0, 1], A[1, 0], A[1, 1] = a00, a01, a10, a11
+    f = np.empty((2, 3, n))
     f[0], f[1] = f0, f1
     ha = _RADAU_A[:, :, None] * h  # h a_ij, (3, 3, n)
-    eye = np.eye(2)[:, :, None]
-    blocks = [[(i == j) * eye - ha[i, j] * A[:, :, j] for j in range(3)]
-              for i in range(3)]
-    forcing = np.einsum("ijn,rjn->rin", ha, f)
-    rhs = [np.concatenate((np.broadcast_to(eye, (2, 2, n)),
-                           forcing[:, i, None]), axis=1) for i in range(3)]
+    # row i: its blocks j = 0, 1, 2, then the right-hand side (I | forcing_i)
+    rows = np.empty((3, 2, 9, n))
+    blocks = rows[:, :, :6].reshape(3, 2, 3, 2, n)  # a view: (i, r, j, s, n)
+    for (r, s), a in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                         (a00, a01, a10, a11)):
+        np.multiply(ha, a, out=blocks[:, r, :, s])
+    np.subtract(_IDENTITY_6, blocks, out=blocks)
+    rows[:, :, 6:8] = np.eye(2)[:, :, None]
+    rows[:, :, 8] = np.einsum("ijn,rjn->rin", ha, f).transpose(1, 0, 2)
     for k in range(2):
-        inverse = _inverse_2x2(blocks[k][k])
-        for i in range(k + 1, 3):
-            factor = _product_2x2(blocks[i][k], inverse)
-            for j in range(k + 1, 3):
-                blocks[i][j] = (blocks[i][j]
-                                - _product_2x2(factor, blocks[k][j]))
-            rhs[i] = rhs[i] - _product_2x2(factor, rhs[k])
-    last = _product_2x2(_inverse_2x2(blocks[2][2]), rhs[2])  # (2, 3, n)
-    return last[:, :2], last[:, 2]
+        pivot = slice(2 * k, 2 * k + 2)
+        factors = _product_2x2(rows[k + 1:, :, pivot],
+                               _inverse_2x2(rows[k, :, pivot]))
+        rows[k + 1:, :, 2 * k + 2:] -= _product_2x2(factors,
+                                                    rows[k, :, 2 * k + 2:])
+    return _product_2x2(_inverse_2x2(rows[2, :, 4:6]), rows[2, :, 6:])
 
 
 def _product_2x2(a, b):
-    """Stepwise products of 2x2 blocks (2, 2, n) with (2, k, n) blocks."""
-    return a[:, :1] * b[0] + a[:, 1:] * b[1]
+    """Stepwise products of 2x2 blocks (..., 2, 2, n) with (2, k, n)
+    blocks, over a's leading dimensions; the sum of the two products is
+    taken in place, which saves a temporary but not a rounding."""
+    product = a[..., :1, :] * b[..., None, 0, :, :]
+    product += a[..., 1:, :] * b[..., None, 1, :, :]
+    return product
 
 
 def _inverse_2x2(a):
@@ -387,19 +322,22 @@ def _inverse_2x2(a):
     return np.array([[a11, -a01], [-a10, a00]]) / (a00 * a11 - a01 * a10)
 
 
-def _chain(steps, z0, z1, limit):
-    """States after each step z -> P z + v from (z0, z1), flat (z0, z1,
-    z0, ...), and whether they end early, with the first whose |z| reaches
-    ``limit``; ``steps`` holds (p00, p01, p10, p11, v0, v1) of each step,
-    flat.  Plain floats: no per-step container for the collector."""
+def _chain(steps, z0, z1, limit, out):
+    """Chains the steps z -> P z + v from (z0, z1), writing the state after
+    each into ``out`` (z0, z1, z0, ...); returns how many it wrote and
+    whether it ended early, at the first state whose |z| reaches
+    ``limit``.  ``steps`` holds (p00, p01, v0, p10, p11, v1) of each step,
+    flat: the step order of a (2, 3, n) (P | v) transposed.  Plain floats:
+    no per-step container for the collector."""
     it = iter(steps)
-    out = []
-    for p00, p01, p10, p11, v0, v1 in zip(it, it, it, it, it, it):
+    i = 0
+    for p00, p01, v0, p10, p11, v1 in zip(it, it, it, it, it, it):
         z0, z1 = p00 * z0 + p01 * z1 + v0, p10 * z0 + p11 * z1 + v1
-        out += (z0, z1)
+        out[i], out[i + 1] = z0, z1
+        i += 2
         if limit is not None and (abs(z0) >= limit or abs(z1) >= limit):
-            return out, True
-    return out, False
+            return i // 2, True
+    return i // 2, False
 
 
 def _scaled_march(op, lam, c, toward_upper):
@@ -438,27 +376,6 @@ def _log_rho_u(op):
             log_a = np.log(op.a.array(xs))
         return y[2] + _log_positive(y[0]) - log_a
     return log_integrand
-
-
-def monotone_solution(op, c, lam, direction, x_end=None, n_grid=513):
-    """March u away from the base point c to ``x_end`` (default: one unit
-    in ``direction``); log-space table on ``n_grid`` nodes, which the march
-    lands on."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    c = qd.require_interior(op, c)
-    if x_end is None:
-        x_end = c + (1.0 if direction == TOWARD_UPPER else -1.0)
-    xs = np.linspace(c, x_end, n_grid)
-    march = _scaled_march(op, lam, c, direction == TOWARD_UPPER)
-    try:
-        h_hat, W_hat, sigma = march.advance(xs, x_end)
-    except qd.WindowStop as stop:
-        raise DomainError(f"monotone solution march failed: {stop}") from None
-    if not np.all(h_hat > 0.0):
-        raise DomainError("monotone solution march lost positivity")
-    log_u = sigma + np.log(h_hat) - qd.log_scale(op, c, xs)
-    return MonotoneSolution(direction, lam, xs, log_u, W_hat / h_hat)
 
 
 # ---------------------------------------------------------------------------

