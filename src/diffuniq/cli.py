@@ -221,8 +221,9 @@ def resolve_config(raw):
 
 def _check_sampling_sites(cfg):
     """The base point, the FP window, the probe windows and the FK start
-    point must lie inside the open operator interval, in ``xval`` the FK
-    start point also inside the FP window, where the FD value is read, and
+    point must lie inside the open operator interval, the FK start point
+    also inside the explosion radius and, in ``xval``, inside the FP window,
+    where the FD value is read, and
     the FK terminal function must be defined on the ladder that validates
     the operator (the config error names the first point where it is
     not)."""
@@ -241,6 +242,9 @@ def _check_sampling_sites(cfg):
         x0 = cfg["fk"]["x0"]
         if not lo < x0 < hi:
             raise ConfigError("/fk/x0", f"must lie {where}")
+        if not abs(x0) < cfg["fk"]["r_explode"]:  # else every path explodes
+            raise ConfigError("/fk/x0", "must lie inside the explosion radius "
+                              f"|x| < r_explode = {cfg['fk']['r_explode']}")
         if mode == "xval" and not window[0] < x0 < window[1]:
             raise ConfigError("/fk/x0", "must lie inside the FP window "
                               f"({window[0]}, {window[1]})")

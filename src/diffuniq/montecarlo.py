@@ -1,10 +1,10 @@
 """Feynman-Kac semigroup estimation by killed-diffusion simulation.
 
-One Euler-Maruyama block kernel steps every path: diffusion sqrt(2 a) in 1D
-(unit Brownian term in R^d, where the generator fixes the Laplacian
-coefficient at 1/2), killing accumulated as the weight exp(-int V) by
-trapezoid along the path (V of |x| in R^d), and a finite-radius explosion
-surrogate.  ``feynman_kac`` runs it block by block.
+One Euler-Maruyama block kernel steps every path of a 1D operator:
+diffusion sqrt(2 a), killing accumulated as the weight exp(-int V) by
+trapezoid along the path, and a finite-radius explosion surrogate.  A path
+that leaves keeps only its survival flag: the estimate reads no other state
+of it.  ``feynman_kac`` runs the kernel block by block.
 
 Path i draws its increments from a counter-based stream keyed by (seed, i):
 Philox with key ``seed`` started at counter word 2 = i, the state that
@@ -56,36 +56,23 @@ def _path_rng(seed, i):
 def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
     """Euler-Maruyama for paths ``first .. first+n-1`` of ``seed``.
 
-    A path leaves when its site (x in 1D, |x| in R^d) passes ``r_explode`` in
-    absolute value or a finite interval endpoint by more than the guard band;
-    it then stays where it left.
-
-    Returns positions at the end (shape (n,) or (n, d)), the survival mask,
-    int V up to the exit, and the number of steps each path took.
-
-    Every path takes every step, in place and in the float order of
-    ``x + drift(x) * dt + diffusion(x) * z``; a path that leaves has its
-    position and int V saved then and put back at the end.
+    A path leaves when it passes ``r_explode`` in absolute value or a finite
+    interval endpoint by more than the guard band.  Returns the end points,
+    the survival mask and int V, each of shape (n,).  Every path takes every
+    step, in place and in the float order of ``x + b(x) * dt + sqrt(2 a(x))
+    * sqrt(dt) * z``, so a path that left steps on: its end point and int V
+    are unspecified.
     """
     sdt = math.sqrt(dt)
-    if isinstance(op, Operator1D):
-        shape, drift, site = (), op.b.array, (lambda x: x)
-        a = op.a.constant
-        if a is None:
-            diffusion = lambda x: np.sqrt(2.0 * op.a.array(x)) * sdt
-        else:  # the same float as each entry of the array form
-            scale = math.sqrt(2.0 * a) * sdt
-            diffusion = lambda x: scale
-        lo = op.x0 - GUARD_BAND * max(1.0, abs(op.x0))  # -inf when unbounded
-        hi = op.y0 + GUARD_BAND * max(1.0, abs(op.y0))
-    else:
-        shape, drift = (op.d,), op.drift_at
-        site = lambda x: np.linalg.norm(x, axis=-1)
-        diffusion = lambda x: sdt
-        lo, hi = -math.inf, math.inf
-    walls = lo > -math.inf or hi < math.inf
-    if walls:  # |s| > r_explode is s < -r_explode or s > r_explode
-        lo, hi = max(lo, -r_explode), min(hi, r_explode)
+    a = op.a.constant
+    if a is None:
+        diffusion = lambda x: np.sqrt(2.0 * op.a.array(x)) * sdt
+    else:  # the same float as each entry of the array form
+        scale = math.sqrt(2.0 * a) * sdt
+        diffusion = lambda x: scale
+    # |x| > r_explode is x < -r_explode or x > r_explode, for NaN and inf too
+    lo = max(op.x0 - GUARD_BAND * max(1.0, abs(op.x0)), -r_explode)
+    hi = min(op.y0 + GUARD_BAND * max(1.0, abs(op.y0)), r_explode)
     v = op.V.constant
     kill = None if v is None else 0.5 * (v + v) * dt  # constant V's increment
     # one generator for the block, set to path i's counter before its draws;
@@ -95,14 +82,12 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
     start = bitgen.state
     counter = start["state"]["counter"]
     states = [None] * n
-    xi = np.empty((n, min(n_steps, _CHUNK)) + shape)
-    x = np.full((n,) + shape, x0, dtype=float)
+    xi = np.empty((n, min(n_steps, _CHUNK)))
+    x = np.full(n, x0, dtype=float)
     alive = np.ones(n, dtype=bool)
-    steps = np.full(n, n_steps)
     vint = np.zeros(n)
-    v_prev = op.V.array(site(x)) if v is None else v
-    noise = np.empty_like(x)
-    x_left, vint_left = np.empty_like(x), np.empty(n)  # as they were at exit
+    v_prev = op.V.array(x) if v is None else v
+    noise = np.empty(n)
     out = np.empty(n, dtype=bool)
     for k in range(n_steps):
         if k % _CHUNK == 0:
@@ -116,26 +101,17 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
                 if n_steps - k > _CHUNK:
                     states[j] = bitgen.state
         # coefficient arrays are fresh, so the drift's can hold drift * dt
-        step = drift(x)
+        step = op.b.array(x)
         step *= dt
         np.multiply(diffusion(x), xi[:, k % _CHUNK], out=noise)
         x += step
         x += noise
-        s = site(x)
-        if walls:
-            np.less(s, lo, out=out)
-            out |= s > hi
-        else:
-            np.greater(np.abs(s), r_explode, out=out)
-        out &= alive
-        if out.any():  # some path leaves in this step
-            steps[out] = k + 1
-            alive &= ~out
-            x_left[out] = x[out]
-            vint_left[out] = vint[out]
+        np.less(x, lo, out=out)  # strict, so a NaN path stays alive
+        out |= x > hi
+        alive &= ~out
         if v != 0.0:  # V == 0 adds nothing
             if v is None:
-                v_new = op.V.array(s)
+                v_new = op.V.array(x)
                 v_prev += v_new
                 v_prev *= 0.5
                 v_prev *= dt
@@ -143,10 +119,7 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
             else:
                 inc = kill
             vint += inc
-    left = ~alive
-    x[left] = x_left[left]
-    vint[left] = vint_left[left]
-    return x, alive, vint, steps
+    return x, alive, vint
 
 
 def _weights(vint):
@@ -157,16 +130,19 @@ def _weights(vint):
 
 def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
                 r_explode=R_EXPLODE_DEFAULT):
-    """Monte Carlo estimate of E[ 1_survived f(X_T) exp(-int_0^T V) ].
+    """Monte Carlo estimate of E[ 1_survived f(X_T) exp(-int_0^T V) ] for
+    an ``Operator1D``.
 
-    ``f`` maps an array of end points to their values, evaluated unchecked:
-    in 1D an (n,) array (an expression's ``Coefficient.array``, or a
-    GridFunction's ``zero_outside``), for an ``OperatorND`` an (n, d) array.
-    Exploded paths contribute zero (consistent with compactly supported f).
+    ``f`` maps an (n,) array of end points to their values, evaluated
+    unchecked: an expression's ``Coefficient.array``, or a GridFunction's
+    ``zero_outside``.  Exploded paths contribute zero (consistent with
+    compactly supported f).
     Deterministic for a fixed (seed, n_paths, dt); batching does not change
     the result because streams are keyed per path.  T must be a whole
     number of steps ``dt`` (``gridfn.whole_steps``).
     """
+    if not isinstance(op, Operator1D):
+        raise TypeError("feynman_kac takes a 1D operator")
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
     n_steps = whole_steps(T, dt)
@@ -174,11 +150,13 @@ def feynman_kac(op, f, T, x0, n_paths, dt, seed=0,
     exploded_total = 0
     for start in range(0, n_paths, _BLOCK):
         nb = min(_BLOCK, n_paths - start)
-        x, alive, vint, _ = _em_block(op, x0, n_steps, dt, seed, start, nb,
-                                      r_explode)
+        x, alive, vint = _em_block(op, x0, n_steps, dt, seed, start, nb,
+                                   r_explode)
+        # a left path's x and int V are anything, NaN and inf included
         with np.errstate(all="ignore"):
             fx = np.asarray(f(x), dtype=float)
-        contribs[start:start + nb] = np.where(alive, fx * _weights(vint), 0.0)
+            w = fx * _weights(vint)
+        contribs[start:start + nb] = np.where(alive, w, 0.0)
         exploded_total += int(np.sum(~alive))
 
     mean = float(np.sum(contribs) / n_paths)  # pairwise summation

@@ -200,6 +200,7 @@ def test_classifynd_makes_one_radial_pass(monkeypatch):
     ("xval", ou_config(fp={"dt": 0.04}), []),
     ("xval", ou_config(fp={"dt": 0.04}, fk={"T": 0.4}, probe={"T": 0.1}), []),
     ("xval", ou_config(fk={"x0": 12.0}), []),
+    ("fk", ou_config(fk={"x0": 5.0, "r_explode": 1.0}), []),
 ], ids=["array-config", "lambda-abc", "fk-n_paths", "fp-m", "probe-windows",
         "fp-dt", "fp-dt-over-fk-T", "fp-dt-over-probe-T", "probe-core_radius",
         "fk-f-log", "xval-f-log", "fp-window-bessel", "xval-window-bessel",
@@ -207,7 +208,8 @@ def test_classifynd_makes_one_radial_pass(monkeypatch):
         "nd-V-unknown-identifier", "nd-b-unknown-identifier",
         "entrance-c-endpoint", "classify-c-outside", "fp-dt-not-dividing-T",
         "fk-dt-not-dividing-T", "fk-dt-over-half-T", "fp-dt-not-dividing-fk-T",
-        "fp-dt-not-dividing-probe-T", "xval-x0-outside-fp-window"])
+        "fp-dt-not-dividing-probe-T", "xval-x0-outside-fp-window",
+        "fk-x0-past-r_explode"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, config, args):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

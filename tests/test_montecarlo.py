@@ -25,10 +25,10 @@ IDENT = term("x")
 
 
 def one_path(op, x0, T, dt, seed, i, r_explode=MC.R_EXPLODE_DEFAULT):
-    """Path i of ``seed`` alone: end point, survival, weight, steps taken."""
-    x, alive, vint, steps = MC._em_block(op, x0, whole_steps(T, dt), dt, seed,
-                                         i, 1, r_explode)
-    return x[0], bool(alive[0]), float(MC._weights(vint)[0]), int(steps[0])
+    """Path i of ``seed`` alone: end point, survival, weight."""
+    x, alive, vint = MC._em_block(op, x0, whole_steps(T, dt), dt, seed, i, 1,
+                                  r_explode)
+    return x[0], bool(alive[0]), float(MC._weights(vint)[0])
 
 
 def test_deterministic_given_seed():
@@ -47,6 +47,19 @@ def test_batching_invariance(monkeypatch):
     monkeypatch.setattr(MC, "_BLOCK", 1000)
     e2 = MC.feynman_kac(op, IDENT, 0.3, 1.0, 1000, 1e-2, seed=4)
     assert e1.mean == e2.mean
+
+
+def test_batching_invariance_with_leavers(monkeypatch):
+    # Brownian motion on (0, 1): most paths leave through a wall
+    op = make_operator_1d("1", "0", "0", (0.0, 1.0))
+    got = []
+    for block in (7, 2048):
+        monkeypatch.setattr(MC, "_BLOCK", block)
+        est = MC.feynman_kac(op, ONE, 0.2, 0.5, 4000, 1e-3, seed=6)
+        got.append((est.mean.hex(), est.stderr.hex(),
+                    est.explosion_fraction.hex()))
+    assert got[0] == got[1]
+    assert float.fromhex(got[0][2]) > 0.5
 
 
 def test_single_path_matches_vectorized(monkeypatch):
@@ -96,9 +109,8 @@ def test_explosion_surrogate():
     op = make_operator_1d("0.5", "x^3", "0", (-INF, INF))
     est = MC.feynman_kac(op, ONE, 1.0, 2.0, 500, 1e-3, seed=2, r_explode=50.0)
     assert est.explosion_fraction > 0.5
-    _, alive, _, steps = one_path(op, 2.0, 1.0, 1e-3, 2, 0, r_explode=50.0)
+    _, alive, _ = one_path(op, 2.0, 1.0, 1e-3, 2, 0, r_explode=50.0)
     assert not alive
-    assert 0.0 < steps * 1e-3 <= 1.0
 
 
 def test_finite_interval_absorption():
@@ -118,39 +130,11 @@ def test_terminal_gridfunction_zero_outside():
     assert 0.0 < est.mean < 1.0  # paths outside [-1,1] contribute zero
 
 
-def test_nd_path_runs():
+def test_nd_operator_rejected():
     op = make_operator_nd(3, ["-x1", "-x2", "-x3"], "0")
-    terminal, alive, weight, _ = one_path(op, [1.0, 0.0, 0.0], 0.2, 1e-2, 1, 0)
-    assert alive
-    assert terminal.shape == (3,)
-    assert weight == 1.0
-
-
-def test_nd_constant_killing(monkeypatch):
-    # V = 1 kills every path at rate 1: the weight is e^{-T} on each path
-    op = make_operator_nd(3, ["-x1", "-x2", "-x3"], "1")
-    monkeypatch.setattr(MC, "_BLOCK", 128)
-    est = MC.feynman_kac(op, lambda x: np.ones(len(x)), 0.5, [1.0, 0.0, 0.0],
-                         500, 1e-2, seed=3)
-    assert est.mean == pytest.approx(math.exp(-0.5), abs=1e-9)
-    assert est.stderr <= 1e-9
-    assert est.explosion_fraction == 0.0
-
-
-def test_nd_single_path_is_path_of_block(monkeypatch):
-    op = make_operator_nd(3, ["-x1 + sin(x2)", "-x2", "-x3"], "r^2")
-    terminals = []
-
-    def record(x):  # a callable terminal function sees the (n, d) block
-        terminals.append(x.copy())
-        return np.ones(len(x))
-    monkeypatch.setattr(MC, "_BLOCK", 128)
-    MC.feynman_kac(op, record, 0.2, [1.0, 0.5, 0.0], 200, 1e-2, seed=5)
-    block = np.concatenate(terminals)
-    assert block.shape == (200, 3)
-    for i in (0, 127, 128, 199):
-        terminal = one_path(op, [1.0, 0.5, 0.0], 0.2, 1e-2, 5, i)[0]
-        assert np.array_equal(terminal, block[i])
+    with pytest.raises(TypeError, match="feynman_kac takes a 1D operator"):
+        MC.feynman_kac(op, lambda x: np.ones(len(x)), 0.2, [1.0, 0.0, 0.0],
+                       100, 1e-2)
 
 
 def test_block_kernel_matches_scalar_reference():
@@ -169,31 +153,35 @@ def test_block_kernel_matches_scalar_reference():
                 break
             vint += 0.5 * (v + float(op.V.check([x_new])[0])) * dt
             x = x_new
-        terminal, alive, weight, steps = one_path(op, 0.5, T, dt, seed, i)
-        assert (not alive) == exited
-        assert weight == pytest.approx(math.exp(-vint), rel=1e-12)
-        if exited:
-            assert steps * dt == pytest.approx((k + 1) * dt)
-        else:
+        terminal, alive, weight = one_path(op, 0.5, T, dt, seed, i)
+        assert alive == (not exited), i
+        if alive:
+            assert weight == pytest.approx(math.exp(-vint), rel=1e-12)
             assert terminal == pytest.approx(x, rel=1e-12, abs=1e-14)
 
 
 def test_paths_leaving_at_different_steps_keep_their_bits():
     # paths leave through the wall at 0 and past r_explode, one in step 1
-    # and some after the first chunk refill; each gets back the position and
-    # int V it left with, and each path keeps the floats it has alone
+    # and some after the first chunk refill (runs over a prefix of the same
+    # streams show it); each path keeps its survival flag alone, and a
+    # survivor its floats
     op = make_operator_1d("0.25 + 0.05*sin(x)", "2*(1 - x)", "x^2", (0.0, INF))
     n_steps, dt, seed, first, n, r = MC._CHUNK + 100, 1e-2, 31, 5, 32, 1.8
-    block = MC._em_block(op, 0.05, n_steps, dt, seed, first, n, r)
-    x, alive, _, steps = block
-    left = ~alive
-    assert alive.any() and np.count_nonzero(steps == 1) == 1
-    assert (left & (x > r)).any() and (left & (x < 0.0)).any()
-    assert (left & (steps > MC._CHUNK)).any()
+    x, alive, vint = MC._em_block(op, 0.05, n_steps, dt, seed, first, n, r)
+
+    def dead(steps, r_explode):
+        alive = MC._em_block(op, 0.05, steps, dt, seed, first, n, r_explode)[1]
+        return np.count_nonzero(~alive)
+    n_dead = np.count_nonzero(~alive)
+    assert dead(1, r) == 1
+    assert dead(MC._CHUNK, r) < n_dead < n
+    assert 0 < dead(n_steps, INF) < n_dead
     alone = [MC._em_block(op, 0.05, n_steps, dt, seed, first + i, 1, r)
              for i in range(n)]
-    for got, want in zip(block, zip(*alone)):
-        assert got.tobytes() == np.concatenate(want).tobytes()
+    assert alive.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
+    for got, i in ((x, 0), (vint, 2)):
+        want = np.concatenate([a[i] for a in alone])
+        assert got[alive].tobytes() == want[alive].tobytes()
 
 
 def test_chunk_boundaries_match_scalar_reference():
@@ -201,9 +189,8 @@ def test_chunk_boundaries_match_scalar_reference():
     # across the refills exactly as one draw of all its normals
     op = ou("1")
     n, n_steps, dt, seed = 6, 2 * MC._CHUNK + 76, 1e-3, 19
-    x, alive, vint, steps = MC._em_block(op, 0.4, n_steps, dt, seed, 0, n,
-                                         math.inf)
-    assert alive.all() and np.all(steps == n_steps)
+    x, alive, vint = MC._em_block(op, 0.4, n_steps, dt, seed, 0, n, math.inf)
+    assert alive.all()
     scale = math.sqrt(2.0 * 0.5) * math.sqrt(dt)
     for i in (0, 1, n - 1):
         z = MC._path_rng(seed, i).standard_normal(n_steps)
@@ -225,7 +212,10 @@ BIT_PINS = {
                               "0x1.098ead65b7a33p-2"),
     "folded constants": ("0x1.e31bbaf6e8452p-2", "0x1.db03606f6dfbcp-9",
                          "0x0.0p+0"),
-    "nd V=1": ("0x1.beec73e672ea0p-3", "0x1.99546ac8ec0c2p-8", "0x0.0p+0"),
+    "x^3, V=x^2, f=x": ("0x1.09e18d7a4dcdap-5", "0x1.513fe7928febfp-8",
+                        "0x1.9a5e353f7ced9p-1"),
+    "half-line wall, r 1.8": ("0x1.70c3243dbbf91p-11", "0x1.77cb294132c70p-13",
+                              "0x1.999999999999ap-1"),
 }
 
 
@@ -242,10 +232,14 @@ def _pinned_run(name, monkeypatch):
     if name == "folded constants":
         op = make_operator_1d("2*0.25", "-x", "0.5*2", (-INF, INF))
         return MC.feynman_kac(op, f, 0.5, 0.1, 1500, 1e-2, seed=24)
-    op = make_operator_nd(3, ["-x1", "-x2 + 0.3*sin(x1)", "-x3"], "1")
-    monkeypatch.setattr(MC, "_BLOCK", 256)
-    return MC.feynman_kac(op, lambda x: np.exp(-np.sum(x * x, axis=1)), 0.5,
-                          [1.0, 0.0, 0.0], 600, 1e-2, seed=25)
+    if name == "x^3, V=x^2, f=x":
+        # most paths pass r_explode, and a left path's x and int V overflow
+        op = make_operator_1d("0.5", "x^3", "x^2", (-INF, INF))
+        return MC.feynman_kac(op, IDENT, 1.0, 1.0, 2000, 1e-3, seed=3)
+    # paths leave through the wall at 0 and past r_explode, over two chunks
+    op = make_operator_1d("0.25 + 0.05*sin(x)", "2*(1 - x)", "x^2", (0.0, INF))
+    return MC.feynman_kac(op, f, (MC._CHUNK + 100) * 1e-2, 0.05, 300, 1e-2,
+                          seed=31, r_explode=1.8)
 
 
 @pytest.mark.parametrize("name", sorted(BIT_PINS))
