@@ -16,7 +16,7 @@ from .errors import (
     UnknownIdentifier,
     ValidationError,
 )
-from .expr import format_expr, free_vars, parse_expr, parse_expr_multi
+from .expr import free_vars, parse_expr
 from .gridfn import GridFunction
 from .operator import (
     Operator1D,
@@ -26,7 +26,7 @@ from .operator import (
     make_operator_nd,
     radial_bound,
 )
-from .quadrature import IntegralVerdict, log_scale
+from .quadrature import IntegralVerdict
 from .uniqueness import (
     INCONCLUSIVE,
     NOT_UNIQUE,
@@ -57,8 +57,7 @@ __all__ = [
     "Operator1D", "OperatorND", "PROOF_FAITHFUL", "RadialBound",
     "REFLECTING", "STRICT_THEOREM", "UNIQUE", "UnknownIdentifier",
     "ValidationError", "Verdict", "bc_sensitivity_probe",
-    "endpoint_condition", "entrance_test", "feynman_kac", "format_expr",
-    "fp_solve", "free_vars", "gaussian_state", "log_scale",
-    "make_operator_1d", "make_operator_nd", "nd_verdicts", "parse_expr",
-    "parse_expr_multi", "radial_bound", "uniqueness_1d",
+    "endpoint_condition", "entrance_test", "feynman_kac", "fp_solve",
+    "free_vars", "gaussian_state", "make_operator_1d", "make_operator_nd",
+    "nd_verdicts", "parse_expr", "radial_bound", "uniqueness_1d",
 ]

@@ -2,7 +2,8 @@
 
 Config and report are JSON.  Infinities in intervals are the strings
 "-inf"/"inf".  Exit codes: 0 = ran to completion (verdicts are data, even
-Inconclusive), 2 = config error, 3 = operator validation error.
+Inconclusive), 2 = config error, 3 = operator validation error or a
+coefficient undefined at a point the run evaluates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import expr as ex
 from . import fdsolver, montecarlo, quadrature, uniqueness
 from .errors import ConfigError, DiffuniqError, ValidationError
 from .gridfn import GridFunction, whole_steps
-from .operator import (Coefficient, coordinate_names, first_failure,
+from .operator import (as_coefficient, coordinate_names, first_failure,
                        make_operator_1d, make_operator_nd, probe_points)
 
 MODES = ("classify1d", "classifynd", "entrance", "fp", "fk", "xval")
@@ -260,7 +261,7 @@ def _check_sampling_sites(cfg):
 
 def _parse(text, names, pointer):
     try:
-        return ex.parse_expr_multi(text, names)
+        return ex.parse_expr(text, *names)
     except DiffuniqError as exc:  # a syntax error or unknown identifier
         raise ConfigError(pointer, str(exc)) from None
 
@@ -337,8 +338,7 @@ def _run_fp(cfg, op, report):
 
 def _fk_terminal(cfg):
     """The ``fk`` section's terminal function as a coefficient."""
-    var = cfg["operator"]["var"]
-    return Coefficient.from_expr(ex.parse_expr(cfg["fk"]["f"], var), var)
+    return as_coefficient(cfg["fk"]["f"], cfg["operator"]["var"])
 
 
 def _feynman_kac(cfg, op):

@@ -1,4 +1,4 @@
-"""Single-variable arithmetic expressions: parsing, evaluation, printing.
+"""Arithmetic expressions over declared variables: parsing and evaluation.
 
 Grammar (precedence, loosest first):
     sum     := product (('+' | '-') product)*
@@ -8,8 +8,8 @@ Grammar (precedence, loosest first):
     atom    := NUMBER | IDENT | IDENT '(' sum (',' sum)* ')' | '(' sum ')'
 
 Function whitelist: exp, log, sqrt, abs, sin, cos, tanh (unary);
-min, max, pow (binary).  Any other identifier must be the declared
-variable name, otherwise parsing fails with UnknownIdentifier.  A numeric
+min, max, pow (binary).  Any other identifier must be one of the declared
+variable names, otherwise parsing fails with UnknownIdentifier.  A numeric
 literal must be finite: one that overflows to inf (``1e999``) is a syntax
 error.
 
@@ -219,17 +219,9 @@ class _Parser:
         raise ExprSyntaxError("expected number, identifier or '('", p)
 
 
-def parse_expr(text, var_name):
-    """Parse an expression whose only free variable is ``var_name``."""
-    return parse_expr_multi(text, (var_name,))
-
-
-def parse_expr_multi(text, var_names):
-    """Parse an expression over several coordinate identifiers.
-
-    Used for the component expressions of multidimensional drift fields;
-    everything else in the library goes through :func:`parse_expr`.
-    """
+def parse_expr(text, *var_names):
+    """Parse an expression whose free variables are among ``var_names``
+    (one for a coefficient, x1..xd for a drift component)."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     return _Parser(_tokenize(text), frozenset(var_names)).parse()
@@ -304,43 +296,3 @@ def free_vars(e):
             out |= free_vars(a)
         return out
     return set()
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-_PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(e):
-    if isinstance(e, (Num, Var, Call)):
-        return _PREC_ATOM
-    if isinstance(e, Neg):
-        return _PREC_UNARY
-    return _PREC_POW if e.op == "^" else (_PREC_SUM if e.op in "+-" else _PREC_PROD)
-
-
-def _fmt(e, context):
-    if isinstance(e, Num):
-        s = repr(e.value)
-    elif isinstance(e, Var):
-        s = e.name
-    elif isinstance(e, Call):
-        s = f"{e.func}({', '.join(_fmt(a, _PREC_SUM) for a in e.args)})"
-    elif isinstance(e, Neg):
-        s = "-" + _fmt(e.arg, _PREC_UNARY)
-    else:
-        p = _prec(e)
-        if e.op == "^":
-            # right-associative; exponent may carry a leading minus
-            s = _fmt(e.left, _PREC_ATOM) + "^" + _fmt(e.right, _PREC_UNARY)
-        else:
-            s = _fmt(e.left, p) + e.op + _fmt(e.right, p + 1)
-    if _prec(e) < context:
-        return "(" + s + ")"
-    return s
-
-
-def format_expr(e):
-    """Pretty-print so that re-parsing yields a structurally identical tree."""
-    return _fmt(e, _PREC_SUM)

@@ -25,6 +25,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .gridfn import whole_steps
+from .operator import coefficient_arrays
 
 ABSORBING, REFLECTING = "Absorbing", "Reflecting"
 
@@ -128,17 +129,15 @@ class Tridiagonal:
 
 
 class Discretization(Tridiagonal):
-    """Tridiagonal generator A with d_t u = A u for a fixed grid and BC."""
+    """Tridiagonal generator A with d_t u = A u for a fixed grid and BC.
+    DomainError names the first centre or face where a coefficient it
+    reads is undefined."""
 
     @np.errstate(all="ignore")  # unchecked; step() rejects non-finite bands
     def __init__(self, op, grid, bc):
-        x = grid.centers
-        xf = grid.faces
         dx = grid.dx
-        a_c = op.a.array(x)
-        V_c = op.V.array(x)
-        a_f = op.a.array(xf)
-        b_f = op.b.array(xf)
+        a_c, V_c = coefficient_arrays((op.a, op.V), grid.centers)
+        a_f, b_f = coefficient_arrays((op.a, op.b), grid.faces)
         w = (b_f / a_f) * dx          # face Peclet numbers
         delta = _cc_delta(w)
 
@@ -209,15 +208,13 @@ def fp_solve(op, u0, T, dt, record_mass=True):
 
 class BackwardDiscretization(Tridiagonal):
     """Independent central-difference discretization of the operator itself,
-    a f'' + b f' - V f, for ``backward_evolve`` (absorbing walls)."""
+    a f'' + b f' - V f, for ``backward_evolve`` (absorbing walls).
+    DomainError names the first centre where a coefficient is undefined."""
 
     @np.errstate(all="ignore")  # unchecked; step() rejects non-finite bands
     def __init__(self, op, grid):
-        x = grid.centers
         dx = grid.dx
-        a_c = op.a.array(x)
-        b_c = op.b.array(x)
-        V_c = op.V.array(x)
+        a_c, b_c, V_c = coefficient_arrays((op.a, op.b, op.V), grid.centers)
         super().__init__(lower=(a_c / dx ** 2 - b_c / (2.0 * dx))[1:],
                          diag=-2.0 * a_c / dx ** 2 - V_c,
                          upper=(a_c / dx ** 2 + b_c / (2.0 * dx))[:-1])

@@ -40,10 +40,6 @@ class Coefficient:
             fn = lambda xs: f({var: xs})
         self._fn = fn
 
-    @classmethod
-    def from_expr(cls, e, var):
-        return cls(None, expr=e, var=var)
-
     @cached_property
     def constant(self):
         if self.expr is None or ex.free_vars(self.expr):
@@ -65,15 +61,17 @@ class Coefficient:
 
 
 def as_coefficient(spec, var):
+    """A coefficient from expression text or a parsed tree over ``var``, a
+    number, or an array function; a Coefficient is returned as it is."""
     if isinstance(spec, Coefficient):
         return spec
-    if isinstance(spec, str):
-        return Coefficient.from_expr(ex.parse_expr(spec, var), var)
-    if isinstance(spec, (int, float)):
-        return Coefficient.from_expr(ex.Num(float(spec)), "_")
     if callable(spec):
         return Coefficient(spec)
-    return Coefficient.from_expr(spec, var)  # assume parsed Expr
+    if isinstance(spec, str):
+        spec = ex.parse_expr(spec, var)
+    elif isinstance(spec, (int, float)):
+        spec = ex.Num(float(spec))
+    return Coefficient(None, expr=spec, var=var)
 
 
 @dataclass(frozen=True)
@@ -96,17 +94,23 @@ class Operator1D:
                                          self.V.knots)))
 
 
+def interval_center(x0, y0):
+    """The centre of the interval (x0, y0): its midpoint when both ends are
+    finite, 1 inside the one finite end, else 0."""
+    if math.isinf(x0) and math.isinf(y0):
+        return 0.0
+    if math.isinf(x0):
+        return y0 - 1.0
+    if math.isinf(y0):
+        return x0 + 1.0
+    return 0.5 * (x0 + y0)
+
+
 def probe_points(x0, y0, per_gap=512):
     """The validation ladder: marks laddered geometrically toward each
-    endpoint, and ``per_gap`` points inside each gap between marks."""
-    if math.isinf(x0) and math.isinf(y0):
-        center = 0.0
-    elif math.isinf(x0):
-        center = y0 - 1.0
-    elif math.isinf(y0):
-        center = x0 + 1.0
-    else:
-        center = 0.5 * (x0 + y0)
+    endpoint from the interval's centre, and ``per_gap`` points inside each
+    gap between marks."""
+    center = interval_center(x0, y0)
     j = np.arange(7.0)
     up = center + 2.0 ** j if math.isinf(y0) else y0 - (y0 - center) * 2.0 ** -(j + 1)
     down = center - 2.0 ** j if math.isinf(x0) else x0 + (center - x0) * 2.0 ** -(j + 1)
@@ -152,6 +156,23 @@ def first_failure(xs, coefs, flags=None):
             return float(xs[end]), None, exc
         xs = xs[end + 1:]
     return None
+
+
+def coefficient_arrays(coefs, xs):
+    """The coefficients' array forms at the points ``xs``.  Where one raises
+    or is not finite, DomainError names the reason its checked form gives
+    at the first bad point of ``xs.T.ravel()``: in marching order for
+    (stage, step) arrays."""
+    try:
+        with np.errstate(all="ignore"):
+            vals = [c.array(xs) for c in coefs]
+        if all(np.isfinite(v).all() for v in vals):
+            return vals
+    except (DomainError, OverflowError, ValueError):
+        pass
+    bad = first_failure(xs.T.ravel(), coefs)
+    raise DomainError(f"{bad[2]} at x={bad[0]:.6g}" if bad
+                      else "a coefficient array is not finite")
 
 
 def make_operator_1d(a, b, V, interval, var="x"):
@@ -227,7 +248,7 @@ def make_operator_nd(d, b_components, V, beta_override=None):
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, d,
                               "dimension must be >= 2")
     names = coordinate_names(d)
-    comps = [ex.parse_expr_multi(c, names) if isinstance(c, str) else c
+    comps = [ex.parse_expr(c, *names) if isinstance(c, str) else c
              for c in b_components]
     if len(comps) != d:
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, d,

@@ -1,11 +1,11 @@
 """Three-valued divergence verdicts for improper integrals near singular
-endpoints, and the Feller scale function.
+endpoints, and the scale check on the operator's input.
 
 One walk sums every windowed integral over geometrically expanding windows
 by Gauss-Legendre in log space and gathers asymptotic evidence; it never
 claims an exact infinity.  Its limits are the module constants below.  The
-scale function takes the same 32-point rule, halving each piece of a gap
-until it is resolved.
+scale check integrates b/a on both sides of the base point with the same
+32-point rule, halving each piece of a gap until it is resolved.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def windowed_verdict(endpoint, anchor, open_window):
 
 
 # ---------------------------------------------------------------------------
-# Feller scale function
+# scale check
 
 def require_interior(op, c):
     """The base point ``c`` as a float; DomainError unless it lies inside
@@ -257,8 +257,8 @@ def require_interior(op, c):
     return float(c)
 
 
-# log_scale's bisection of b/a: the tolerance a piece's sum is resolved to
-# (relative above 1), and the cap on a gap's unresolved pieces at one level
+# the scale check's bisection of b/a: the tolerance a piece's sum is resolved
+# to (relative above 1), and the cap on a gap's unresolved pieces at one level
 _SCALE_TOL = 1e-12
 _SCALE_PIECES = 64
 
@@ -306,31 +306,13 @@ def _ratio_integrals(op, lo, hi):
     return totals
 
 
-def log_scale(op, c, xs):
-    """L(x) = integral from c to x of b/a at the points ``xs``, which may lie
-    on either side of the base point c, or on both.  The scale density is
-    alpha = e^L and the speed density rho = e^L / a.  Each side is chained
-    outward from c, one adaptive Gauss-Legendre integral per gap between
-    neighbouring points, all gaps at once."""
-    c = require_interior(op, c)
-    xs = np.asarray(xs, dtype=float)
-    outside = ~((xs > op.x0) & (xs < op.y0))
-    if outside.any():
-        raise DomainError(f"{xs[outside][0]} outside ({op.x0}, {op.y0})")
-    pts = np.unique(xs)
-    up = np.concatenate(([c], pts[pts > c]))
-    down = np.concatenate(([c], pts[pts < c][::-1]))
-    gaps = _ratio_integrals(op, np.concatenate((up[:-1], down[:-1])),
-                            np.concatenate((up[1:], down[1:])))
-    n_up = up.size - 1
-    L = np.concatenate((np.cumsum(gaps[n_up:])[::-1], [0.0], np.cumsum(gaps[:n_up])))
-    return L[np.searchsorted(np.concatenate((down[:0:-1], up)), xs)]
-
-
 def probe_scale(op, c):
     """Input check: b/a must integrate on [c - 1, c + 1], each side cut to a
-    quarter of the gap to a finite endpoint.  Raises DomainError when c is
-    not interior or b/a is not integrable there."""
+    quarter of the gap to a finite endpoint and skipped where its end rounds
+    to c.  Raises DomainError when c is not interior or b/a is not
+    integrable there, naming the upper gap first."""
+    c = require_interior(op, c)
     up = c + min(1.0, 0.25 * (op.y0 - c)) if math.isfinite(op.y0) else c + 1.0
     down = c - min(1.0, 0.25 * (c - op.x0)) if math.isfinite(op.x0) else c - 1.0
-    log_scale(op, c, [down, up])
+    ends = np.array([x for x in (up, down) if x != c])
+    _ratio_integrals(op, np.full(ends.size, c), ends)

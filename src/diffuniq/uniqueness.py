@@ -41,9 +41,10 @@ g / a, and keeps a guard on K and g: K = int rho beyond it already forces
 the iterated integral to diverge.
 
 Every test takes the base point c itself.  Neither integral test needs the
-scale function ``quadrature.log_scale``, which would turn the flux back
-into u.  The tests' oracles do: a march of u itself and the truncated
-series, summed by cumulative Simpson quadrature (``tests/march_oracles.py``).
+scale function L = int b/a, which would turn the flux back into u.  The
+tests' oracles do: a march of u itself and the truncated series, summed by
+cumulative Simpson quadrature, both on ``log_scale`` in
+``tests/march_oracles.py``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ import numpy as np
 from . import quadrature as qd
 from .errors import DomainError, ValidationError
 from .operator import (SAMPLED, Coefficient, RadialBound, as_coefficient,
-                       first_failure, make_operator_1d, probe_points)
+                       coefficient_arrays, first_failure, interval_center,
+                       make_operator_1d, probe_points)
 
 UNIQUE, NOT_UNIQUE, INCONCLUSIVE = "Unique", "NotUnique", "Inconclusive"
 PROOF_FAITHFUL, STRICT_THEOREM = "ProofFaithful", "StrictTheorem"
@@ -86,23 +88,6 @@ MAX_SUBSTEPS = 1024
 BATCH_STEPS = 1024
 
 
-def _coefficient_arrays(coefs, xs):
-    """The coefficients' array forms at the stage points ``xs``, shape
-    (stage, step).  Where one raises or is not finite, ``WindowStop`` names
-    the reason its checked form gives at the first bad point in marching
-    order."""
-    try:
-        with np.errstate(all="ignore"):
-            vals = [c.array(xs) for c in coefs]
-        if all(np.isfinite(v).all() for v in vals):
-            return vals
-    except (DomainError, OverflowError, ValueError):
-        pass
-    bad = first_failure(xs.T.ravel(), coefs)
-    raise _failed(f"{bad[2]} at x={bad[0]:.6g}" if bad
-                  else "a coefficient array is not finite")
-
-
 def _failed(reason):
     return qd.WindowStop(f"ODE march failed ({reason}); domain truncated")
 
@@ -115,12 +100,13 @@ class _Propagator:
     ``coeffs(xs)`` returns ``(q, system)`` at an array of stage points (q
     an array of their shape), and ``system(Q)`` returns A's entries (a00,
     a01, a10, a11) and f's (f0, f1) there, given Q's stage values, each
-    broadcastable to that shape.  On a linear system each step is one 6x6
-    stage solve, giving z -> P z + v; the solves are batched and only the
-    chaining of z is sequential.  The error control compares Q and the
-    log of z's ``watched`` component; ``m``, the steps per gap, carries
-    from window to window, doubling and halving (see ``advance``).  A
-    ``guard`` (limit, evidence) ends the walk ``Diverges`` at the first
+    broadcastable to that shape; a DomainError from ``coeffs`` ends the
+    walk ``Inconclusive`` with its reason.  On a linear system each step
+    is one 6x6 stage solve, giving z -> P z + v; the solves are batched
+    and only the chaining of z is sequential.  The error control compares
+    Q and the log of z's ``watched`` component; ``m``, the steps per gap,
+    carries from window to window, doubling and halving (see ``advance``).
+    A ``guard`` (limit, evidence) ends the walk ``Diverges`` at the first
     step whose |z| reaches the limit; nothing past it is marched, and once
     both passes reach it nothing is refined.  The march lands on the
     ``knots``, the points where a coefficient is not smooth, as on the
@@ -225,7 +211,10 @@ class _Propagator:
             x0 = pts[gap] + sub * h
             xs = x0 + _RADAU_C[:, None] * h  # (stage, step)
             self.evals += xs.size
-            q, system = self.coeffs(xs)
+            try:
+                q, system = self.coeffs(xs)
+            except DomainError as exc:  # a coefficient undefined at a point
+                raise _failed(str(exc)) from None
             with np.errstate(all="ignore"):
                 dQ = h * (_RADAU_A @ q)
                 Q_end = np.concatenate([carried[k][2] + np.cumsum(dQ[2, lo:hi])
@@ -350,7 +339,7 @@ def _scaled_march(op, lam, c, toward_upper):
     s = 1.0 if toward_upper else -1.0
 
     def coeffs(xs):
-        a, b, V = _coefficient_arrays((op.a, op.b, op.V), xs)
+        a, b, V = coefficient_arrays((op.a, op.b, op.V), xs)
         with np.errstate(all="ignore"):
             p = b / a
             q = (lam + V) / a
@@ -433,7 +422,7 @@ def entrance_test(op, c, endpoint):
         sgn = 1.0 if toward_upper else -1.0
 
         def coeffs(xs):
-            a, b = _coefficient_arrays((op.a, op.b), xs)
+            a, b = coefficient_arrays((op.a, op.b), xs)
             with np.errstate(all="ignore"):
                 r = b / a
 
@@ -522,13 +511,7 @@ def uniqueness_1d(op, lam_set=(0.5, 1.0, 2.0), c=None):
 
 
 def default_base_point(op):
-    if math.isfinite(op.x0) and math.isfinite(op.y0):
-        return 0.5 * (op.x0 + op.y0)
-    if math.isfinite(op.x0):
-        return op.x0 + 1.0
-    if math.isfinite(op.y0):
-        return op.y0 - 1.0
-    return 0.0
+    return interval_center(op.x0, op.y0)
 
 
 # ---------------------------------------------------------------------------

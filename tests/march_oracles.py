@@ -1,13 +1,15 @@
-"""Oracles for the endpoint march, shared by the uniqueness and acceptance
-tests.
+"""Oracles for the endpoint march, shared by the uniqueness, quadrature,
+symmetry and acceptance tests.
 
 The solution u of (alpha u')' = rho (lambda + V) u with u(c) = 1,
 (alpha u')(c) = 0 is the sum of the phi (toward the upper end) or psi
 (toward the lower end) series.  ``series_partial`` sums its partial sums by
 iterated cumulative Simpson quadrature, with no march; ``monotone_solution``
 marches u on a node grid with the library's Radau IIA march and turns the
-scaled flux back into u with the scale function.  Criterion 2 compares the
-two.
+scaled flux back into u with the scale function ``log_scale``.  Criterion 2
+compares the two.  ``log_scale`` integrates b/a between neighbouring points
+with the library's own adaptive Gauss-Legendre rule, the one of its scale
+check.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,27 @@ from diffuniq.errors import DomainError
 from diffuniq.uniqueness import _scaled_march
 
 TOWARD_UPPER, TOWARD_LOWER = "TowardUpper", "TowardLower"
+
+
+def log_scale(op, c, xs):
+    """L(x) = integral from c to x of b/a at the points ``xs``, which may lie
+    on either side of the base point c, or on both.  The scale density is
+    alpha = e^L and the speed density rho = e^L / a.  Each side is chained
+    outward from c, one adaptive Gauss-Legendre integral per gap between
+    neighbouring points, all gaps at once."""
+    c = qd.require_interior(op, c)
+    xs = np.asarray(xs, dtype=float)
+    outside = ~((xs > op.x0) & (xs < op.y0))
+    if outside.any():
+        raise DomainError(f"{xs[outside][0]} outside ({op.x0}, {op.y0})")
+    pts = np.unique(xs)
+    up = np.concatenate(([c], pts[pts > c]))
+    down = np.concatenate(([c], pts[pts < c][::-1]))
+    gaps = qd._ratio_integrals(op, np.concatenate((up[:-1], down[:-1])),
+                               np.concatenate((up[1:], down[1:])))
+    n_up = up.size - 1
+    L = np.concatenate((np.cumsum(gaps[n_up:])[::-1], [0.0], np.cumsum(gaps[:n_up])))
+    return L[np.searchsorted(np.concatenate((down[:0:-1], up)), xs)]
 
 
 @dataclass(frozen=True)
@@ -72,7 +95,7 @@ def series_partial(op, c, lam, direction, N, n_grid=1025):
     # work in the marched coordinate t >= 0; integrals from c become
     # cumulative integrals in t for both directions
     t = np.abs(xs - c)
-    L = qd.log_scale(op, c, xs)
+    L = log_scale(op, c, xs)
     with np.errstate(all="ignore"):
         a_vals = op.a.array(xs)
         V_vals = op.V.array(xs)
@@ -120,5 +143,5 @@ def monotone_solution(op, c, lam, direction, x_end=None, n_grid=513):
         raise DomainError(f"monotone solution march failed: {stop}") from None
     if not np.all(h_hat > 0.0):
         raise DomainError("monotone solution march lost positivity")
-    log_u = sigma + np.log(h_hat) - qd.log_scale(op, c, xs)
+    log_u = sigma + np.log(h_hat) - log_scale(op, c, xs)
     return MonotoneSolution(direction, lam, xs, log_u, W_hat / h_hat)

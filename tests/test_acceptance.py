@@ -15,11 +15,11 @@ import time
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from diffuniq import (cli, expr as E, fdsolver as FD, montecarlo as MC,
-                      quadrature as Q, uniqueness as U)
+from diffuniq import cli, fdsolver as FD, montecarlo as MC, uniqueness as U
 from diffuniq.gridfn import GridFunction
-from diffuniq.operator import Coefficient, make_operator_1d, make_operator_nd
-from march_oracles import TOWARD_UPPER, monotone_solution, series_partial
+from diffuniq.operator import as_coefficient, make_operator_1d, make_operator_nd
+from march_oracles import (TOWARD_UPPER, log_scale, monotone_solution,
+                           series_partial)
 
 INF = math.inf
 
@@ -121,7 +121,7 @@ def test_criterion_05_fd_conservation_and_killing():
 
 def test_criterion_06_mc_fd_agreement():
     t0 = time.perf_counter()
-    f = Coefficient.from_expr(E.parse_expr("exp(-x^2)", "x"), "x").array
+    f = as_coefficient("exp(-x^2)", "x").array
     details, ok = [], True
     for V in ("0", "1"):
         op = make_operator_1d("0.5", "-x", V, (-INF, INF))
@@ -184,7 +184,7 @@ def test_criterion_08_rho_symmetry():
                              for k0, k1 in zip(knots[:-1], knots[1:])])
         w = np.concatenate([0.5 * (k1 - k0) * glw
                             for k0, k1 in zip(knots[:-1], knots[1:])])
-        rho = np.exp(Q.log_scale(op, c, xs)) / op.a.array(xs)
+        rho = np.exp(log_scale(op, c, xs)) / op.a.array(xs)
         av, bv, Vv = op.a.array(xs), op.b.array(xs), op.V.array(xs)
         rng = np.random.default_rng(7)
         for _ in range(20):

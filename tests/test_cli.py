@@ -325,23 +325,40 @@ def test_operator_parse_error_is_config_error(config, pointer):
 @pytest.mark.parametrize("command, mode", [("classify", "classify1d"),
                                            ("entrance", "entrance")])
 def test_scale_probe_rejects_oscillating_drift(tmp_path, capsys, command, mode):
-    # b/a = 2 sin(1/(x - 0.3)) oscillates ever faster toward x = 0.3, next to
-    # the base point; the probe of [c - 1, c + 1] fails there and ends the
-    # run before any march
+    # b/a = 2 sin(1/(x -+ 0.3)) oscillates ever faster toward x = +-0.3, next
+    # to the base point; the probe of [c - 1, c + 1] fails on that side and
+    # ends the run before any march
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(ou_config(
-        mode, operator={**_OU, "b": "sin(1/(x-0.3))"})))
-    assert cli.main([command, "--config", str(path)]) == 3
-    assert "b/a not integrable" in capsys.readouterr().err
+    for b, gap in (("sin(1/(x-0.3))", "[0.0, 1.0]"),
+                   ("sin(1/(x+0.3))", "[0.0, -1.0]")):
+        path.write_text(json.dumps(ou_config(mode, operator={**_OU, "b": b})))
+        assert cli.main([command, "--config", str(path)]) == 3
+        assert f"b/a not integrable on {gap}" in capsys.readouterr().err
 
 
 def test_scale_probe_rejects_pole_in_drift(tmp_path, capsys):
-    # b/a = -2x + 2/(x - 0.3) has a pole next to the base point: not
-    # integrable, so the run ends before any march
+    # b/a = -2x + 2/(x -+ 0.3) has a pole next to the base point, above or
+    # below it: not integrable, so the run ends before any march
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(ou_config(operator={**_OU, "b": "-x+1/(x-0.3)"})))
-    assert cli.main(["classify", "--config", str(path)]) == 3
-    assert "b/a not integrable" in capsys.readouterr().err
+    for b, gap in (("-x+1/(x-0.3)", "[0.0, 1.0]"),
+                   ("-x+1/(x+0.3)", "[0.0, -1.0]")):
+        path.write_text(json.dumps(ou_config(operator={**_OU, "b": b})))
+        assert cli.main(["classify", "--config", str(path)]) == 3
+        assert f"b/a not integrable on {gap}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, b, point", [("fp", "1/x", 0),
+                                            ("xval", "-x+1/(x-2)", 2)],
+                         ids=["fp", "xval"])
+def test_coefficient_undefined_on_an_fp_grid_exits_3(tmp_path, capsys, mode, b,
+                                                      point):
+    # the whole-line validation ladder samples neither x = 0 nor x = 2, but a
+    # face of the FP grid (fp) or of a probe window's grid (xval) lies there
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(mode, operator={**_OU, "b": b})))
+    assert cli.main([mode, "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: divide by zero encountered in divide at x={point}\n"
 
 
 def test_overflowing_literal_is_a_config_error(tmp_path, capsys):

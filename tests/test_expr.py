@@ -59,7 +59,7 @@ def test_unknown_identifiers():
 
 
 def test_multi_variable():
-    tree = E.parse_expr_multi("x1*x2 - x3", ("x1", "x2", "x3"))
+    tree = E.parse_expr("x1*x2 - x3", "x1", "x2", "x3")
     f = E.compile_expr(tree)
     assert E.checked(f, {"x1": 2.0, "x2": 3.0, "x3": 1.0}) == 5.0
     assert E.free_vars(tree) == {"x1", "x2", "x3"}
@@ -105,6 +105,43 @@ def test_odd_power_negative_base():
 
 # --- random tree round-trip -------------------------------------------------
 
+_PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+def _prec(e):
+    if isinstance(e, (E.Num, E.Var, E.Call)):
+        return _PREC_ATOM
+    if isinstance(e, E.Neg):
+        return _PREC_UNARY
+    return _PREC_POW if e.op == "^" else (_PREC_SUM if e.op in "+-" else _PREC_PROD)
+
+
+def _fmt(e, context):
+    if isinstance(e, E.Num):
+        s = repr(e.value)
+    elif isinstance(e, E.Var):
+        s = e.name
+    elif isinstance(e, E.Call):
+        s = f"{e.func}({', '.join(_fmt(a, _PREC_SUM) for a in e.args)})"
+    elif isinstance(e, E.Neg):
+        s = "-" + _fmt(e.arg, _PREC_UNARY)
+    else:
+        p = _prec(e)
+        if e.op == "^":
+            # right-associative; exponent may carry a leading minus
+            s = _fmt(e.left, _PREC_ATOM) + "^" + _fmt(e.right, _PREC_UNARY)
+        else:
+            s = _fmt(e.left, p) + e.op + _fmt(e.right, p + 1)
+    if _prec(e) < context:
+        return "(" + s + ")"
+    return s
+
+
+def format_expr(e):
+    """Pretty-print so that re-parsing yields a structurally identical tree."""
+    return _fmt(e, _PREC_SUM)
+
+
 def _exprs(depth):
     leaf = st.one_of(
         st.floats(min_value=0.0, max_value=10.0, allow_nan=False).map(E.Num),
@@ -128,7 +165,7 @@ def _exprs(depth):
 @settings(max_examples=1000, deadline=None)
 @given(_exprs(6), st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
 def test_print_parse_roundtrip(tree, x):
-    printed = E.format_expr(tree)
+    printed = format_expr(tree)
     reparsed = E.parse_expr(printed, "x")
     assert reparsed == tree
     try:

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import LinAlgError, lapack, solve_banded
 
 from diffuniq import fdsolver as FD, uniqueness as U
+from diffuniq.errors import DomainError
 from diffuniq.gridfn import GridFunction, whole_steps
 from diffuniq.operator import make_operator_1d
 from fd_duality import duality_check
@@ -257,6 +258,18 @@ def test_factored_step_matches_banded_solve(monkeypatch):
         bad[100] = np.nan
         with pytest.raises(ValueError):
             disc.step(bad, 1e-3, 0.5)
+
+
+def test_discretizations_name_an_undefined_point():
+    # the whole-line validation ladder never samples x = 0, where b = 1/x is
+    # undefined: the forward discretization meets it at a face of the first
+    # grid, the backward one at a centre of the second
+    op = make_operator_1d("0.5", "1/x", "0", (-INF, INF))
+    message = "^divide by zero encountered in divide at x=0$"
+    with pytest.raises(DomainError, match=message):
+        FD.Discretization(op, FD.Grid1D(-4.0, 4.0, 100), FD.REFLECTING)
+    with pytest.raises(DomainError, match=message):
+        FD.BackwardDiscretization(op, FD.Grid1D(-17.0, 17.0, 17))
 
 
 def test_singular_or_nonfinite_step_raises():

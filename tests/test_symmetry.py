@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from diffuniq import quadrature as Q
 from diffuniq.operator import make_operator_1d
+from march_oracles import log_scale
 
 INF = math.inf
 
@@ -43,7 +43,7 @@ def _pairing_defect(op, c, f, g, knots):
     xs = np.concatenate(nodes)
     w = np.concatenate(weights)
 
-    rho = np.exp(Q.log_scale(op, c, xs)) / op.a.array(xs)
+    rho = np.exp(log_scale(op, c, xs)) / op.a.array(xs)
     a = op.a.array(xs)
     b = op.b.array(xs)
     V = op.V.array(xs)

@@ -4,12 +4,12 @@ import time
 import numpy as np
 import pytest
 
-from diffuniq import quadrature as Q, uniqueness as U
+from diffuniq import uniqueness as U
 from diffuniq.errors import DomainError, ValidationError
 from diffuniq.operator import (Coefficient, Operator1D, as_coefficient,
                                make_operator_1d, make_operator_nd, radial_bound)
 from march_oracles import (TOWARD_LOWER, TOWARD_UPPER, _cumulative_simpson,
-                           monotone_solution, series_partial)
+                           log_scale, monotone_solution, series_partial)
 
 INF = math.inf
 
@@ -710,7 +710,7 @@ def test_march_non_finite_coefficient_names_the_point():
     lambda op: U.entrance_test(op, 1.5, 1.0),
     lambda op: monotone_solution(op, 1.5, 1.0, TOWARD_UPPER),
     lambda op: series_partial(op, 1.5, 1.0, TOWARD_UPPER, 2),
-    lambda op: Q.log_scale(op, 1.5, [0.5]),
+    lambda op: log_scale(op, 1.5, [0.5]),
 ], ids=["uniqueness_1d", "endpoint_condition", "entrance_test",
         "monotone_solution", "series_partial", "log_scale"])
 def test_base_point_outside_interval_is_domain_error(call):
