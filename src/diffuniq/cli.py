@@ -23,7 +23,8 @@ from . import fdsolver, montecarlo, quadrature, uniqueness
 from .errors import ConfigError, DiffuniqError, ValidationError
 from .gridfn import GridFunction, whole_steps
 from .operator import (as_coefficient, coordinate_names, first_failure,
-                       make_operator_1d, make_operator_nd, probe_points)
+                       hypotheses_fail, hypothesis_error, make_operator_1d,
+                       make_operator_nd, probe_points)
 
 MODES = ("classify1d", "classifynd", "entrance", "fp", "fk", "xval")
 
@@ -224,10 +225,10 @@ def _check_sampling_sites(cfg):
     """The base point, the FP window, the probe windows and the FK start
     point must lie inside the open operator interval, the FK start point
     also inside the explosion radius and, in ``xval``, inside the FP window,
-    where the FD value is read, and
-    the FK terminal function must be defined on the ladder that validates
-    the operator (the config error names the first point where it is
-    not)."""
+    where the FD value is read, and the operator hypotheses must hold at the
+    FK start point (``operator.hypotheses_fail``); the FK terminal function
+    must be defined on the ladder that validates the operator (the config
+    error names the first point where it is not)."""
     mode = cfg["mode"]
     lo, hi = cfg["operator"]["interval"]
     where = f"inside the operator interval ({lo}, {hi})"
@@ -249,6 +250,15 @@ def _check_sampling_sites(cfg):
         if mode == "xval" and not window[0] < x0 < window[1]:
             raise ConfigError("/fk/x0", "must lie inside the FP window "
                               f"({window[0]}, {window[1]})")
+        var = cfg["operator"]["var"]
+        coefs = [as_coefficient(_parse(cfg["operator"][k], (var,),
+                                       f"/operator/{k}"), var)
+                 for k in ("a", "b", "V")]
+        bad = first_failure([x0], coefs, hypotheses_fail)
+        if bad is not None:  # the paths would start where the operator is not
+            x, values, error = bad
+            raise ConfigError("/fk/x0", f"{error} at x={x!r}" if error
+                              else str(hypothesis_error(x, values)))
         try:
             f = _fk_terminal(cfg)
         except DiffuniqError as exc:

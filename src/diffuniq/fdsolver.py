@@ -25,7 +25,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .gridfn import whole_steps
-from .operator import coefficient_arrays
+from .operator import operator_arrays
 
 ABSORBING, REFLECTING = "Absorbing", "Reflecting"
 
@@ -130,14 +130,15 @@ class Tridiagonal:
 
 class Discretization(Tridiagonal):
     """Tridiagonal generator A with d_t u = A u for a fixed grid and BC.
-    DomainError names the first centre or face where a coefficient it
-    reads is undefined."""
+    DomainError names the first centre or face where a coefficient is
+    undefined, ValidationError the first where the operator hypotheses
+    fail (``operator.operator_arrays``)."""
 
     @np.errstate(all="ignore")  # unchecked; step() rejects non-finite bands
     def __init__(self, op, grid, bc):
         dx = grid.dx
-        a_c, V_c = coefficient_arrays((op.a, op.V), grid.centers)
-        a_f, b_f = coefficient_arrays((op.a, op.b), grid.faces)
+        a_c, _, V_c = operator_arrays(op, grid.centers)
+        a_f, b_f, _ = operator_arrays(op, grid.faces)
         w = (b_f / a_f) * dx          # face Peclet numbers
         delta = _cc_delta(w)
 
@@ -209,12 +210,13 @@ def fp_solve(op, u0, T, dt, record_mass=True):
 class BackwardDiscretization(Tridiagonal):
     """Independent central-difference discretization of the operator itself,
     a f'' + b f' - V f, for ``backward_evolve`` (absorbing walls).
-    DomainError names the first centre where a coefficient is undefined."""
+    DomainError names the first centre where a coefficient is undefined,
+    ValidationError the first where the operator hypotheses fail."""
 
     @np.errstate(all="ignore")  # unchecked; step() rejects non-finite bands
     def __init__(self, op, grid):
         dx = grid.dx
-        a_c, b_c, V_c = coefficient_arrays((op.a, op.b, op.V), grid.centers)
+        a_c, b_c, V_c = operator_arrays(op, grid.centers)
         super().__init__(lower=(a_c / dx ** 2 - b_c / (2.0 * dx))[1:],
                          diag=-2.0 * a_c / dx ** 2 - V_c,
                          upper=(a_c / dx ** 2 + b_c / (2.0 * dx))[:-1])

@@ -83,6 +83,9 @@ class Operator1D:
     V: Coefficient
     x0: float
     y0: float
+    # regular_endpoint's certificates, keyed by (base point, endpoint)
+    _regular: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def interior(self, x):
         return self.x0 < x < self.y0
@@ -158,6 +161,30 @@ def first_failure(xs, coefs, flags=None):
     return None
 
 
+def hypotheses_fail(a, b, V):
+    """Where values of a, b and V break the operator hypotheses: a > 0,
+    V >= 0, and 1/a and b/a finite (the weak ellipticity requirement).
+    The one rule of the validation ladder, the regular-endpoint certificate,
+    the FP grids and the FK start point."""
+    with np.errstate(all="ignore"):
+        return (~(a > 0.0) | (V < 0.0) | ~np.isfinite(1.0 / a)
+                | ~np.isfinite(b / a))
+
+
+def hypothesis_error(x, values):
+    """The ValidationError at the point x for its values (a, b, V), where
+    :func:`hypotheses_fail` holds."""
+    av, bv, vv = values
+    if not (av > 0.0):
+        return ValidationError(ValidationError.NEGATIVE_DIFFUSION, x,
+                               f"a(x)={av!r}")
+    if vv < 0.0:
+        return ValidationError(ValidationError.NEGATIVE_POTENTIAL, x,
+                               f"V(x)={vv!r}")
+    return ValidationError(ValidationError.SINGULAR_COEFFICIENT, x,
+                           f"1/a or b/a non-finite, a={av!r} b={bv!r}")
+
+
 def coefficient_arrays(coefs, xs):
     """The coefficients' array forms at the points ``xs``.  Where one raises
     or is not finite, DomainError names the reason its checked form gives
@@ -175,12 +202,60 @@ def coefficient_arrays(coefs, xs):
                       else "a coefficient array is not finite")
 
 
+def operator_arrays(op, xs):
+    """a, b and V at the points ``xs`` (one dimension), checked: a
+    DomainError as :func:`coefficient_arrays` gives where one is undefined,
+    else the ValidationError of :func:`hypothesis_error` at the first point
+    where the hypotheses fail."""
+    values = coefficient_arrays((op.a, op.b, op.V), xs)
+    bad = np.flatnonzero(hypotheses_fail(*values))
+    if bad.size:
+        k = bad[0]
+        raise hypothesis_error(float(xs[k]), [float(v[k]) for v in values])
+    return values
+
+
+def regular_endpoint(op, c, endpoint):
+    """Evidence that the finite ``endpoint`` is regular seen from the base
+    point c, or None: a, b and V are defined and the hypotheses hold at every
+    sample of [c, endpoint] and at the endpoint itself, so a, b and V are
+    bounded there with a >= a_min > 0 (Feller's regular boundary), as far as
+    the samples show.  The samples are the validation ladder's points in
+    [c, endpoint] and the points endpoint - (endpoint - c) 2^-k (k = 0..64),
+    which reach the last gap/128 the ladder leaves out.  Decided once per
+    operator, base point and endpoint."""
+    key = (c, endpoint)
+    if key not in op._regular:
+        op._regular[key] = _regular_evidence(op, c, endpoint)
+    return op._regular[key]
+
+
+def _regular_evidence(op, c, endpoint):
+    if math.isinf(endpoint):
+        return None
+    ladder = probe_points(op.x0, op.y0)
+    lo, hi = min(c, endpoint), max(c, endpoint)
+    toward = endpoint - (endpoint - c) * 2.0 ** -np.arange(65.0)
+    xs = np.unique(np.concatenate((ladder[(lo <= ladder) & (ladder <= hi)],
+                                   toward, [endpoint])))
+    try:
+        a, b, V = (f.check(xs) for f in (op.a, op.b, op.V))
+    except (DomainError, OverflowError, ValueError):
+        return None
+    if hypotheses_fail(a, b, V).any():
+        return None
+    return (f"regular endpoint (sampled): a in [{a.min():.6g}, "
+            f"{a.max():.6g}], |b| <= {np.abs(b).max():.6g}, "
+            f"0 <= V <= {V.max():.6g} on {xs.size - 1} points of "
+            f"[{lo:.6g}, {hi:.6g}] and at {endpoint:.6g}")
+
+
 def make_operator_1d(a, b, V, interval, var="x"):
     """Validate the operator hypotheses by sampling and return the bundle.
 
     Checks, at every point of the validation ladder: a, b and V are defined
-    (the domain rule of :mod:`expr`), a > 0, V >= 0, and 1/a and b/a are
-    finite (the weak ellipticity requirement).  Violations raise
+    (the domain rule of :mod:`expr`) and :func:`hypotheses_fail` does not
+    hold.  Violations raise
     ValidationError at the first failing point, found by
     :func:`first_failure`; passing means "not falsified", not "proved".
     """
@@ -192,24 +267,12 @@ def make_operator_1d(a, b, V, interval, var="x"):
     b_c = as_coefficient(b, var)
     V_c = as_coefficient(V, var)
 
-    def flags(av, bv, vv):
-        return (~(av > 0.0) | (vv < 0.0) | ~np.isfinite(1.0 / av)
-                | ~np.isfinite(bv / av))
-
-    bad = first_failure(probe_points(x0, y0), (a_c, b_c, V_c), flags)
+    bad = first_failure(probe_points(x0, y0), (a_c, b_c, V_c), hypotheses_fail)
     if bad is not None:
         x, values, error = bad
         if error is not None:
             raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, x, str(error))
-        av, bv, vv = values  # where the flags hold
-        if not (av > 0.0):
-            raise ValidationError(ValidationError.NEGATIVE_DIFFUSION, x,
-                                  f"a(x)={av!r}")
-        if vv < 0.0:
-            raise ValidationError(ValidationError.NEGATIVE_POTENTIAL, x,
-                                  f"V(x)={vv!r}")
-        raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, x,
-                              f"1/a or b/a non-finite, a={av!r} b={bv!r}")
+        raise hypothesis_error(x, values)
     return Operator1D(a_c, b_c, V_c, x0, y0)
 
 

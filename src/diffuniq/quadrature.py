@@ -3,9 +3,11 @@ endpoints, and the scale check on the operator's input.
 
 One walk sums every windowed integral over geometrically expanding windows
 by Gauss-Legendre in log space and gathers asymptotic evidence; it never
-claims an exact infinity.  Its limits are the module constants below.  The
-scale check integrates b/a on both sides of the base point with the same
-32-point rule, halving each piece of a gap until it is resolved.
+claims an exact infinity.  Toward a regular endpoint, where the integral is
+known to be finite, its windows close at the endpoint instead.  Its limits
+are the module constants below.  The scale check integrates b/a on both
+sides of the base point with the same 32-point rule, halving each piece of
+a gap until it is resolved.
 """
 
 from __future__ import annotations
@@ -198,7 +200,23 @@ def _log_gauss(log_vals, a, b):
     return math.log(0.5 * (b - a)) + float(np.logaddexp.reduce(logs))
 
 
-def windowed_verdict(endpoint, anchor, open_window):
+def _window_nodes(lo, hi):
+    """The window's bounds in increasing order, its midpoint, and its 96
+    Gauss-Legendre nodes: 32 on each half, then 32 on the whole window."""
+    a, b = min(lo, hi), max(lo, hi)
+    mid = 0.5 * (a + b)
+    xs = np.concatenate((_gauss_nodes(a, mid), _gauss_nodes(mid, b),
+                         _gauss_nodes(a, b)))
+    return a, mid, b, xs
+
+
+def _log_halves(log_f, a, mid, b):
+    """Log of the two-half sum over [a, b] from the window's 96 logs."""
+    return float(np.logaddexp(_log_gauss(log_f[:32], a, mid),
+                              _log_gauss(log_f[32:64], mid, b)))
+
+
+def windowed_verdict(endpoint, anchor, open_window, regular=None):
     """Three-valued verdict for an integral from ``anchor`` toward ``endpoint``.
 
     ``open_window(lo, hi, xs)`` is called per window in marching order (so
@@ -209,7 +227,14 @@ def windowed_verdict(endpoint, anchor, open_window):
     walk ``Diverges`` once the running total passes the cap (a lower bound,
     the integrand being positive), else goes to the judge with the
     one-panel sum's distance as error estimate.  A NaN log-integrand ends
-    it ``Inconclusive``."""
+    it ``Inconclusive``.
+
+    ``regular``, the evidence that the endpoint is regular, means the
+    integral is finite: :func:`_walk_to_endpoint` sums it instead, on
+    windows that close at the endpoint, and neither the cap nor the judge
+    applies."""
+    if regular is not None:
+        return _walk_to_endpoint(endpoint, anchor, open_window, regular)
     n = N_WINDOWS_INFINITE if math.isinf(endpoint) else N_WINDOWS_FINITE
     try:
         bounds = window_bounds(endpoint, anchor, n)
@@ -219,14 +244,10 @@ def windowed_verdict(endpoint, anchor, open_window):
     judge = _WindowJudge()
     log_total = -math.inf
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
-        a, b = min(lo, hi), max(lo, hi)
-        mid = 0.5 * (a + b)
-        xs = np.concatenate((_gauss_nodes(a, mid), _gauss_nodes(mid, b),
-                             _gauss_nodes(a, b)))
+        a, mid, b, xs = _window_nodes(lo, hi)
         try:
             log_f = open_window(lo, hi, xs)
-            log_fine = float(np.logaddexp(_log_gauss(log_f[:32], a, mid),
-                                          _log_gauss(log_f[32:64], mid, b)))
+            log_fine = _log_halves(log_f, a, mid, b)
             log_total = float(np.logaddexp(log_total, log_fine))
             if log_total > math.log(CUM_CAP):
                 return IntegralVerdict.diverges(
@@ -244,6 +265,64 @@ def windowed_verdict(endpoint, anchor, open_window):
         if verdict is not None:
             return verdict
     return judge.inconclusive()
+
+
+_LOG_MAX = math.log(np.finfo(float).max)
+# toward a regular endpoint the first window spans this share of the gap:
+# the integrand's march leaves its initial data next to the anchor, and a
+# short first window keeps the steps refined there out of the rest of the gap
+REGULAR_FIRST_WINDOW = 1.0 / 8.0
+
+
+def _walk_to_endpoint(endpoint, anchor, open_window, regular):
+    """``Converges`` on an integral known to be finite, with its value.
+    Two windows cover the gap: the first REGULAR_FIRST_WINDOW of it, then
+    the rest, closing at the endpoint itself.  A window is accepted when its
+    two-half and one-panel sums agree to REL_TOL; otherwise it is split at
+    its midpoint and its first half is opened again, so ``open_window`` must
+    take a ``lo`` it has passed.  After N_WINDOWS_FINITE windows, or on a
+    window too narrow to split, the window is accepted and its disagreement
+    counts in the error, which sums that of every window.  Where the sum
+    leaves the float range, value and error are None and the evidence
+    carries the sum as e^....  A :class:`WindowStop` ends the walk
+    ``Inconclusive`` whatever it claims: the integral is finite."""
+    ends = [endpoint]  # the ends of the windows still to walk, next last
+    first = anchor + (endpoint - anchor) * REGULAR_FIRST_WINDOW
+    if anchor != first != endpoint:
+        ends.append(first)
+    lo, k = anchor, 0
+    log_total = log_err = -math.inf
+    while ends:
+        hi = ends[-1]
+        k += 1
+        a, mid, b, xs = _window_nodes(lo, hi)
+        halvable = a < mid < b
+        try:
+            log_f = open_window(lo, hi, xs)
+            log_coarse = _log_gauss(log_f[64:], a, b)
+            if halvable:
+                log_fine = _log_halves(log_f, a, mid, b)
+                rel = abs(math.expm1(log_coarse - log_fine))
+            else:  # one float step wide: no estimate, all of it is error
+                log_fine, rel = log_coarse, 1.0
+        except WindowStop as stop:
+            return IntegralVerdict.inconclusive(
+                f"{stop} after {k} windows, toward a regular endpoint",
+                windows=k)
+        if rel > REL_TOL and k < N_WINDOWS_FINITE and halvable:
+            ends.append(mid)
+            continue
+        ends.pop()
+        lo = hi
+        log_total = float(np.logaddexp(log_total, log_fine))
+        if rel > 0.0:
+            log_err = float(np.logaddexp(log_err, log_fine + math.log(rel)))
+    evidence = f"{regular}; integral marched to the endpoint in {k} windows"
+    if log_total > _LOG_MAX:
+        return IntegralVerdict.converges(
+            None, None, f"{evidence} (log-space sum e^{log_total:.6g})", k)
+    return IntegralVerdict.converges(math.exp(log_total), math.exp(log_err),
+                                     evidence, k)
 
 
 # ---------------------------------------------------------------------------

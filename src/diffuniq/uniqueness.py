@@ -34,11 +34,13 @@ Both integral tests share that march and one helper (``_windowed_march``),
 which checks the base point and the endpoint, marches through the
 Gauss-Legendre nodes of each window of ``quadrature.windowed_verdict`` and
 hands that walk the log-integrand there; the walk sums it in log space and
-owns the cumulative cap.  The endpoint test integrates
-rho u = exp(sigma + log h_hat - log a) and needs no overflow guard.  The
-entrance test (V = 0) marches (K, g) with the quadrature L, integrates
-g / a, and keeps a guard on K and g: K = int rho beyond it already forces
-the iterated integral to diverge.
+owns the cumulative cap.  At a regular endpoint
+(``operator.regular_endpoint``) the integral is finite, and the walk
+marches to the endpoint itself and reads ``Converges``.  The endpoint test
+integrates rho u = exp(sigma + log h_hat - log a) and needs no overflow
+guard.  The entrance test (V = 0) marches (K, g) with the quadrature L,
+integrates g / a, and keeps a guard on K and g: K = int rho beyond it
+already forces the iterated integral to diverge.
 
 Every test takes the base point c itself.  Neither integral test needs the
 scale function L = int b/a, which would turn the flux back into u.  The
@@ -58,7 +60,7 @@ from . import quadrature as qd
 from .errors import DomainError, ValidationError
 from .operator import (SAMPLED, Coefficient, RadialBound, as_coefficient,
                        coefficient_arrays, first_failure, interval_center,
-                       make_operator_1d, probe_points)
+                       make_operator_1d, probe_points, regular_endpoint)
 
 UNIQUE, NOT_UNIQUE, INCONCLUSIVE = "Unique", "NotUnique", "Inconclusive"
 PROOF_FAITHFUL, STRICT_THEOREM = "ProofFaithful", "StrictTheorem"
@@ -377,16 +379,27 @@ def _windowed_march(op, c, endpoint, start):
     log-integrand ``log_integrand(y, xs)``, y being the march's states at
     the window nodes xs; the march ends the walk early by raising
     ``WindowStop``.  The verdict carries the march's count of evaluated
-    coefficient points."""
+    coefficient points.
+
+    At a regular endpoint (``operator.regular_endpoint``) the integral is
+    finite and the walk marches to the endpoint itself; a window it splits
+    is marched again from its start, and the error of the value it reads
+    also covers the march's tolerance, MARCH_TOL relative."""
     c = qd.require_interior(op, c)
     if endpoint not in (op.x0, op.y0):
         raise ValueError(f"{endpoint!r} is not an endpoint of the operator")
+    regular = regular_endpoint(op, c, endpoint)
     march, log_integrand = start(c, endpoint == op.y0)
+    starts = {}  # the march's state at the start of each window
 
     def open_window(lo, hi, xs):
+        if regular is not None:  # a split window starts where it did before
+            march.x, march.y = lo, starts.setdefault(lo, march.y)
         return log_integrand(march.advance(xs, hi), xs)
 
-    v = qd.windowed_verdict(endpoint, c, open_window)
+    v = qd.windowed_verdict(endpoint, c, open_window, regular)
+    if regular is not None and v.value is not None:
+        v = replace(v, err=v.err + MARCH_TOL * v.value)
     return replace(v, rhs_evals=march.evals)
 
 

@@ -361,6 +361,31 @@ def test_coefficient_undefined_on_an_fp_grid_exits_3(tmp_path, capsys, mode, b,
     assert err == f"error: divide by zero encountered in divide at x={point}\n"
 
 
+def test_diffusion_vanishing_on_an_fp_grid_exits_3(tmp_path, capsys):
+    # a = x^2 / 2 is defined everywhere and positive on the ladder, but 0 at
+    # the FP grid's face x = 0, where b/a is not finite
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(
+        "fp", operator={**_OU, "a": "0.5*x^2"})))
+    assert cli.main(["fp", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "validation error: NegativeDiffusion at x=0.0: a(x)=0.0\n"
+
+
+@pytest.mark.parametrize("operator, message", [
+    ({**_OU, "b": "1/x"}, "divide by zero encountered in divide at x=0.0"),
+    ({**_OU, "a": "0.5*x^2"}, "NegativeDiffusion at x=0.0: a(x)=0.0"),
+], ids=["b=1/x", "a=x^2/2"])
+def test_fk_start_point_breaking_the_hypotheses_exits_2(tmp_path, capsys,
+                                                       operator, message):
+    # every path would start where the operator is not defined
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config("fk", operator=operator,
+                                         fk={"x0": 0.0})))
+    assert cli.main(["fk", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: /fk/x0: {message}\n"
+
+
 def test_overflowing_literal_is_a_config_error(tmp_path, capsys):
     # 1e999 reads as inf, which no floating-point flag would catch later
     path = tmp_path / "cfg.json"

@@ -4,10 +4,12 @@ import time
 import numpy as np
 import pytest
 
+from diffuniq import operator as OP
 from diffuniq import uniqueness as U
 from diffuniq.errors import DomainError, ValidationError
 from diffuniq.operator import (Coefficient, Operator1D, as_coefficient,
-                               make_operator_1d, make_operator_nd, radial_bound)
+                               make_operator_1d, make_operator_nd, radial_bound,
+                               regular_endpoint)
 from march_oracles import (TOWARD_LOWER, TOWARD_UPPER, _cumulative_simpson,
                            log_scale, monotone_solution, series_partial)
 
@@ -426,6 +428,161 @@ def test_march_unit_interval_closed_form(lam, endpoint):
     want = math.sinh(math.sqrt(lam) / 2.0) / math.sqrt(lam)
     assert v.is_converges
     assert abs(v.value - want) <= 3.0 * v.err
+
+
+# regular endpoints -----------------------------------------------------------
+
+_REGULAR = "regular endpoint (sampled): "
+
+
+def _constant_drift_integral(a, b, lam, c, e):
+    """The integral of rho u between c and e for constant a > 0, b and
+    V = 0: |(alpha u')(e)| / lam, u = A e^{r+ d} + B e^{r- d} being the
+    solution with u(c) = 1, u'(c) = 0, d = x - c, and alpha = e^{(b/a) d}."""
+    d = e - c
+    root = math.sqrt(b * b + 4.0 * a * lam)
+    rp, rm = (-b + root) / (2.0 * a), (-b - root) / (2.0 * a)
+    slope = (-rm * rp * math.exp(rp * d) + rp * rm * math.exp(rm * d)) / (rp - rm)
+    return abs(math.exp(b / a * d) * slope / lam)
+
+
+@pytest.mark.parametrize("a, b, interval, lam_set", [
+    ("0.3", "x", (0.0, 3.0), (0.5, 1.0, 2.0, 3.0)),
+    ("1", "0", (0.0, 40.0), (0.5, 1.0, 2.0)),
+    ("0.2", "2*x", (0.0, 5.0), (0.5, 1.0, 2.0)),
+], ids=["(0,3)-a=0.3-b=x", "brownian-(0,40)", "cap-(0,5)-a=0.2-b=2x"])
+def test_regular_intervals_are_not_unique(a, b, interval, lam_set):
+    # rules (ii)/(iii) read the steep but finite increments toward these
+    # ends as Diverges, and on (0, 5) the cap fires at 1e12 after 1 window
+    # although the integral is 7.3e39 there: each end is regular, so its
+    # integral is finite and the record is Converges
+    v = U.uniqueness_1d(make_operator_1d(a, b, "0", interval), lam_set)
+    assert v.kind == U.NOT_UNIQUE and not v.diagnostics
+    for _, _, r in v.per_endpoint:
+        assert r.is_converges and r.evidence.startswith(_REGULAR)
+        assert math.isfinite(r.value) and 0.0 < r.err < 1e-8 * r.value
+
+
+def test_regular_interval_sweep_is_not_unique():
+    # wider than the benchmark's random family (L <= 2, a >= 0.5,
+    # |c| <= 0.5): a = const, b = c x on (0, L)
+    rng = np.random.default_rng(2026)
+    draws = [rng.uniform(lo, hi, 24).tolist()
+             for lo, hi in ((0.5, 40.0), (0.2, 2.0), (-2.0, 2.0), (0.3, 3.0))]
+    for L, a, c, lam in zip(*draws):
+        op = make_operator_1d(repr(a), f"{c!r}*x", "0", (0.0, L))
+        v = U.uniqueness_1d(op, (lam,))
+        assert v.kind == U.NOT_UNIQUE, (L, a, c, lam, v.per_endpoint)
+
+
+def test_regular_endpoint_values_closed_form():
+    # Brownian motion on (0, 40) from 20: u = cosh(x - 20), so the upper
+    # integral is sinh 20
+    op = make_operator_1d("1", "0", "0", (0.0, 40.0))
+    v = U.endpoint_condition(op, 20.0, 1.0, 40.0)
+    assert v.is_converges and v.windows_used == 2
+    assert abs(v.value - math.sinh(20.0)) <= 3.0 * v.err
+    # a = 1, b = 0 on (0, 1) from 1/2: J(y) = (y - 1/2)^2 / 2, and the
+    # iterated integral to either end is (1/2)^3 / 6
+    op = make_operator_1d("1", "0", "0", (0.0, 1.0))
+    for end in (0.0, 1.0):
+        v = U.entrance_test(op, 0.5, end)
+        assert v.is_converges and v.evidence.startswith(_REGULAR)
+        assert abs(v.value - 1.0 / 48.0) <= 3.0 * v.err
+
+
+@pytest.mark.parametrize("a, b, length, lam", [
+    (1.0, 0.0, 1.0, 1.0), (0.2, 5.0, 5.0, 0.3), (0.5, -20.0, 10.0, 3.0),
+    (0.5, 20.0, 10.0, 1.0), (2.0, 1.0, 40.0, 2.0), (0.2, -3.0, 40.0, 1.0),
+])
+def test_regular_endpoint_err_covers_the_error(a, b, length, lam):
+    # constant coefficients: the records' errors cover the march's and the
+    # quadrature's, also where steep windows are split
+    op = make_operator_1d(repr(a), repr(b), "0", (0.0, length))
+    c = length / 2.0
+    for end in (0.0, length):
+        v = U.endpoint_condition(op, c, lam, end)
+        want = _constant_drift_integral(a, b, lam, c, end)
+        assert v.is_converges and abs(v.value - want) <= v.err, (end, v)
+
+
+def test_regular_endpoint_splits_steep_windows():
+    # rho u grows like e^{100 (x - 5)} toward 10: one Gauss rule over
+    # [5, 10] does not resolve it, so the window is split until each part's
+    # two-half and one-panel sums agree
+    op = make_operator_1d("0.5", "50", "0", (0.0, 10.0))
+    v = U.endpoint_condition(op, 5.0, 1.0, 10.0)
+    want = _constant_drift_integral(0.5, 50.0, 1.0, 5.0, 10.0)
+    assert v.is_converges and v.windows_used > 1
+    assert abs(v.value - want) <= v.err < 1e-8 * want
+
+
+def test_regular_endpoint_at_the_float_resolution():
+    # (1e16, 1e16 + 64) is 32 float steps wide: windows shrink to one step,
+    # whose nodes collapse onto its ends, and such a window's whole sum
+    # counts as error, so the err still covers the closed form
+    op = make_operator_1d("1", "0", "0", (1e16, 1e16 + 64.0))
+    c = U.default_base_point(op)
+    for end in (op.x0, op.y0):
+        v = U.endpoint_condition(op, c, 1.0, end)
+        assert v.is_converges
+        assert abs(v.value - math.sinh(abs(end - c))) <= v.err
+
+
+def test_regular_endpoint_sum_past_the_float_range():
+    # e^797 does not fit a float: the evidence carries the log-space sum
+    op = make_operator_1d("0.5", "20", "0", (0.0, 40.0))
+    v = U.endpoint_condition(op, 20.0, 1.0, 40.0)
+    assert v.is_converges and v.value is None and v.err is None
+    assert v.evidence.endswith("(log-space sum e^798.001)")
+
+
+def test_regular_endpoint_decided_once_per_endpoint(monkeypatch):
+    calls = []
+    evidence = OP._regular_evidence
+    monkeypatch.setattr(OP, "_regular_evidence",
+                        lambda *args: calls.append(args[1:]) or evidence(*args))
+    op = make_operator_1d("1", "0", "0", (0.0, 1.0))
+    U.uniqueness_1d(op, (0.5, 1.0, 2.0))
+    assert calls == [(0.5, 0.0), (0.5, 1.0)]
+
+
+def _nd_origin():
+    op = make_operator_nd(3, ["-x1", "-x2", "-x3"], "0", beta_override="-r")
+    rb = radial_bound(op, np.geomspace(1e-3, 256.0, 160))
+    return U.radial_reduce(rb, 3, op.V)
+
+
+# name: (operator, base point, endpoint, the record at lambda = 1 in the
+# form of _MARCH_PINS): ends that are not regular, whose records the halving
+# walk decides
+_NOT_REGULAR = {
+    "bessel3-origin": (
+        lambda: make_operator_1d("0.5", "1/x", "0", (0.0, INF)), 1.0, 0.0,
+        ("Converges", "0x1.9ea93479dc855p-1", "0x1.9eec3855fba75p-29",
+         14, 12222, _DECAYED + "3.02e-09")),
+    "nd-comparison-origin": (
+        _nd_origin, 1.0, 0.0,
+        ("Converges", "0x1.4170f90857ee9p+0", "0x1.416eea078110cp-28",
+         14, 12222, _DECAYED + "4.68e-09")),
+    "a=x-at-0": (
+        lambda: make_operator_1d("x", "0", "0", (0.0, 1.0)), 0.5, 0.0,
+        ("Diverges", None, None, 3, 2619, _RISING)),
+    "b-undefined-at-0": (
+        lambda: make_operator_1d("1", "-1/sqrt(x)", "0", (0.0, 1.0)), 0.5, 0.0,
+        ("Converges", "0x1.c5f4fc4985957p-1", "0x1.1f27f164d799bp-27",
+         28, 24444, _DECAYED + "8.36e-09")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_REGULAR))
+def test_certificate_stays_off(name):
+    make, c, end, want = _NOT_REGULAR[name]
+    op = make()
+    assert regular_endpoint(op, c, end) is None
+    v = U.endpoint_condition(op, c, 1.0, end)
+    hexed = [None if f is None else f.hex() for f in (v.value, v.err)]
+    assert (v.kind, *hexed, v.windows_used, v.rhs_evals, v.evidence) == want
 
 
 @pytest.mark.parametrize("b, lo, hi", [("x^7", 2.4, 2.5), ("x^9", 2.0, 2.2)])
