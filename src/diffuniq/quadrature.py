@@ -172,13 +172,8 @@ class _WindowJudge:
 
 
 class WindowStop(Exception):
-    """Ends a :func:`windowed_verdict` walk early: ``Diverges`` with the
-    message as evidence when ``diverges``, else ``Inconclusive`` with the
+    """Ends a :func:`windowed_verdict` walk early, ``Inconclusive`` with the
     message as its reason."""
-
-    def __init__(self, reason, diverges=False):
-        super().__init__(reason)
-        self.diverges = diverges
 
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -258,8 +253,6 @@ def windowed_verdict(endpoint, anchor, open_window, regular=None):
             fine = math.exp(log_fine)
             err = abs(fine - math.exp(_log_gauss(log_f[64:], a, b)))
         except WindowStop as stop:
-            if stop.diverges:
-                return IntegralVerdict.diverges(str(stop), windows=k)
             return judge.inconclusive(str(stop))
         verdict = judge.feed(fine, err)
         if verdict is not None:
@@ -285,7 +278,7 @@ def _walk_to_endpoint(endpoint, anchor, open_window, regular):
     counts in the error, which sums that of every window.  Where the sum
     leaves the float range, value and error are None and the evidence
     carries the sum as e^....  A :class:`WindowStop` ends the walk
-    ``Inconclusive`` whatever it claims: the integral is finite."""
+    ``Inconclusive``."""
     ends = [endpoint]  # the ends of the windows still to walk, next last
     first = anchor + (endpoint - anchor) * REGULAR_FIRST_WINDOW
     if anchor != first != endpoint:

@@ -36,16 +36,19 @@ Gauss-Legendre nodes of each window of ``quadrature.windowed_verdict`` and
 hands that walk the log-integrand there; the walk sums it in log space and
 owns the cumulative cap.  At a regular endpoint
 (``operator.regular_endpoint``) the integral is finite, and the walk
-marches to the endpoint itself and reads ``Converges``.  The endpoint test
-integrates rho u = exp(sigma + log h_hat - log a) and needs no overflow
-guard.  The entrance test (V = 0) marches (K, g) with the quadrature L,
-integrates g / a, and keeps a guard on K and g: K = int rho beyond it
-already forces the iterated integral to diverge.
+marches to the endpoint itself and reads ``Converges``.  Both march a
+scaled state, so neither needs an overflow guard: an integral that diverges
+meets the walk's cap.  The endpoint test integrates
+rho u = exp(sigma + log h_hat - log a).  The entrance test (V = 0) marches
+(K, g) = e^sigma (K_hat, g_hat), K = int rho and g = alpha J, with the
+quadrature L = int b/a and sigma = log(1 + e^L), and integrates
+g / a = exp(sigma + log g_hat - log a).
 
 Every test takes the base point c itself.  Neither integral test needs the
-scale function L = int b/a, which would turn the flux back into u.  The
-tests' oracles do: a march of u itself and the truncated series, summed by
-cumulative Simpson quadrature, both on ``log_scale`` in
+scale function L = int b/a apart from its march: the endpoint test never
+turns the flux back into u, and the entrance test marches L as its
+quadrature.  The tests' oracles do: a march of u itself and the truncated
+series, summed by cumulative Simpson quadrature, both on ``log_scale`` in
 ``tests/march_oracles.py``.
 """
 
@@ -64,8 +67,6 @@ from .operator import (SAMPLED, Coefficient, RadialBound, as_coefficient,
 
 UNIQUE, NOT_UNIQUE, INCONCLUSIVE = "Unique", "NotUnique", "Inconclusive"
 PROOF_FAITHFUL, STRICT_THEOREM = "ProofFaithful", "StrictTheorem"
-
-_OVERFLOW_GUARD = 1e150
 
 
 # 3-stage Radau IIA (Hairer & Wanner, Solving ODEs II, table IV.5.6): stage
@@ -108,15 +109,12 @@ class _Propagator:
     and only the chaining of z is sequential.  The error control compares
     Q and the log of z's ``watched`` component; ``m``, the steps per gap,
     carries from window to window, doubling and halving (see ``advance``).
-    A ``guard`` (limit, evidence) ends the walk ``Diverges`` at the first
-    step whose |z| reaches the limit; nothing past it is marched, and once
-    both passes reach it nothing is refined.  The march lands on the
-    ``knots``, the points where a coefficient is not smooth, as on the
-    nodes: they split the gaps, but no state is returned there.  ``evals``
-    counts the stage points evaluated."""
+    The march lands on the ``knots``, the points where a coefficient is not
+    smooth, as on the nodes: they split the gaps, but no state is returned
+    there.  ``evals`` counts the stage points evaluated."""
 
-    def __init__(self, coeffs, watched, x, z, knots, guard=None):
-        self.coeffs, self.watched, self.guard = coeffs, watched, guard
+    def __init__(self, coeffs, watched, x, z, knots):
+        self.coeffs, self.watched = coeffs, watched
         self.knots = knots
         self.x = x
         self.y = np.array([z[0], z[1], 0.0])
@@ -145,30 +143,19 @@ class _Propagator:
                     f"[{self.x:.6g}, {x_to:.6g}]")
             self.m *= 2
             coarse, (fine,) = fine, self._pass(pts, (2 * self.m,))
-        states, crossed = fine
-        if crossed is not None:
-            raise qd.WindowStop(self.guard[1].format(x=crossed), diverges=True)
         if self.m > 1 and gap <= MARCH_TOL / STEP_DOWN:
             self.m //= 2
-        self.x, self.y = x_to, states[:, -1]
+        self.x, self.y = x_to, fine[:, -1]
         out = np.empty((3, stops.size))
-        out[:, order] = states[:, :-1]
+        out[:, order] = fine[:, :-1]
         return out[:, :xs.size]
 
     def _discrepancy(self, coarse, fine):
         """max |w_m - w_2m| / max(1, |w_2m|) over the points and the watched
         state (its log) and Q, where w_m is the m pass's; points where both
-        are NaN agree.  0 when both passes crossed the guard: either
-        crossing certifies divergence, so two crossings need no refinement
-        and the 2m pass's is taken.  inf when only one did."""
-        (yc, xc), (yf, xf) = coarse, fine
-        if (xc is None) != (xf is None):
-            return math.inf
-        if xf is not None:
-            return 0.0
-        n = min(yc.shape[1], yf.shape[1])
+        are NaN agree."""
         rows = [self.watched, 2]
-        w = np.array((yc[rows, :n], yf[rows, :n]))  # (pass, row, point)
+        w = np.array((coarse[rows], fine[rows]))  # (pass, row, point)
         w[:, 0] = _log_positive(w[:, 0])
         wc, wf = w
         with np.errstate(invalid="ignore"):
@@ -179,8 +166,7 @@ class _Propagator:
     def _pass(self, pts, ms):
         """Marches from pts[0] through the gaps of ``pts``, one for each m in
         ``ms`` with m equal steps per gap.  Returns for each the states
-        landed on pts[1:] up to the guard crossing, shape (3, k), and the
-        crossing's x (None if none).
+        landed on pts[1:], shape (3, pts.size - 1).
 
         Each march takes its steps BATCH_STEPS at a time from its own start,
         and batch i of every march still under way is built at once: one
@@ -191,18 +177,12 @@ class _Propagator:
         it has alone.  The build's (P | v) is copied once to step order, and
         each ``_chain`` reads its span of that buffer and writes its states
         into one array; a march lands on a gap's end every m steps, so its
-        landed states are a slice.  A march that crosses the guard builds no
-        later batch."""
-        limit = self.guard[0] if self.guard else None
+        landed states are a slice."""
         totals = [(pts.size - 1) * m for m in ms]
         carried = [self.y.tolist() for _ in ms]  # z0, z1, Q
         landed = [[] for _ in ms]
-        crossing = [None] * len(ms)
         for start in range(0, max(totals), BATCH_STEPS):
-            live = [k for k, total in enumerate(totals)
-                    if crossing[k] is None and start < total]
-            if not live:
-                break
+            live = [k for k, total in enumerate(totals) if start < total]
             sizes = [min(BATCH_STEPS, totals[k] - start) for k in live]
             ends = np.cumsum(sizes)
             spans = list(zip(live, ends - sizes, ends))  # (march, lo, hi)
@@ -210,8 +190,7 @@ class _Propagator:
             gap, sub = np.divmod(np.concatenate(
                 [np.arange(start, start + n) for n in sizes]), m)
             h = (pts[gap + 1] - pts[gap]) / m
-            x0 = pts[gap] + sub * h
-            xs = x0 + _RADAU_C[:, None] * h  # (stage, step)
+            xs = pts[gap] + sub * h + _RADAU_C[:, None] * h  # (stage, step)
             self.evals += xs.size
             try:
                 q, system = self.coeffs(xs)
@@ -231,26 +210,20 @@ class _Propagator:
             out = memoryview(zs.ravel())
             for k, lo, hi in spans:
                 z0, z1, _ = carried[k]
-                n, crossed = _chain(steps[6 * lo:6 * hi], z0, z1, limit,
-                                    out[2 * lo:2 * hi])
-                if crossed:  # keep only the nodes before the crossing step
-                    crossing[k] = float(x0[lo + n - 1] + h[lo + n - 1])
-                    n -= 1
-                else:
-                    carried[k] = [*out[2 * hi - 2:2 * hi],
-                                  float(Q_end[hi - 1])]
+                _chain(steps[6 * lo:6 * hi], z0, z1, out[2 * lo:2 * hi])
+                carried[k] = [*out[2 * hi - 2:2 * hi], float(Q_end[hi - 1])]
                 # step start + j ends a gap when (start + j) % m == m - 1
                 m_k = ms[k]
-                at_node = slice(lo + (m_k - 1 - start) % m_k, lo + n, m_k)
+                at_node = slice(lo + (m_k - 1 - start) % m_k, hi, m_k)
                 landed[k].append(np.vstack((zs[at_node].T, Q_end[at_node])))
         passes = []
-        for parts, crossed in zip(landed, crossing):
+        for parts in landed:
             states = parts[0] if len(parts) == 1 else np.hstack(parts)
             if not np.isfinite(states).all():
                 # an overflow, which no step refinement mends
                 bad = np.flatnonzero(~np.isfinite(states).all(axis=0))
                 raise _failed(f"state not finite at x={pts[bad[0] + 1]:.6g}")
-            passes.append((states, crossed))
+            passes.append(states)
         return passes
 
 
@@ -268,14 +241,13 @@ def _propagators(h, system):
     side (I | h sum_j a_ij f_j), into one (3, 2, 9, n) array: for pivot k,
     the factors of the blocks below it are one product and the update of
     everything right of them another.  Each element takes the arithmetic of
-    a block-by-block elimination (a block is 0.0 or 1.0 minus h a_ij A_j),
-    so its bits depend neither on the stacking nor on how the steps are
-    split into builds of two steps or more; in a one-step build einsum sums
-    the forcing's stage terms in another order.  The step ends on the last
-    stage, so no back substitution is needed.  The pivot blocks I - h a A
-    stay regular on the decaying modes (h A's eigenvalues in the left half
-    plane); where a growing mode makes one singular, the states go
-    non-finite and the march fails."""
+    a block-by-block elimination (a block is 0.0 or 1.0 minus h a_ij A_j, a
+    forcing term the sum over j = 0, 1, 2 in that order), so its bits
+    depend neither on the stacking nor on how the steps are split into
+    builds.  The step ends on the last stage, so no back substitution is
+    needed.  The pivot blocks I - h a A stay regular on the decaying modes
+    (h A's eigenvalues in the left half plane); where a growing mode makes
+    one singular, the states go non-finite and the march fails."""
     (a00, a01, a10, a11), (f0, f1) = system
     n = h.size
     f = np.empty((2, 3, n))
@@ -289,7 +261,9 @@ def _propagators(h, system):
         np.multiply(ha, a, out=blocks[:, r, :, s])
     np.subtract(_IDENTITY_6, blocks, out=blocks)
     rows[:, :, 6:8] = np.eye(2)[:, :, None]
-    rows[:, :, 8] = np.einsum("ijn,rjn->rin", ha, f).transpose(1, 0, 2)
+    rows[:, :, 8] = (ha[:, None, 0] * f[None, :, 0]
+                     + ha[:, None, 1] * f[None, :, 1]
+                     + ha[:, None, 2] * f[None, :, 2])
     for k in range(2):
         pivot = slice(2 * k, 2 * k + 2)
         factors = _product_2x2(rows[k + 1:, :, pivot],
@@ -313,22 +287,17 @@ def _inverse_2x2(a):
     return np.array([[a11, -a01], [-a10, a00]]) / (a00 * a11 - a01 * a10)
 
 
-def _chain(steps, z0, z1, limit, out):
+def _chain(steps, z0, z1, out):
     """Chains the steps z -> P z + v from (z0, z1), writing the state after
-    each into ``out`` (z0, z1, z0, ...); returns how many it wrote and
-    whether it ended early, at the first state whose |z| reaches
-    ``limit``.  ``steps`` holds (p00, p01, v0, p10, p11, v1) of each step,
-    flat: the step order of a (2, 3, n) (P | v) transposed.  Plain floats:
-    no per-step container for the collector."""
+    each into ``out`` (z0, z1, z0, ...).  ``steps`` holds (p00, p01, v0,
+    p10, p11, v1) of each step, flat: the step order of a (2, 3, n) (P | v)
+    transposed.  Plain floats: no per-step container for the collector."""
     it = iter(steps)
     i = 0
     for p00, p01, v0, p10, p11, v1 in zip(it, it, it, it, it, it):
         z0, z1 = p00 * z0 + p01 * z1 + v0, p10 * z0 + p11 * z1 + v1
         out[i], out[i + 1] = z0, z1
         i += 2
-        if limit is not None and (abs(z0) >= limit or abs(z1) >= limit):
-            return i // 2, True
-    return i // 2, False
 
 
 def _scaled_march(op, lam, c, toward_upper):
@@ -414,11 +383,21 @@ def entrance_test(op, c, endpoint):
     """No-entrance probe for V = 0: divergence verdict for the iterated
     integral of rho(y) * J(y), J(y) = int (1/alpha) int rho.
 
-    Marches (K, g) with the quadrature L = int b/a, K = int rho and
-    g = alpha J, so the integrand is g / a without exponential blowup in the
-    decaying-speed-measure regime.  V must be the constant 0; otherwise the
-    ValidationError names the first point of the validation ladder where V
-    is not 0, if there is one.
+    With r = b/a, the quadrature L = int r, K = int rho and g = alpha J
+    follow K' = s rho and g' = r g + s K (s = +1 marching up, -1 down), and
+    the integrand is g / a.  The march carries (K, g) = e^sigma (K_hat,
+    g_hat) with sigma = log(1 + e^L), a smooth function of L; with
+    sig = e^(L - sigma), the logistic of L,
+
+        K_hat' = s sig / a - sig r K_hat
+        g_hat' = s K_hat + r (1 - sig) g_hat
+
+    and the log-integrand is sigma + log g_hat - log a.  sigma follows L
+    where rho grows and stays near 0 where it decays, so both modes decay
+    in the marching direction in either regime and the scaled state stays
+    of moderate size; an integral that diverges meets the walk's cumulative
+    cap.  V must be the constant 0; otherwise the ValidationError names the
+    first point of the validation ladder where V is not 0, if there is one.
     """
     if op.V.constant != 0.0:
         bad = first_failure(probe_points(op.x0, op.y0), (op.V,),
@@ -429,7 +408,8 @@ def entrance_test(op, c, endpoint):
 
     def log_integrand(y, xs):  # log(g / a); g vanishes at the base point
         with np.errstate(all="ignore"):
-            return np.log(y[1]) - np.log(op.a.array(xs))
+            return (np.logaddexp(0.0, y[2]) + np.log(y[1])
+                    - np.log(op.a.array(xs)))
 
     def start(c, toward_upper):
         sgn = 1.0 if toward_upper else -1.0
@@ -439,16 +419,13 @@ def entrance_test(op, c, endpoint):
             with np.errstate(all="ignore"):
                 r = b / a
 
-            def system(L):  # K' = sgn rho, g' = r g + sgn K
-                rho = np.exp(np.minimum(L, 700.0)) / a
-                return (0.0, 0.0, sgn, r), (sgn * rho, 0.0)
+            def system(L):  # (K_hat, g_hat); sig, the logistic of L
+                sig = np.exp(L - np.logaddexp(0.0, L))
+                return ((-sig * r, 0.0, sgn, r * (1.0 - sig)),
+                        (sgn * sig / a, 0.0))
             return r, system
 
-        # K = int rho beyond the guard: since J is positive and nondecreasing
-        # past any interior point, int rho J diverges with it
-        guard = (_OVERFLOW_GUARD, f"speed-measure integral exceeded "
-                 f"{_OVERFLOW_GUARD:g} at x={{x:.6g}}")
-        return (_Propagator(coeffs, 1, c, (0.0, 0.0), op.knots, guard),
+        return (_Propagator(coeffs, 1, c, (0.0, 0.0), op.knots),
                 log_integrand)
 
     return _windowed_march(op, c, endpoint, start)
