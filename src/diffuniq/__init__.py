@@ -21,7 +21,6 @@ from .gridfn import GridFunction
 from .operator import (
     Operator1D,
     OperatorND,
-    RadialBound,
     make_operator_1d,
     make_operator_nd,
     radial_bound,
@@ -54,9 +53,9 @@ __all__ = [
     "ABSORBING", "ConfigError", "DiffuniqError",
     "DomainError", "ExprSyntaxError", "FKEstimate", "FPState",
     "GridFunction", "Grid1D", "INCONCLUSIVE", "IntegralVerdict", "NOT_UNIQUE",
-    "Operator1D", "OperatorND", "PROOF_FAITHFUL", "RadialBound",
-    "REFLECTING", "STRICT_THEOREM", "UNIQUE", "UnknownIdentifier",
-    "ValidationError", "Verdict", "bc_sensitivity_probe",
+    "Operator1D", "OperatorND", "PROOF_FAITHFUL", "REFLECTING",
+    "STRICT_THEOREM", "UNIQUE", "UnknownIdentifier", "ValidationError",
+    "Verdict", "bc_sensitivity_probe",
     "endpoint_condition", "entrance_test", "feynman_kac", "fp_solve",
     "free_vars", "gaussian_state", "make_operator_1d", "make_operator_nd",
     "nd_verdicts", "parse_expr", "radial_bound", "uniqueness_1d",

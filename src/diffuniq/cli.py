@@ -23,8 +23,8 @@ from . import fdsolver, montecarlo, quadrature, uniqueness
 from .errors import ConfigError, DiffuniqError, ValidationError
 from .gridfn import GridFunction, whole_steps
 from .operator import (as_coefficient, coordinate_names, first_failure,
-                       hypotheses_fail, hypothesis_error, make_operator_1d,
-                       make_operator_nd, probe_points)
+                       hypotheses_fail, hypothesis_error, interval_center,
+                       make_operator_1d, make_operator_nd, probe_points)
 
 MODES = ("classify1d", "classifynd", "entrance", "fp", "fk", "xval")
 
@@ -58,7 +58,7 @@ def _number(v, pointer):
         if v == "-inf":
             return -math.inf
         raise ConfigError(pointer, f"expected a number or 'inf'/'-inf', got {v!r}")
-    if not isinstance(v, (int, float)):
+    if type(v) not in (int, float):  # booleans excluded, as in _real
         raise ConfigError(pointer, f"expected a number, got {type(v).__name__}")
     return float(v)
 
@@ -216,8 +216,10 @@ def resolve_config(raw):
                                    cfg["probe"]["core_radius"])
         except ValueError as exc:
             raise ConfigError("/probe/core_radius", str(exc)) from None
-    if "d" not in opspec:
+    if not nd:
         _check_sampling_sites(cfg)
+    elif cfg["c"] is not None:  # the radial march starts at r = 1
+        raise ConfigError("/c", "classifynd takes no base point; expected null")
     return cfg
 
 
@@ -227,8 +229,10 @@ def _check_sampling_sites(cfg):
     also inside the explosion radius and, in ``xval``, inside the FP window,
     where the FD value is read, and the operator hypotheses must hold at the
     FK start point (``operator.hypotheses_fail``); the FK terminal function
-    must be defined on the ladder that validates the operator (the config
-    error names the first point where it is not)."""
+    must be defined on the ladder that validates the operator and, in
+    ``xval``, at the centres of the FP grid, where the FD cross-check
+    evaluates it (the config error names the first point where it is
+    not)."""
     mode = cfg["mode"]
     lo, hi = cfg["operator"]["interval"]
     where = f"inside the operator interval ({lo}, {hi})"
@@ -263,7 +267,11 @@ def _check_sampling_sites(cfg):
             f = _fk_terminal(cfg)
         except DiffuniqError as exc:
             raise ConfigError("/fk/f", str(exc)) from None
-        bad = first_failure(probe_points(lo, hi), (f,))
+        xs = probe_points(lo, hi)
+        if mode == "xval":
+            grid = fdsolver.Grid1D(*window, int(cfg["fp"]["m"]))
+            xs = np.concatenate((xs, grid.centers))
+        bad = first_failure(xs, (f,))
         if bad is not None:
             x, _, error = bad
             raise ConfigError("/fk/f", f"{error} at x={x!r}")
@@ -318,7 +326,7 @@ def _run_classify(cfg, op, report):
 
 
 def _run_entrance(cfg, op, report):
-    c = cfg["c"] if cfg["c"] is not None else uniqueness.default_base_point(op)
+    c = cfg["c"] if cfg["c"] is not None else interval_center(op.x0, op.y0)
     quadrature.probe_scale(op, c)
     report["entrance"] = {
         "lower": uniqueness.entrance_test(op, c, op.x0).to_dict(),
@@ -466,7 +474,7 @@ def main(argv=None):
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-        if args.lambdas:
+        if args.lambdas is not None:  # --lambda= too, an empty list
             lambdas = [float(s) for s in args.lambdas.split(",")]
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
@@ -478,7 +486,7 @@ def main(argv=None):
             opspec = raw.get("operator")
             raw["mode"] = ("classifynd" if isinstance(opspec, dict)
                            and "d" in opspec else "classify1d")
-        if args.lambdas:
+        if args.lambdas is not None:
             raw["lambda_set"] = lambdas
         if args.seed is not None:
             raw["seed"] = args.seed

@@ -8,12 +8,12 @@ of it.  ``feynman_kac`` runs the kernel block by block.
 
 Path i draws its increments from a counter-based stream keyed by (seed, i):
 Philox with key ``seed`` started at counter word 2 = i, the state that
-``Philox(key=seed).jumped(i)`` reaches (``_path_rng``).  A block builds one
-Philox and sets it to path i's counter before path i's draws, which gives
-the same streams.  Estimates are therefore reproducible and independent of
-how paths are batched.  A coefficient with no free variable
-(``Coefficient.constant``) is stepped as one float, the value each entry
-of its array form would hold.
+``Philox(key=seed).jumped(i)`` reaches, since a jump adds 2^128 to the
+256-bit counter.  A block builds one Philox and sets it to path i's counter
+before path i's draws.  Estimates are therefore reproducible and independent
+of how paths are batched.  A coefficient with no free variable
+(``Coefficient.constant``) is stepped as one float, the value each entry of
+its array form would hold.
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ class FKEstimate:
         return {"mean": self.mean, "stderr": self.stderr,
                 "n_paths": self.n_paths,
                 "explosion_fraction": self.explosion_fraction}
-
-
-def _path_rng(seed, i):
-    # a jump adds i * 2**128 to Philox's 256-bit counter, i.e. i to word 2
-    return np.random.Generator(
-        np.random.Philox(key=int(seed), counter=[0, 0, int(i), 0]))
 
 
 @np.errstate(all="ignore")  # unchecked coefficients: one error state per block

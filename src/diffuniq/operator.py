@@ -109,17 +109,17 @@ def interval_center(x0, y0):
     return 0.5 * (x0 + y0)
 
 
-def probe_points(x0, y0, per_gap=512):
+def probe_points(x0, y0):
     """The validation ladder: marks laddered geometrically toward each
-    endpoint from the interval's centre, and ``per_gap`` points inside each
-    gap between marks."""
+    endpoint from the interval's centre, and 512 points inside each gap
+    between marks."""
     center = interval_center(x0, y0)
     j = np.arange(7.0)
     up = center + 2.0 ** j if math.isinf(y0) else y0 - (y0 - center) * 2.0 ** -(j + 1)
     down = center - 2.0 ** j if math.isinf(x0) else x0 + (center - x0) * 2.0 ** -(j + 1)
     marks = np.unique(np.concatenate(([center], up, down)))
     # open sampling: avoid the marks themselves (endpoints may be singular)
-    t = (np.arange(per_gap) + 0.5) / per_gap
+    t = (np.arange(512) + 0.5) / 512
     return (marks[:-1, None] + np.diff(marks)[:, None] * t).ravel()
 
 
@@ -284,7 +284,6 @@ class OperatorND:
     b: tuple  # d parsed expressions over coordinates x1..xd
     V: Coefficient  # over the radius variable
     beta_override: Coefficient | None = None
-    coord_names: tuple = ()
 
     def __post_init__(self):  # compile the drift components once
         object.__setattr__(self, "_drift", tuple(
@@ -294,7 +293,7 @@ class OperatorND:
     def drift_at(self, x):
         """Drift vector at points x of shape (..., d), unchecked."""
         x = np.asarray(x, dtype=float)
-        env = {name: x[..., i] for i, name in enumerate(self.coord_names)}
+        env = {name: x[..., i] for i, name in enumerate(coordinate_names(self.d))}
         comps = [np.broadcast_to(np.asarray(f(env), dtype=float), x.shape[:-1])
                  for f in self._drift]
         return np.stack(comps, axis=-1)
@@ -317,28 +316,16 @@ def make_operator_nd(d, b_components, V, beta_override=None):
         raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, d,
                               f"need {d} drift components, got {len(comps)}")
     V_c = as_coefficient(V, "r")
-    bad = first_failure(probe_points(0.0, math.inf, 128), (V_c,), lambda v: v < 0.0)
+    bad = first_failure(probe_points(0.0, math.inf), (V_c,), lambda v: v < 0.0)
     if bad is not None:
         r, _, error = bad
         raise error or ValidationError(ValidationError.NEGATIVE_POTENTIAL, r)
     beta_c = as_coefficient(beta_override, "r") if beta_override is not None else None
-    return OperatorND(d, tuple(comps), V_c, beta_c, names)
+    return OperatorND(d, tuple(comps), V_c, beta_c)
 
 
-SAMPLED, USER_SUPPLIED = "Sampled", "UserSupplied"
-
-
-@dataclass(frozen=True)
-class RadialBound:
-    """Lower bound for the radial drift component b(x).x/|x|: ``array`` maps
-    an array of radii to the bound there, unchecked.  ``knots`` are the
-    radii where it is not smooth: the table's radii, where the linear
-    interpolation of a sampled bound has its kinks; none for an override."""
-
-    array: object  # the override's array form, or the sampled table
-    provenance: str  # Sampled | UserSupplied
-    knots: np.ndarray = field(default_factory=lambda: np.empty(0))
-
+# the radii where radial_bound samples and checks the bound
+RADII = np.geomspace(1e-3, 256.0, 160)
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -372,22 +359,20 @@ def unit_directions(n, d, seed=0):
     return g / norms
 
 
-def radial_bound(op: OperatorND, r_grid, seed=0):
-    """beta(r): the override if given, checked on the radii, else the sampled
-    directional minimum of b(r e) . e over quasi-uniform unit directions e,
-    tabulated on the radii and held constant past them."""
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.size < 2 or not np.all(np.diff(r_grid) > 0) or r_grid[0] <= 0.0:
-        raise ValidationError(ValidationError.SINGULAR_COEFFICIENT, r_grid,
-                              "radii must be positive and increasing")
+def radial_bound(op: OperatorND, seed=0):
+    """beta(r), a lower bound for the radial drift component b(x).x/|x|, as
+    a Coefficient over r: the override if given, checked at ``RADII``, else
+    the sampled directional minimum of b(r e) . e over quasi-uniform unit
+    directions e, tabulated at ``RADII``, interpolated linearly between
+    them and held constant past them.  The table's radii are its knots,
+    where the interpolation has its kinks."""
     if op.beta_override is not None:
-        op.beta_override.check(r_grid)
-        return RadialBound(op.beta_override.array, USER_SUPPLIED)
+        op.beta_override.check(RADII)
+        return op.beta_override
     dirs = unit_directions(max(64, 2 * op.d), op.d, seed)
-    radial = np.einsum("kij,ij->ki", op.drift_at(r_grid[:, None, None] * dirs), dirs)
+    radial = np.einsum("kij,ij->ki", op.drift_at(RADII[:, None, None] * dirs), dirs)
     bad = np.argwhere(~np.isfinite(radial))
     if bad.size:
         k, i = bad[0]
-        raise DomainError(f"drift not finite at r={r_grid[k]}, direction {dirs[i]}")
-    return RadialBound(GridFunction(r_grid, radial.min(axis=1)), SAMPLED,
-                       r_grid)
+        raise DomainError(f"drift not finite at r={RADII[k]}, direction {dirs[i]}")
+    return Coefficient(GridFunction(RADII, radial.min(axis=1)), knots=RADII)

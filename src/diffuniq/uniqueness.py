@@ -61,9 +61,9 @@ import numpy as np
 
 from . import quadrature as qd
 from .errors import DomainError, ValidationError
-from .operator import (SAMPLED, Coefficient, RadialBound, as_coefficient,
-                       coefficient_arrays, first_failure, interval_center,
-                       make_operator_1d, probe_points, regular_endpoint)
+from .operator import (RADII, Coefficient, as_coefficient, coefficient_arrays,
+                       first_failure, interval_center, make_operator_1d,
+                       probe_points, regular_endpoint)
 
 UNIQUE, NOT_UNIQUE, INCONCLUSIVE = "Unique", "NotUnique", "Inconclusive"
 PROOF_FAITHFUL, STRICT_THEOREM = "ProofFaithful", "StrictTheorem"
@@ -470,7 +470,7 @@ def uniqueness_1d(op, lam_set=(0.5, 1.0, 2.0), c=None):
     if not lam_set or any(l <= 0.0 for l in lam_set):
         raise ValueError("lambda set must be nonempty and positive")
     if c is None:
-        c = default_base_point(op)
+        c = interval_center(op.x0, op.y0)
     qd.probe_scale(op, c)
 
     records = []
@@ -500,15 +500,12 @@ def uniqueness_1d(op, lam_set=(0.5, 1.0, 2.0), c=None):
     return Verdict(kind, tuple(records), lam_set, float(c), tuple(diagnostics))
 
 
-def default_base_point(op):
-    return interval_center(op.x0, op.y0)
-
-
 # ---------------------------------------------------------------------------
 # radial reduction (multidimensional sufficiency)
 
-def radial_reduce(beta: RadialBound, d, V):
-    """Comparison operator on (0, inf): a = 1/2, drift beta(r) + (d-1)/(2r).
+def radial_reduce(beta: Coefficient, d, V):
+    """Comparison operator on (0, inf): a = 1/2, drift beta(r) + (d-1)/(2r),
+    for the radial bound beta of :func:`operator.radial_bound`.
 
     The drift carries beta's knots, so the march lands on the radii of a
     sampled table.  A sampled beta is extended past its table by its last
@@ -529,20 +526,20 @@ def nd_verdicts(op_nd, lam_set=(0.5, 1.0, 2.0), seed=0):
 
     ProofFaithful uses only the upper-endpoint records (what the comparison
     argument consumes); StrictTheorem demands the full 1D classification.
-    Neither asserts NotUnique.
+    Neither asserts NotUnique.  Without an override the bound is sampled at
+    ``operator.RADII`` and held constant past the last radius, which both
+    verdicts' diagnostics say.
     """
     from .operator import radial_bound  # looked up per call, so it can be wrapped
 
-    r_grid = np.geomspace(1e-3, 256.0, 160)
-    rb = radial_bound(op_nd, r_grid, seed=seed)
-    op1 = radial_reduce(rb, op_nd.d, op_nd.V)
+    op1 = radial_reduce(radial_bound(op_nd, seed=seed), op_nd.d, op_nd.V)
     c = 1.0
     v1 = uniqueness_1d(op1, lam_set, c=c)
 
     diagnostics = []
-    if rb.provenance == SAMPLED:
+    if op_nd.beta_override is None:
         diagnostics.append(
-            f"sampled radial bound held constant beyond r={r_grid[-1]:g}; "
+            f"sampled radial bound held constant beyond r={RADII[-1]:g}; "
             "verdicts leaning on that tail carry extra risk")
 
     upper = tuple(rec for rec in v1.per_endpoint if rec[1] == "upper")

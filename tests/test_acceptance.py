@@ -17,7 +17,8 @@ from scipy.interpolate import CubicSpline
 
 from diffuniq import cli, fdsolver as FD, montecarlo as MC, uniqueness as U
 from diffuniq.gridfn import GridFunction
-from diffuniq.operator import as_coefficient, make_operator_1d, make_operator_nd
+from diffuniq.operator import (as_coefficient, interval_center,
+                               make_operator_1d, make_operator_nd)
 from march_oracles import (TOWARD_UPPER, log_scale, monotone_solution,
                            series_partial)
 
@@ -83,7 +84,7 @@ def test_criterion_03_lambda_and_base_point_robustness():
     bad = []
     for a, b, V, iv, want in CANONICAL_1D:
         op = make_operator_1d(a, b, V, iv)
-        c0 = U.default_base_point(op)
+        c0 = interval_center(op.x0, op.y0)
         # offsets stay interior on bounded intervals
         step = 1.0 if math.isinf(iv[0]) and math.isinf(iv[1]) else \
             0.4 * min(c0 - iv[0], iv[1] - c0)

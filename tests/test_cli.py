@@ -217,6 +217,27 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, config, args):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, args, message", [
+    # the FD cross-check evaluates f at the FP grid's centres, one of which
+    # is x = 0 for m = 801 on [-8, 8]; the ladder never samples it
+    ("xval", ou_config(fp={"m": 801}, fk={"f": "1/x", "x0": 0.5,
+                                          "n_paths": 100}), [],
+     "/fk/f: divide by zero encountered in divide at x=0.0"),
+    ("classify", ou_config(operator={**_OU, "interval": [False, True]}), [],
+     "/operator/interval/0: expected a number, got bool"),
+    ("classify", {**nd_config(), "c": 5}, [], "/c:"),
+    ("classify", ou_config(), ["--lambda="],
+     "could not convert string to float: ''"),
+], ids=["xval-f-undefined-at-an-fd-centre", "interval-boolean", "nd-c",
+        "lambda-empty"])
+def test_inputs_once_accepted_exit_2(tmp_path, capsys, command, config, args,
+                                     message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)] + args) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra, pointer", [
     ({"fp": {"dt": 0.2}, "fk": {"T": 0.05}}, "/fp/dt"),
     ({"fp": {"dt": 0.2}, "probe": {"T": 0.1}}, "/fp/dt"),

@@ -24,6 +24,14 @@ ONE = term("1")
 IDENT = term("x")
 
 
+def _path_rng(seed, i):
+    """Path i's stream of ``seed``: Philox keyed by ``seed`` at counter word
+    2 = i, the state Philox(key=seed).jumped(i) reaches (a jump adds 2^128
+    to the 256-bit counter)."""
+    return np.random.Generator(
+        np.random.Philox(key=int(seed), counter=[0, 0, int(i), 0]))
+
+
 def one_path(op, x0, T, dt, seed, i, r_explode=MC.R_EXPLODE_DEFAULT):
     """Path i of ``seed`` alone: end point, survival, weight."""
     x, alive, vint = MC._em_block(op, x0, whole_steps(T, dt), dt, seed, i, 1,
@@ -143,7 +151,7 @@ def test_block_kernel_matches_scalar_reference():
     op = make_operator_1d("0.5 + 0.25*sin(x)", "-x", "x^2", (-0.5, 1.5))
     T, dt, seed = 0.5, 1e-2, 11
     for i in range(20):
-        xi = MC._path_rng(seed, i).standard_normal(50)
+        xi = _path_rng(seed, i).standard_normal(50)
         x, vint, exited = 0.5, 0.0, False
         for k in range(50):
             a, b, v = (float(c.check([x])[0]) for c in (op.a, op.b, op.V))
@@ -193,7 +201,7 @@ def test_chunk_boundaries_match_scalar_reference():
     assert alive.all()
     scale = math.sqrt(2.0 * 0.5) * math.sqrt(dt)
     for i in (0, 1, n - 1):
-        z = MC._path_rng(seed, i).standard_normal(n_steps)
+        z = _path_rng(seed, i).standard_normal(n_steps)
         xs, vs = 0.4, 0.0
         for k in range(n_steps):
             xs = xs + -xs * dt + scale * z[k]
@@ -255,7 +263,7 @@ def test_path_stream_is_the_jumped_stream(seed):
     # drawn in _CHUNK-sized pieces as the block kernel draws it
     chunk = np.empty(MC._CHUNK)
     for i in (0, 1, 2047, 2048, 49_999, 2 ** 40):
-        fast = MC._path_rng(seed, i)
+        fast = _path_rng(seed, i)
         jumped = np.random.Generator(np.random.Philox(key=seed).jumped(i))
         for _ in range(3):
             fast.standard_normal(out=chunk)

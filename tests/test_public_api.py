@@ -24,7 +24,7 @@ def test_removed_names_stay_gone():
                  "coupled_radial_comparison", "uniqueness_nd",
                  "improper_integral", "duality_check", "monotone_solution",
                  "series_partial", "log_scale", "format_expr",
-                 "parse_expr_multi"):
+                 "parse_expr_multi", "RadialBound"):
         assert name not in diffuniq.__all__ and not hasattr(diffuniq, name)
     for module, name in ((montecarlo, "simulate_path"), (expr, "eval_env"),
                          (expr, "eval_numpy"), (uniqueness, "uniqueness_nd"),
@@ -34,18 +34,19 @@ def test_removed_names_stay_gone():
                          (uniqueness, "monotone_solution"),
                          (uniqueness, "series_partial"),
                          (quadrature, "log_scale"), (expr, "format_expr"),
-                         (expr, "parse_expr_multi")):
+                         (expr, "parse_expr_multi"), (operator, "RadialBound"),
+                         (operator, "SAMPLED"), (operator, "USER_SUPPLIED"),
+                         (uniqueness, "default_base_point"),
+                         (montecarlo, "_path_rng")):
         assert not hasattr(module, name)
     for cls, name in ((operator.Coefficient, "__call__"),
                       (operator.Coefficient, "text"),
                       (operator.Coefficient, "from_expr"),
-                      (operator.Operator1D, "describe"),
-                      (operator.RadialBound, "r_max"),
-                      (operator.RadialBound, "override")):
+                      (operator.Operator1D, "describe")):
         assert name not in vars(cls)
     assert not callable(operator.as_coefficient("x", "x"))
-    assert [f.name for f in dataclasses.fields(operator.RadialBound)] == [
-        "array", "provenance", "knots"]
+    assert [f.name for f in dataclasses.fields(operator.OperatorND)] == [
+        "d", "b", "V", "beta_override"]
 
 
 def _scipy_modules_after(code):

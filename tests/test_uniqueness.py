@@ -8,8 +8,8 @@ from diffuniq import operator as OP
 from diffuniq import uniqueness as U
 from diffuniq.errors import DomainError, ValidationError
 from diffuniq.operator import (Coefficient, Operator1D, as_coefficient,
-                               make_operator_1d, make_operator_nd, radial_bound,
-                               regular_endpoint)
+                               interval_center, make_operator_1d,
+                               make_operator_nd, radial_bound, regular_endpoint)
 from march_oracles import (TOWARD_LOWER, TOWARD_UPPER, _cumulative_simpson,
                            log_scale, monotone_solution, series_partial)
 
@@ -185,7 +185,7 @@ def test_converged_values_unchanged_by_scaling(a, b, interval, lam,
                                                endpoint, value):
     # reference values from the unscaled (alpha u, alpha u') march
     op = make_operator_1d(a, b, "0", interval)
-    c = U.default_base_point(op)
+    c = interval_center(op.x0, op.y0)
     v = U.endpoint_condition(op, c, lam, endpoint)
     assert v.is_converges
     assert v.value == pytest.approx(value, rel=1e-8)
@@ -195,8 +195,7 @@ def _sampled_radial():
     # sampled radial bound of a 3D drift: a table with a kink at each of its
     # 160 radii, which the march lands on
     op = make_operator_nd(3, ["-x1 + 0.3*sin(x2)", "-x2", "-x3"], "0")
-    rb = radial_bound(op, np.geomspace(1e-3, 256.0, 160), seed=11)
-    return U.radial_reduce(rb, 3, op.V)
+    return U.radial_reduce(radial_bound(op, seed=11), 3, op.V)
 
 
 def _whole_line(b, V="0"):
@@ -519,7 +518,7 @@ def test_regular_endpoint_at_the_float_resolution():
     # whose nodes collapse onto its ends, and such a window's whole sum
     # counts as error, so the err still covers the closed form
     op = make_operator_1d("1", "0", "0", (1e16, 1e16 + 64.0))
-    c = U.default_base_point(op)
+    c = interval_center(op.x0, op.y0)
     for end in (op.x0, op.y0):
         v = U.endpoint_condition(op, c, 1.0, end)
         assert v.is_converges
@@ -554,8 +553,7 @@ def test_regular_endpoint_decided_once_per_endpoint(monkeypatch):
 
 def _nd_origin():
     op = make_operator_nd(3, ["-x1", "-x2", "-x3"], "0", beta_override="-r")
-    rb = radial_bound(op, np.geomspace(1e-3, 256.0, 160))
-    return U.radial_reduce(rb, 3, op.V)
+    return U.radial_reduce(radial_bound(op), 3, op.V)
 
 
 # name: (operator, base point, endpoint, the record at lambda = 1 in the
@@ -871,12 +869,13 @@ def test_base_point_outside_interval_is_domain_error(call):
 
 
 def test_default_base_point():
-    assert U.default_base_point(brownian()) == 0.0
-    assert U.default_base_point(make_operator_1d("1", "0", "0", (0.0, 1.0))) == 0.5
-    assert U.default_base_point(
-        make_operator_1d("1", "0", "0", (0.0, INF))) == 1.0
-    assert U.default_base_point(
-        make_operator_1d("1", "0", "0", (-INF, 3.0))) == 2.0
+    # uniqueness_1d and the entrance run start at the interval's centre
+    assert interval_center(-INF, INF) == 0.0
+    assert interval_center(0.0, 1.0) == 0.5
+    assert interval_center(0.0, INF) == 1.0
+    assert interval_center(-INF, 3.0) == 2.0
+    op = make_operator_1d("1", "0", "0", (0.0, 1.0))
+    assert U.uniqueness_1d(op, (1.0,)).base_point == 0.5
 
 
 # multidimensional ----------------------------------------------------------
@@ -929,9 +928,8 @@ def test_radial_drift_array_form_matches_scalar():
     sampled = make_operator_nd(3, ["-x1 + 0.3*sin(x2)", "-x2", "-x3"], "0")
     override = make_operator_nd(3, ["x1", "x2", "x3"], "0",
                                 beta_override="r + 0.1*exp(-r)")
-    grid = np.geomspace(1e-3, 256.0, 160)
-    b_s = U.radial_reduce(radial_bound(sampled, grid), 3, sampled.V).b
-    b_o = U.radial_reduce(radial_bound(override, grid), 3, override.V).b
+    b_s = U.radial_reduce(radial_bound(sampled), 3, sampled.V).b
+    b_o = U.radial_reduce(radial_bound(override), 3, override.V).b
     scalar_s = np.array([b_s.check([r])[0] for r in rs])
     assert np.array_equal(b_s.array(rs), scalar_s)
     scalar_o = np.array([b_o.check([r])[0] for r in rs])
@@ -941,21 +939,19 @@ def test_radial_drift_array_form_matches_scalar():
 def test_radial_reduce_carries_the_table_radii():
     # the comparison operator's knots are the radii of a sampled table, where
     # its linear interpolation has kinks; an override has none
-    grid = np.geomspace(1e-3, 256.0, 160)
     sampled = make_operator_nd(3, ["-x1", "-x2", "-x3"], "0")
     override = make_operator_nd(3, ["-x1", "-x2", "-x3"], "0",
                                 beta_override="-r")
-    op_s = U.radial_reduce(radial_bound(sampled, grid), 3, sampled.V)
-    op_o = U.radial_reduce(radial_bound(override, grid), 3, override.V)
-    assert np.array_equal(op_s.knots, grid)
+    op_s = U.radial_reduce(radial_bound(sampled), 3, sampled.V)
+    op_o = U.radial_reduce(radial_bound(override), 3, override.V)
+    assert np.array_equal(op_s.knots, OP.RADII)
     assert op_o.knots.size == 0
 
 
 def test_radial_reduce_closed_form():
     # beta = 0, d = 3 comparison operator: a=1/2, b=(d-1)/(2r)=1/r
     op = make_operator_nd(3, ["0", "0", "0"], "0", beta_override="0")
-    rb = radial_bound(op, np.geomspace(1e-3, 256.0, 64))
-    op1 = U.radial_reduce(rb, 3, op.V)
+    op1 = U.radial_reduce(radial_bound(op), 3, op.V)
     for r in (0.1, 1.0, 7.0):
         assert op1.b.check([r])[0] == pytest.approx(1.0 / r, rel=1e-12)
         assert op1.a.check([r])[0] == 0.5
