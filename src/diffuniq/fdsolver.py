@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
+from .errors import DomainError
 from .gridfn import whole_steps
 from .operator import operator_arrays
 
@@ -89,18 +89,24 @@ def _cc_delta(w):
 
 class Tridiagonal:
     """A tridiagonal operator A by its bands: ``lower`` (A[i, i-1]),
-    ``diag``, ``upper`` (A[i, i+1]).
+    ``diag``, ``upper`` (A[i, i+1]), on the grid points ``points``, one a
+    row.
 
     The bands are set once, in ``__init__``: ``step`` keeps the LU factor of
-    I - theta dt A for each (dt, theta) it has seen.
+    I - theta dt A for each (dt, theta) it has seen.  A DomainError names
+    the first point whose row of A, of a step's matrix or of its right-hand
+    side is not finite, or whose pivot is zero.
     """
 
-    def __init__(self, lower, diag, upper):
+    def __init__(self, lower, diag, upper, points):
         # imported here, not with the module, so that only FP solves load scipy
         from scipy.linalg.lapack import dgttrf, dgttrs
 
         self._dgttrf, self._dgttrs = dgttrf, dgttrs
         self.lower, self.diag, self.upper = lower, diag, upper
+        self.points = points
+        self._check_finite(_finite_rows(lower, diag, upper),
+                           "the discretization")
         self._factors = {}  # (dt, theta) -> dgttrf factor of I - theta dt A
 
     def apply(self, u):
@@ -111,21 +117,41 @@ class Tridiagonal:
 
     def step(self, u, dt, theta):
         """One theta step: solve (I - theta dt A) u+ = (I + (1-theta) dt A) u."""
-        rhs = np.asarray_chkfinite(u + (1.0 - theta) * dt * self.apply(u))
+        rhs = u + (1.0 - theta) * dt * self.apply(u)
+        self._check_finite(np.isfinite(rhs), "the step's right-hand side")
         x, _ = self._dgttrs(*self._factor(dt, theta), rhs, overwrite_b=True)
         return x
 
     def _factor(self, dt, theta):
         factor = self._factors.get((dt, theta))
         if factor is None:
-            bands = [np.asarray_chkfinite(band) for band in (
-                -theta * dt * self.lower, 1.0 - theta * dt * self.diag,
-                -theta * dt * self.upper)]
+            matrix = f"I - theta dt A (theta={theta:g}, dt={dt:g})"
+            with np.errstate(all="ignore"):  # a band that overflows is named
+                bands = (-theta * dt * self.lower,
+                         1.0 - theta * dt * self.diag,
+                         -theta * dt * self.upper)
+            self._check_finite(_finite_rows(*bands), matrix)
             *factor, info = self._dgttrf(*bands)
-            if info > 0:
-                raise LinAlgError("singular matrix")
+            if info > 0:  # U[info - 1, info - 1] is zero
+                raise self._error(f"{matrix} is singular", info - 1)
             self._factors[(dt, theta)] = factor
         return factor
+
+    def _check_finite(self, rows, what):
+        """A DomainError at the first row that ``rows`` marks not finite."""
+        if not rows.all():
+            raise self._error(f"{what} is not finite", int(np.argmin(rows)))
+
+    def _error(self, message, row):
+        return DomainError(f"{message} at x={float(self.points[row])!r}")
+
+
+def _finite_rows(lower, diag, upper):
+    """Whether each row of the bands holds only finite numbers."""
+    rows = np.isfinite(diag)
+    rows[1:] &= np.isfinite(lower)
+    rows[:-1] &= np.isfinite(upper)
+    return rows
 
 
 class Discretization(Tridiagonal):
@@ -134,7 +160,7 @@ class Discretization(Tridiagonal):
     undefined, ValidationError the first where the operator hypotheses
     fail (``operator.operator_arrays``)."""
 
-    @np.errstate(all="ignore")  # unchecked; step() rejects non-finite bands
+    @np.errstate(all="ignore")  # unchecked; Tridiagonal names a non-finite row
     def __init__(self, op, grid, bc):
         dx = grid.dx
         a_c, _, V_c = operator_arrays(op, grid.centers)
@@ -168,7 +194,8 @@ class Discretization(Tridiagonal):
         diag[-1] += w_hi_coeff / dx    # +G_{hi} acting on u_{m-1}
         super().__init__(lower=-c_left / dx,   # -G_{i-1/2} part of u_{i-1}
                          diag=diag - V_c,
-                         upper=c_right / dx)   # G_{i+1/2} part of u_{i+1}
+                         upper=c_right / dx,   # G_{i+1/2} part of u_{i+1}
+                         points=grid.centers)
 
 
 def fp_step(state, disc, dt):
@@ -213,13 +240,14 @@ class BackwardDiscretization(Tridiagonal):
     DomainError names the first centre where a coefficient is undefined,
     ValidationError the first where the operator hypotheses fail."""
 
-    @np.errstate(all="ignore")  # unchecked; step() rejects non-finite bands
+    @np.errstate(all="ignore")  # unchecked; Tridiagonal names a non-finite row
     def __init__(self, op, grid):
         dx = grid.dx
         a_c, b_c, V_c = operator_arrays(op, grid.centers)
         super().__init__(lower=(a_c / dx ** 2 - b_c / (2.0 * dx))[1:],
                          diag=-2.0 * a_c / dx ** 2 - V_c,
-                         upper=(a_c / dx ** 2 + b_c / (2.0 * dx))[:-1])
+                         upper=(a_c / dx ** 2 + b_c / (2.0 * dx))[:-1],
+                         points=grid.centers)
 
 
 def backward_evolve(op, grid, values, T, dt):

@@ -11,7 +11,10 @@ Philox with key ``seed`` started at counter word 2 = i, the state that
 ``Philox(key=seed).jumped(i)`` reaches, since a jump adds 2^128 to the
 256-bit counter.  A block builds one Philox and sets it to path i's counter
 before path i's draws.  Estimates are therefore reproducible and independent
-of how paths are batched.  A coefficient with no free variable
+of how paths are batched.  A block draws each path's normals one chunk of up
+to ``_CHUNK`` steps at a time, ``_TILE`` paths into a path-major tile, and
+copies each tile into a step-major table, so every step reads its normals as
+one contiguous row.  A coefficient with no free variable
 (``Coefficient.constant``) is stepped as one float, the value each entry of
 its array form would hold.
 """
@@ -31,6 +34,7 @@ GUARD_BAND = 1e-9  # relative band beyond a finite interval endpoint
 _W_FLOOR = 1e-300
 _CHUNK = 512  # steps of normals held per path; bounds the table's memory
 _BLOCK = 2048  # paths stepped together by one _em_block call
+_TILE = 256  # paths drawn per copy into the normal table (1 MB of normals)
 
 
 @dataclass(frozen=True)
@@ -76,33 +80,41 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
     start = bitgen.state
     counter = start["state"]["counter"]
     states = [None] * n
-    xi = np.empty((n, min(n_steps, _CHUNK)))
+    # the chunk's normals, step-major: step k reads row k % _CHUNK whole.
+    # A generator fills only contiguous arrays, so a path's chunk is drawn
+    # into a row of the path-major tile, which is copied in transposed
+    width = min(n_steps, _CHUNK)
+    xi = np.empty((width, n))
+    tile = np.empty((min(n, _TILE), width))
     x = np.full(n, x0, dtype=float)
-    alive = np.ones(n, dtype=bool)
+    # each path's extremes over its steps; fmin and fmax pass over a NaN, so
+    # a NaN path stays alive
+    low, high = np.full(n, math.inf), np.full(n, -math.inf)
     vint = np.zeros(n)
     v_prev = op.V.array(x) if v is None else v
     noise = np.empty(n)
-    out = np.empty(n, dtype=bool)
     for k in range(n_steps):
         if k % _CHUNK == 0:
-            for j, row in enumerate(xi):
-                if k == 0:
-                    counter[2] = first + j
-                    bitgen.state = start
-                else:
-                    bitgen.state = states[j]
-                rng.standard_normal(out=row)
-                if n_steps - k > _CHUNK:
-                    states[j] = bitgen.state
+            for j0 in range(0, n, len(tile)):
+                rows = tile[:n - j0]
+                for j, row in enumerate(rows, start=j0):
+                    if k == 0:
+                        counter[2] = first + j
+                        bitgen.state = start
+                    else:
+                        bitgen.state = states[j]
+                    rng.standard_normal(out=row)
+                    if n_steps - k > _CHUNK:
+                        states[j] = bitgen.state
+                xi[:, j0:j0 + len(rows)] = rows.T
         # coefficient arrays are fresh, so the drift's can hold drift * dt
         step = op.b.array(x)
         step *= dt
-        np.multiply(diffusion(x), xi[:, k % _CHUNK], out=noise)
+        np.multiply(diffusion(x), xi[k % _CHUNK], out=noise)
         x += step
         x += noise
-        np.less(x, lo, out=out)  # strict, so a NaN path stays alive
-        out |= x > hi
-        alive &= ~out
+        np.fmin(low, x, out=low)
+        np.fmax(high, x, out=high)
         if v != 0.0:  # V == 0 adds nothing
             if v is None:
                 v_new = op.V.array(x)
@@ -113,7 +125,7 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
             else:
                 inc = kill
             vint += inc
-    return x, alive, vint
+    return x, (low >= lo) & (high <= hi), vint
 
 
 def _weights(vint):

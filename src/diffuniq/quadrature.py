@@ -192,7 +192,11 @@ def _log_gauss(log_vals, a, b):
     if np.isnan(logs).any():
         raise WindowStop("log-integrand undefined (NaN or a non-positive "
                          f"state) in [{a:.6g}, {b:.6g}]")
-    return math.log(0.5 * (b - a)) + float(np.logaddexp.reduce(logs))
+    log_sum = float(np.logaddexp.reduce(logs))
+    half = 0.5 * (b - a)
+    if half == 0.0:  # b - a = 5e-324, the least subnormal, halves to 0
+        return math.log(b - a) - math.log(2.0) + log_sum
+    return math.log(half) + log_sum
 
 
 def _window_nodes(lo, hi):

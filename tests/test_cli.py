@@ -393,6 +393,40 @@ def test_diffusion_vanishing_on_an_fp_grid_exits_3(tmp_path, capsys):
     assert err == "validation error: NegativeDiffusion at x=0.0: a(x)=0.0\n"
 
 
+@pytest.mark.parametrize("fp, operator, message", [
+    # cells 1.25e-153 wide: I - dt A / 2 rounds to -dt A / 2, whose columns
+    # sum to 0 under reflecting walls, so its last pivot is 0
+    ({"window": [0, 1e-150]}, _OU,
+     "I - theta dt A (theta=0.5, dt=0.001) is singular at x=9.99375e-151"),
+    # a / dx overflows in every row
+    ({}, {**_OU, "a": "1e308"}, "the discretization is not finite at x=-7.99"),
+], ids=["window-1e-150", "a=1e308"])
+def test_fp_discretization_beyond_the_floats_exits_3(tmp_path, capsys, fp,
+                                                      operator, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config("fp", operator=operator, fp=fp)))
+    assert cli.main(["fp", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["entrance", "classify"])
+def test_base_point_one_subnormal_from_an_endpoint(tmp_path, capsys, command):
+    # the window from c = 5e-324 to 0 is 5e-324 wide, and half of that
+    # rounds to 0; Brownian motion on (0, 1) has two regular ends
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(
+        operator={"a": "0.5", "b": "0", "V": "0", "interval": [0, 1]},
+        c=5e-324)))
+    assert cli.main([command, "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    if command == "entrance":
+        lower, upper = (report["entrance"][k] for k in ("lower", "upper"))
+        assert lower["kind"] == upper["kind"] == "Converges"
+        assert lower["value"] == 0.0  # over a window 5e-324 wide
+    else:
+        assert report["verdict"]["kind"] == "NotUnique"
+
+
 @pytest.mark.parametrize("operator, message", [
     ({**_OU, "b": "1/x"}, "divide by zero encountered in divide at x=0.0"),
     ({**_OU, "a": "0.5*x^2"}, "NegativeDiffusion at x=0.0: a(x)=0.0"),

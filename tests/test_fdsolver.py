@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, lapack, solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from diffuniq import fdsolver as FD, uniqueness as U
 from diffuniq.errors import DomainError
@@ -256,7 +256,9 @@ def test_factored_step_matches_banded_solve(monkeypatch):
         assert len(factors) == 4  # one per (dt, theta)
         bad = u0.copy()
         bad[100] = np.nan
-        with pytest.raises(ValueError):
+        message = (f"^the step's right-hand side is not finite at "
+                   f"x={float(g.centers[99])!r}$")  # row 99 reads u[100]
+        with pytest.raises(DomainError, match=message):
             disc.step(bad, 1e-3, 0.5)
 
 
@@ -274,14 +276,26 @@ def test_discretizations_name_an_undefined_point():
 
 def test_singular_or_nonfinite_step_raises():
     zeros = np.zeros(15)
+    points = np.arange(16.0)
     # 1 - theta dt diag = 0 on the diagonal and nothing off it
-    singular = FD.Tridiagonal(zeros, np.full(16, 2.0), zeros)
-    with pytest.raises(LinAlgError, match="singular"):
+    singular = FD.Tridiagonal(zeros, np.full(16, 2.0), zeros, points)
+    with pytest.raises(DomainError, match=r"^I - theta dt A \(theta=0.5, "
+                       r"dt=1\) is singular at x=0.0$"):
         singular.step(np.ones(16), 1.0, 0.5)
     diag = np.full(16, -1.0)
     diag[3] = np.inf
-    with pytest.raises(ValueError):
-        FD.Tridiagonal(zeros, diag, zeros).step(np.ones(16), 1e-3, 0.5)
+    with pytest.raises(DomainError, match="^the discretization is not finite "
+                       "at x=3.0$"):
+        FD.Tridiagonal(zeros, diag, zeros, points)
+    lower = zeros.copy()
+    lower[6] = np.nan  # A[7, 6]
+    with pytest.raises(DomainError, match="not finite at x=7.0$"):
+        FD.Tridiagonal(lower, np.full(16, -1.0), zeros, points)
+    # finite bands whose step matrix overflows
+    big = FD.Tridiagonal(zeros, np.full(16, -1e308), zeros, points)
+    with pytest.raises(DomainError, match=r"^I - theta dt A \(theta=1, "
+                       r"dt=10\) is not finite at x=0.0$"):
+        big.step(np.zeros(16), 10.0, 1.0)
 
 
 def test_whole_steps():

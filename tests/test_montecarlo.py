@@ -192,6 +192,17 @@ def test_paths_leaving_at_different_steps_keep_their_bits():
         assert got[alive].tobytes() == want[alive].tobytes()
 
 
+def test_a_path_gone_to_nan_stays_alive():
+    # with neither wall nor explosion radius the inward cubic drift from
+    # x0 = 1e3 overshoots to -inf and +inf and then to NaN (inf - inf); the
+    # walls are compared strictly, so no path ever passes one
+    op = make_operator_1d("0.5", "-x^3", "0", (-INF, INF))
+    x, alive, _ = MC._em_block(op, 1e3, 20, 1e-2, 5, 0, 8, INF)
+    assert np.isnan(x).all() and alive.all()
+    _, alive, _ = MC._em_block(op, 1e3, 20, 1e-2, 5, 0, 8, 1e6)
+    assert not alive.any()
+
+
 def test_chunk_boundaries_match_scalar_reference():
     # 1,100 steps are three chunks of normals; each path's stream continues
     # across the refills exactly as one draw of all its normals
@@ -207,6 +218,34 @@ def test_chunk_boundaries_match_scalar_reference():
             xs = xs + -xs * dt + scale * z[k]
             vs = vs + 0.5 * (1.0 + 1.0) * dt
         assert x[i].hex() == xs.hex() and vint[i].hex() == vs.hex(), i
+
+
+@pytest.mark.parametrize("n", [10, 3], ids=["three-tiles", "part-tile"])
+def test_tile_boundaries_match_scalar_reference(monkeypatch, n):
+    # with tiles of 4 paths, 10 paths fill two tiles and part of a third and
+    # 3 paths part of one; the steps span three chunks of normals, and the
+    # wall at 0 takes some paths
+    monkeypatch.setattr(MC, "_TILE", 4)
+    op = make_operator_1d("0.5", "2*(1 - x)", "x^2", (0.0, INF))
+    n_steps, dt, seed, first = 2 * MC._CHUNK + 76, 1e-3, 27, 5
+    x, alive, vint = MC._em_block(op, 0.3, n_steps, dt, seed, first, n, INF)
+    scale = math.sqrt(2.0 * 0.5) * math.sqrt(dt)
+
+    def at(c, x):  # a coefficient's array form at one point
+        return c.array(np.array([x]))[0]
+    for i in range(n):
+        z = _path_rng(seed, first + i).standard_normal(n_steps)
+        xs, vs, inside = 0.3, 0.0, True
+        for k in range(n_steps):
+            v = at(op.V, xs)
+            xs = xs + at(op.b, xs) * dt + scale * z[k]
+            inside = inside and not xs < -MC.GUARD_BAND
+            vs = vs + (v + at(op.V, xs)) * 0.5 * dt
+        assert alive[i] == inside, i
+        if inside:
+            assert x[i].hex() == xs.hex() and vint[i].hex() == vs.hex(), i
+    if n == 10:
+        assert 0 < np.count_nonzero(alive) < n
 
 
 # (mean, stderr, explosion_fraction) as float.hex, recorded with one
