@@ -40,7 +40,7 @@ DEFAULTS = {
         "csv": None,
     },
     "fk": {"T": 0.5, "dt": 1e-3, "x0": 0.0, "n_paths": 100000,
-           "f": "exp(-x^2)", "r_explode": 1e6},
+           "f": "exp(-x^2)", "r_explode": montecarlo.R_EXPLODE_DEFAULT},
     "probe": {"windows": [4.0, 6.0, 8.0], "T": 1.0, "core_radius": 2.0},
     "out": None,
 }
@@ -127,7 +127,7 @@ def _known_keys(obj, known, pointer):
 
 
 def resolve_config(raw):
-    """Fill defaults and validate shape; the result is echoed in the report."""
+    """Fill defaults and check the config; no expression is parsed here."""
     if not isinstance(raw, dict):
         raise ConfigError("", "config must be a JSON object")
     _known_keys(raw, ("mode", "operator", *DEFAULTS), "")
@@ -227,12 +227,7 @@ def _check_sampling_sites(cfg):
     """The base point, the FP window, the probe windows and the FK start
     point must lie inside the open operator interval, the FK start point
     also inside the explosion radius and, in ``xval``, inside the FP window,
-    where the FD value is read, and the operator hypotheses must hold at the
-    FK start point (``operator.hypotheses_fail``); the FK terminal function
-    must be defined on the ladder that validates the operator and, in
-    ``xval``, at the centres of the FP grid, where the FD cross-check
-    evaluates it (the config error names the first point where it is
-    not)."""
+    where the FD value is read."""
     mode = cfg["mode"]
     lo, hi = cfg["operator"]["interval"]
     where = f"inside the operator interval ({lo}, {hi})"
@@ -254,27 +249,6 @@ def _check_sampling_sites(cfg):
         if mode == "xval" and not window[0] < x0 < window[1]:
             raise ConfigError("/fk/x0", "must lie inside the FP window "
                               f"({window[0]}, {window[1]})")
-        var = cfg["operator"]["var"]
-        coefs = [as_coefficient(_parse(cfg["operator"][k], (var,),
-                                       f"/operator/{k}"), var)
-                 for k in ("a", "b", "V")]
-        bad = first_failure([x0], coefs, hypotheses_fail)
-        if bad is not None:  # the paths would start where the operator is not
-            x, values, error = bad
-            raise ConfigError("/fk/x0", f"{error} at x={x!r}" if error
-                              else str(hypothesis_error(x, values)))
-        try:
-            f = _fk_terminal(cfg)
-        except DiffuniqError as exc:
-            raise ConfigError("/fk/f", str(exc)) from None
-        xs = probe_points(lo, hi)
-        if mode == "xval":
-            grid = fdsolver.Grid1D(*window, int(cfg["fp"]["m"]))
-            xs = np.concatenate((xs, grid.centers))
-        bad = first_failure(xs, (f,))
-        if bad is not None:
-            x, _, error = bad
-            raise ConfigError("/fk/f", f"{error} at x={x!r}")
 
 
 def _parse(text, names, pointer):
@@ -285,9 +259,12 @@ def _parse(text, names, pointer):
 
 
 def _build_operator(cfg):
-    """Parse each operator string once (a parse error is a config error at
-    its pointer), then validate the operator (a failure exits 3)."""
-    spec = cfg["operator"]
+    """The one build step: parse each operator string once (a parse error is
+    a config error at its pointer), build what the mode starts from, which
+    raises any config error that is left, then validate the operator (a
+    failure exits 3).  Returns the operator and the terminal function
+    (``fk``, ``xval``), the initial FP state (``fp``) or None."""
+    spec, mode = cfg["operator"], cfg["mode"]
     if "d" in spec:
         names = coordinate_names(spec["d"])
         b = [_parse(e, names, f"/operator/b/{i}") for i, e in enumerate(spec["b"])]
@@ -295,22 +272,63 @@ def _build_operator(cfg):
         return make_operator_nd(
             spec["d"], b, _parse(spec["V"], ("r",), "/operator/V"),
             beta_override=None if beta is None
-            else _parse(beta, ("r",), "/operator/beta"))
+            else _parse(beta, ("r",), "/operator/beta")), None
     var = spec["var"]
-    a, b, V = (_parse(spec[k], (var,), f"/operator/{k}") for k in ("a", "b", "V"))
-    return make_operator_1d(a, b, V, spec["interval"], var=var)
+    coefs = [as_coefficient(_parse(spec[k], (var,), f"/operator/{k}"), var)
+             for k in ("a", "b", "V")]
+    start = (_initial_state(cfg) if mode == "fp"
+             else _terminal_function(cfg, coefs) if mode in ("fk", "xval")
+             else None)
+    return make_operator_1d(*coefs, spec["interval"], var=var), start
 
 
-def _initial_state(fp_cfg, grid, bc):
-    u0 = fp_cfg["u0"]
-    if u0["type"] == "gaussian":
-        return fdsolver.gaussian_state(grid, u0.get("center", 0.0),
-                                       u0.get("var", 0.1), bc)
-    gf = GridFunction(np.asarray(u0["xs"], float), np.asarray(u0["values"], float))
-    return fdsolver.FPState(grid, gf.zero_outside(grid.centers), 0.0, bc)
+def _fp_grid(cfg):
+    return fdsolver.Grid1D(*cfg["fp"]["window"], int(cfg["fp"]["m"]))
 
 
-def _run_classify(cfg, op, report):
+def _initial_state(cfg):
+    """The ``fp`` section's initial state; a config error at ``/fp/u0``
+    unless its values hold a positive, finite mass (so each is finite)."""
+    f, grid = cfg["fp"], _fp_grid(cfg)
+    u0 = f["u0"]
+    with np.errstate(all="ignore"):  # a far or narrow gaussian overflows
+        if u0["type"] == "gaussian":
+            state = fdsolver.gaussian_state(grid, u0.get("center", 0.0),
+                                            u0.get("var", 0.1), f["bc"])
+        else:
+            values = GridFunction(u0["xs"], u0["values"]).zero_outside(grid.centers)
+            state = fdsolver.FPState(grid, values, 0.0, f["bc"])
+        mass = state.mass()
+    if not 0.0 < mass < math.inf:
+        raise ConfigError("/fp/u0", f"holds mass {mass!r} on the FP grid; "
+                          "expected a positive, finite mass")
+    return state
+
+
+def _terminal_function(cfg, coefs):
+    """The ``fk`` section's terminal function, once the operator hypotheses
+    hold for ``coefs`` (a, b, V) at the start point (``/fk/x0``) and f is
+    defined on the validation ladder and, in ``xval``, at the FP grid's
+    centres, where the FD cross-check evaluates it (``/fk/f``); each error
+    names the first point where its check fails."""
+    x0, var = cfg["fk"]["x0"], cfg["operator"]["var"]
+    bad = first_failure([x0], coefs, hypotheses_fail)
+    if bad is not None:  # the paths would start where the operator is not
+        x, values, error = bad
+        raise ConfigError("/fk/x0", f"{error} at x={x!r}" if error
+                          else str(hypothesis_error(x, values)))
+    f = as_coefficient(_parse(cfg["fk"]["f"], (var,), "/fk/f"), var)
+    xs = probe_points(*cfg["operator"]["interval"])
+    if cfg["mode"] == "xval":
+        xs = np.concatenate((xs, _fp_grid(cfg).centers))
+    bad = first_failure(xs, (f,))
+    if bad is not None:
+        x, _, error = bad
+        raise ConfigError("/fk/f", f"{error} at x={x!r}")
+    return f
+
+
+def _run_classify(cfg, op, _, report):
     if "d" in cfg["operator"]:
         verdicts = uniqueness.nd_verdicts(op, cfg["lambda_set"],
                                           seed=cfg["seed"])
@@ -325,7 +343,7 @@ def _run_classify(cfg, op, report):
         report["verdict"] = verdict.to_dict()
 
 
-def _run_entrance(cfg, op, report):
+def _run_entrance(cfg, op, _, report):
     c = cfg["c"] if cfg["c"] is not None else interval_center(op.x0, op.y0)
     quadrature.probe_scale(op, c)
     report["entrance"] = {
@@ -335,10 +353,8 @@ def _run_entrance(cfg, op, report):
     }
 
 
-def _run_fp(cfg, op, report):
+def _run_fp(cfg, op, state, report):
     f = cfg["fp"]
-    grid = fdsolver.Grid1D(f["window"][0], f["window"][1], int(f["m"]))
-    state = _initial_state(f, grid, f["bc"])
     final, (times, masses) = fdsolver.fp_solve(op, state, f["T"], f["dt"])
     if f.get("csv"):
         try:
@@ -354,53 +370,36 @@ def _run_fp(cfg, op, report):
     }
 
 
-def _fk_terminal(cfg):
-    """The ``fk`` section's terminal function as a coefficient."""
-    return as_coefficient(cfg["fk"]["f"], cfg["operator"]["var"])
-
-
-def _feynman_kac(cfg, op):
-    """The terminal function of the ``fk`` section and its estimate."""
+def _feynman_kac(cfg, op, f):
+    """The ``fk`` section's estimate for the terminal function f."""
     k = cfg["fk"]
-    f = _fk_terminal(cfg)
-    est = montecarlo.feynman_kac(op, f.array, k["T"], k["x0"], int(k["n_paths"]),
-                                 k["dt"], seed=cfg["seed"],
-                                 r_explode=k["r_explode"])
-    return f, est
+    return montecarlo.feynman_kac(op, f.array, k["T"], k["x0"],
+                                  int(k["n_paths"]), k["dt"], seed=cfg["seed"],
+                                  r_explode=k["r_explode"])
 
 
-def _run_fk(cfg, op, report):
-    report["feynman_kac"] = _feynman_kac(cfg, op)[1].to_dict()
+def _run_fk(cfg, op, f, report):
+    report["feynman_kac"] = _feynman_kac(cfg, op, f).to_dict()
 
 
-def _run_probe(cfg, op, report):
-    p = cfg["probe"]
-    table = fdsolver.bc_sensitivity_probe(op, None, p["T"], p["windows"],
-                                          dt=cfg["fp"]["dt"],
-                                          core_radius=p["core_radius"])
-    table["note"] = ("truncated-domain evidence for weak-solution "
-                     "uniqueness, not proof")
-    report["bc_probe"] = table
-
-
-def _run_xval(cfg, op, report):
-    _run_classify(cfg, op, report)
-    _run_probe(cfg, op, report)
+def _run_xval(cfg, op, f, report):
+    _run_classify(cfg, op, None, report)
+    p, k, dt = cfg["probe"], cfg["fk"], cfg["fp"]["dt"]
+    report["bc_probe"] = fdsolver.bc_sensitivity_probe(
+        op, None, p["T"], p["windows"], dt=dt, core_radius=p["core_radius"])
+    report["bc_probe"]["note"] = ("truncated-domain evidence for "
+                                  "weak-solution uniqueness, not proof")
     # MC vs FD agreement at the FK settings
-    k, f = cfg["fk"], cfg["fp"]
-    fterm, est = _feynman_kac(cfg, op)
-    grid = fdsolver.Grid1D(f["window"][0], f["window"][1], int(f["m"]))
+    est, grid = _feynman_kac(cfg, op, f), _fp_grid(cfg)
     with np.errstate(all="ignore"):
-        vals = fterm.array(grid.centers)
-    fb = fdsolver.backward_evolve(op, grid, vals, k["T"], f["dt"])
+        vals = f.array(grid.centers)
+    fb = fdsolver.backward_evolve(op, grid, vals, k["T"], dt)
     fd_value = float(np.interp(k["x0"], grid.centers, fb))
-    agree = abs(est.mean - fd_value) <= 3.0 * est.stderr + 5e-3
+    difference, tolerance = abs(est.mean - fd_value), 3.0 * est.stderr + 5e-3
     report["cross_validation"] = {
-        "fk_estimate": est.to_dict(),
-        "fd_value": fd_value,
-        "difference": abs(est.mean - fd_value),
-        "tolerance": 3.0 * est.stderr + 5e-3,
-        "agree": agree,
+        "fk_estimate": est.to_dict(), "fd_value": fd_value,
+        "difference": difference, "tolerance": tolerance,
+        "agree": difference <= tolerance,
     }
 
 
@@ -423,7 +422,7 @@ def run(raw_config):
         "version": __version__,
         "resolved_config": _jsonable(cfg),
     }
-    _RUNNERS[cfg["mode"]](cfg, _build_operator(cfg), report)
+    _RUNNERS[cfg["mode"]](cfg, *_build_operator(cfg), report)
     report["wall_clock_s"] = time.perf_counter() - t0
     return report
 

@@ -73,11 +73,15 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
     hi = min(op.y0 + GUARD_BAND * max(1.0, abs(op.y0)), r_explode)
     v = op.V.constant
     kill = None if v is None else 0.5 * (v + v) * dt  # constant V's increment
-    # one generator for the block, set to path i's counter before its draws;
+    # one generator for the block, set to path i's counter before its draws
+    # (from a start state of plain ints, which the setter reads fastest);
     # past one chunk each path's state is kept between its fills
     bitgen = np.random.Philox(key=int(seed))
     rng = np.random.Generator(bitgen)
     start = bitgen.state
+    start["state"] = {key: words.tolist()
+                      for key, words in start["state"].items()}
+    start["buffer"] = start["buffer"].tolist()
     counter = start["state"]["counter"]
     states = [None] * n
     # the chunk's normals, step-major: step k reads row k % _CHUNK whole.

@@ -1,13 +1,14 @@
 import copy
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import diffuniq
-from diffuniq import cli, fdsolver, operator, uniqueness
+from diffuniq import cli, expr, fdsolver, montecarlo, operator, uniqueness
 from diffuniq.errors import ConfigError
 
 
@@ -272,8 +273,10 @@ def test_xval_cross_section_limits(extra, pointer):
 ], ids=["fk-f-log", "xval-f-log", "fk-f-unknown", "fp-window", "xval-window",
         "xval-probe-windows", "fk-x0", "nd-beta", "nd-V", "var-list"])
 def test_sampling_sites_and_expressions_checked(config, pointer):
+    # the terminal function is parsed and checked by the build step
+    check = cli.run if pointer == "/fk/f" else cli.resolve_config
     with pytest.raises(ConfigError) as e:
-        cli.resolve_config(config)
+        check(config)
     assert e.value.pointer == pointer
 
 
@@ -453,15 +456,65 @@ def test_overflowing_literal_is_a_config_error(tmp_path, capsys):
 
 def test_fk_terminal_error_names_the_point():
     with pytest.raises(ConfigError) as e:
-        cli.resolve_config(ou_config("fk", fk={"f": "log(x)"}))
+        cli.run(ou_config("fk", fk={"f": "log(x)"}))
     assert e.value.pointer == "/fk/f"
     assert str(e.value).endswith("at x=-63.96875")
+
+
+def test_terminal_function_is_checked_by_the_build_step(monkeypatch):
+    # the config is well formed, so resolving it parses nothing; the build
+    # step rejects f before any solver runs
+    cfg = ou_config("fk", fk={"f": "log(x)"})
+    assert cli.resolve_config(copy.deepcopy(cfg))["fk"]["f"] == "log(x)"
+    calls = []
+    monkeypatch.setattr(montecarlo, "feynman_kac",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ConfigError) as e:
+        cli.run(cfg)
+    assert e.value.pointer == "/fk/f"
+    assert str(e.value).endswith("at x=-63.96875")
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode, section, pointer", [
+    ("fk", {"fk": {"f": "log(x)"}}, "/fk/f"),
+    ("fp", {"fp": {"u0": {"type": "gaussian", "center": 1e300}}}, "/fp/u0"),
+], ids=["fk-f", "fp-u0"])
+def test_config_errors_of_the_build_step_come_before_validation(
+        tmp_path, capsys, mode, section, pointer):
+    # a = 0.5 - x^2/100 is positive at the FK start point 0 and fails
+    # validation past |x| = 7 (exit 3), but the config error comes first
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(
+        mode, operator={**_OU, "a": "0.5 - 0.01*x^2"}, **section)))
+    assert cli.main([mode, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {pointer}: ")
+
+
+@pytest.mark.parametrize("mode", ["fk", "xval"])
+def test_each_expression_is_parsed_once(monkeypatch, mode):
+    # a, b, V and f: one parse each, and one build step per run
+    calls = {"parse_expr": 0, "_build_operator": 0}
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(expr, "parse_expr")
+    counted(cli, "_build_operator")
+    cli.run(ou_config(mode, seed=1, **{key: _SMALL[key] for key in
+                                       ("fp", "fk", "probe")}))
+    assert calls == {"parse_expr": 4, "_build_operator": 1}
 
 
 def test_late_fk_terminal_error_is_cheap(evaluation_counts):
     # defined up to x = 60, near the far end of the 7,168-point ladder
     with pytest.raises(ConfigError) as e:
-        cli.resolve_config(ou_config("fk", fk={"f": "sqrt(60 - x)"}))
+        cli.run(ou_config("fk", fk={"f": "sqrt(60 - x)"}))
     assert e.value.pointer == "/fk/f"
     assert str(e.value).endswith("at x=60.03125")
     assert evaluation_counts["passes"] <= 3 * math.ceil(math.log2(7168))
@@ -516,6 +569,73 @@ def test_fp_report_counts_theta_fallbacks():
     spike = ou_config("fp", fp={"T": 0.1, "dt": 0.01,
                                 "u0": {"type": "gaussian", "var": 1e-4}})
     assert cli.run(spike)["fokker_planck"]["theta_fallbacks"] == 1
+
+
+_FP_SHORT = {"T": 0.01, "dt": 0.001}
+
+
+@pytest.mark.parametrize("fp", [
+    {"u0": {"type": "gaussian", "center": 1e300}},
+    {"u0": {"type": "gaussian", "var": 1e-320}},
+    {"window": [-1e300, 1e300]},
+    {"u0": {"type": "table", "xs": [100, 101], "values": [1, 1]}},
+], ids=["center-1e300", "var-1e-320", "window-1e300", "table-off-the-grid"])
+def test_initial_profile_without_mass_on_the_grid_exits_2(tmp_path, capsys,
+                                                          monkeypatch, fp):
+    # each start puts no mass on the FP grid (a far or narrow gaussian
+    # underflows to 0 in every cell); rejected before any solve, with no
+    # floating-point warning
+    monkeypatch.setattr(fdsolver, "fp_solve", lambda *args: pytest.fail())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config("fp", fp={**_FP_SHORT, **fp})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fp", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: /fp/u0: holds mass 0.0 on the FP grid; expected a "
+        "positive, finite mass\n")
+
+
+def test_fp_table_profile_and_csv_trace(tmp_path):
+    # a hat of unit mass on [-1, 1], zero outside the table
+    trace = tmp_path / "trace.csv"
+    fp = {**_FP_SHORT, "m": 32, "window": [-2.0, 2.0], "csv": str(trace),
+          "u0": {"type": "table", "xs": [-1, 0, 1], "values": [0, 1, 0]}}
+    pay = cli.run(ou_config("fp", fp=fp))["fokker_planck"]
+    assert pay["mass_initial"] == pytest.approx(1.0, abs=1e-12)
+    assert pay["mass_final"] == pytest.approx(1.0, abs=1e-10)
+    lines = trace.read_text().splitlines()
+    n_steps = 10  # T / dt
+    mass_rows, profile_rows = lines[1:n_steps + 2], lines[n_steps + 3:]
+    assert (lines[0], lines[n_steps + 2]) == ("t,mass", "x,u")
+    assert len(profile_rows) == fp["m"]
+    assert float(mass_rows[-1].split(",")[1]) == pay["mass_final"]
+
+
+@pytest.mark.parametrize("pointer", ["/out", "/fp/csv"])
+def test_directory_as_an_output_path_exits_2_after_the_run(
+        tmp_path, capsys, monkeypatch, pointer):
+    # the path's directory exists, so the config passes; writing to the path
+    # itself fails once the solve is done
+    solves = []
+    solve = fdsolver.fp_solve
+    monkeypatch.setattr(fdsolver, "fp_solve",
+                        lambda *a, **k: solves.append(a) or solve(*a, **k))
+    csv = str(tmp_path) if pointer == "/fp/csv" else None
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config("fp", fp={**_FP_SHORT, "csv": csv})))
+    args = ["--out", str(tmp_path)] if pointer == "/out" else []
+    assert cli.main(["fp", "--config", str(path)] + args) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {pointer}: ")
+    assert len(solves) == 1
+
+
+def test_reversed_interval_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(operator={**_OU, "interval": [1, 0]})))
+    assert cli.main(["classify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: /operator/interval: lower bound must be below upper\n")
 
 
 def test_fk_inside_the_interval_runs():
