@@ -7,11 +7,12 @@ Grammar (precedence, loosest first):
     power   := atom ('^' unary)?          # right-associative, binds tightest
     atom    := NUMBER | IDENT | IDENT '(' sum (',' sum)* ')' | '(' sum ')'
 
-Function whitelist: exp, log, sqrt, abs, sin, cos, tanh (unary);
-min, max, pow (binary).  Any other identifier must be one of the declared
-variable names, otherwise parsing fails with UnknownIdentifier.  A numeric
-literal must be finite: one that overflows to inf (``1e999``) is a syntax
-error.
+``_FUNCS`` is the one list of functions, each with the numpy ufunc it
+evaluates with: exp, log, sqrt, abs, sin, cos, tanh (unary); min, max, pow
+(binary).  A call's arity is its ufunc's.  Any other identifier must be one
+of the declared variable names, otherwise parsing fails with
+UnknownIdentifier.  A numeric literal must be finite: one that overflows to
+inf (``1e999``) is a syntax error.
 
 Each tree compiles to one closure over numpy ufuncs, which evaluates floats
 and arrays alike.  The domain rule: an expression is defined at a point
@@ -25,6 +26,7 @@ domain, even where a later node hides it (``tanh(exp(x^2))`` at x = 30).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -32,8 +34,14 @@ import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
-_UNARY_NAMES = frozenset(("exp", "log", "sqrt", "abs", "sin", "cos", "tanh"))
-FUNCTION_NAMES = _UNARY_NAMES | {"min", "max", "pow"}
+# operator or function name -> numpy ufunc
+_FUNCS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "^": np.power, "pow": np.power, "min": np.minimum, "max": np.maximum,
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
+    "sin": np.sin, "cos": np.cos, "tanh": np.tanh,
+}
+FUNCTION_NAMES = frozenset(name for name in _FUNCS if name.isalpha())
 
 
 @dataclass(frozen=True)
@@ -70,54 +78,36 @@ Expr = Num | Var | Neg | BinOp | Call
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_OPS = set("+-*/^(),")
+# After optional whitespace a token is a number (digits and dots, led by a
+# digit or by a dot and a digit, then an optional e/E exponent with digits),
+# a name (a letter or _, then letters, digits or _) or one character of
+# +-*/^(),  A digit is a decimal digit: a non-decimal one such as ² counts
+# as a letter.
+_TOKEN = re.compile(r"\s*(?:(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)"
+                    r"|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^(),]))?")
 
 
 def _tokenize(text):
-    """Yield (kind, value, position) triples; kind in {num, ident, op}."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
+    """(kind, value, position) triples, kind in {num, ident, op}, then
+    ("end", None, len(text))."""
+    tokens, i = [], 0
+    while True:
+        m = _TOKEN.match(text, i)
+        kind, i = m.lastgroup, m.end()
+        if kind is None:
+            if i < len(text):
+                raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
+            tokens.append(("end", None, i))
+            return tokens
+        value, start = m[kind], m.start(kind)
+        if kind == "num":
             try:
-                val = float(lit)
+                value = float(value)
             except ValueError:
-                val = math.nan
-            if not math.isfinite(val):  # malformed, or overflows to inf
-                raise ExprSyntaxError(f"bad numeric literal {lit!r}", i)
-            tokens.append(("num", val, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
+                value = math.nan
+            if not math.isfinite(value):  # malformed, or overflows to inf
+                raise ExprSyntaxError(f"bad numeric literal {m[kind]!r}", start)
+        tokens.append((kind, value, start))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +194,7 @@ class _Parser:
                     else:
                         break
                 self.expect(")")
-                want = 1 if val in _UNARY_NAMES else 2
+                want = _FUNCS[val].nin
                 if len(args) != want:
                     raise ExprSyntaxError(
                         f"{val} takes {want} argument(s), got {len(args)}", p)
@@ -229,15 +219,6 @@ def parse_expr(text, *var_names):
 
 # ---------------------------------------------------------------------------
 # evaluation: each tree is compiled once into a closure over numpy ufuncs
-
-# operator or function name -> numpy ufunc
-_FUNCS = {
-    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-    "^": np.power, "pow": np.power, "min": np.minimum, "max": np.maximum,
-    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
-    "sin": np.sin, "cos": np.cos, "tanh": np.tanh,
-}
-
 
 def compile_expr(e):
     """Compile ``e`` into ``f(env)``, ``env`` a dict of variable values

@@ -333,6 +333,16 @@ def test_entrance_with_a_nonzero_potential_exits_3(tmp_path, capsys):
     assert "NonzeroPotential at x=5.00390625" in capsys.readouterr().err
 
 
+def test_nd_drift_not_finite_exits_3(tmp_path, capsys):
+    # exp(x1^2) overflows where |x1| > 26.64; the first sampled radius
+    # past that is r = 28.57
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(nd_config(d=3, b=["exp(x1^2)", "-x2", "-x3"])))
+    assert cli.main(["classify", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: drift not finite at r=28.565741776078152, direction [")
+
+
 @pytest.mark.parametrize("config, pointer", [
     (ou_config(operator={**_OU, "a": "abc"}), "/operator/a"),
     (ou_config(operator={**_OU, "V": "x +"}), "/operator/V"),

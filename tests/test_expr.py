@@ -99,6 +99,43 @@ def test_overflowing_literal_is_a_syntax_error():
     assert ev("1e308", 0.0) == 1e308
 
 
+_TOKENS = [
+    (".5", [("num", 0.5, 0)]),
+    ("5.", [("num", 5.0, 0)]),
+    ("1E+5", [("num", 1e5, 0)]),
+    ("1e-400", [("num", 0.0, 0)]),                 # underflows to 0
+    ("2e", [("num", 2.0, 0), ("ident", "e", 1)]),  # no exponent digits
+    ("2e+", [("num", 2.0, 0), ("ident", "e", 1), ("op", "+", 2)]),
+    ("x_1", [("ident", "x_1", 0)]),
+    ("_a", [("ident", "_a", 0)]),
+    ("min(x,1)", [("ident", "min", 0), ("op", "(", 3), ("ident", "x", 4),
+                  ("op", ",", 5), ("num", 1.0, 6), ("op", ")", 7)]),
+    ("\tx *\n2 ", [("ident", "x", 1), ("op", "*", 3), ("num", 2.0, 5)]),
+]
+
+_TOKEN_ERRORS = [
+    ("x $ 1", "unexpected character '$'", 2),
+    (". 5", "unexpected character '.'", 0),        # a dot needs a digit
+    ("1.2.3*x", "bad numeric literal '1.2.3'", 0),
+    ("x + 1e999", "bad numeric literal '1e999'", 4),
+    ("-x -x x", "expected operator or end of input", 6),
+]
+
+
+@pytest.mark.parametrize("text, tokens", _TOKENS)
+def test_tokens(text, tokens):
+    assert E._tokenize(text) == tokens + [("end", None, len(text))]
+
+
+@pytest.mark.parametrize("text, message, position", _TOKEN_ERRORS)
+def test_token_errors(text, message, position):
+    with pytest.raises(ExprSyntaxError) as e:
+        E.parse_expr(text, "x")
+    assert type(e.value) is ExprSyntaxError
+    assert str(e.value) == f"{message} (at position {position})"
+    assert e.value.position == position
+
+
 def test_odd_power_negative_base():
     assert ev("x^3", -2.0) == -8.0
 
@@ -231,6 +268,9 @@ def test_eval_numpy_matches_scalar():
         assert _agree_where_defined(E.parse_expr(text, "x"), xs) >= 20
 
 
+_UNARY = sorted(f for f in E.FUNCTION_NAMES if E._FUNCS[f].nin == 1)
+
+
 def _grammar(depth):
     """Random trees over the whole grammar."""
     leaf = st.one_of(
@@ -244,7 +284,7 @@ def _grammar(depth):
         sub.map(E.Neg),
         st.tuples(st.sampled_from("+-*/^"), sub, sub).map(
             lambda t: E.BinOp(t[0], t[1], t[2])),
-        st.tuples(st.sampled_from(sorted(E._UNARY_NAMES)), sub).map(
+        st.tuples(st.sampled_from(_UNARY), sub).map(
             lambda t: E.Call(t[0], (t[1],))),
         st.tuples(st.sampled_from(["min", "max", "pow"]), sub, sub).map(
             lambda t: E.Call(t[0], (t[1], t[2]))),

@@ -10,6 +10,7 @@ from diffuniq.errors import DomainError, ValidationError
 from diffuniq.operator import (Coefficient, Operator1D, as_coefficient,
                                interval_center, make_operator_1d,
                                make_operator_nd, radial_bound, regular_endpoint)
+from diffuniq.quadrature import IntegralVerdict
 from march_oracles import (TOWARD_LOWER, TOWARD_UPPER, _cumulative_simpson,
                            log_scale, monotone_solution, series_partial)
 
@@ -142,6 +143,38 @@ def test_lambda_and_base_point_robustness_light():
         for c in (-1.0, 0.0, 1.0):
             v = U.uniqueness_1d(op, (0.5, 1.0, 2.0), c=c)
             assert v.kind == want, (b, c, v.kind)
+
+
+def test_window_limit_is_inconclusive():
+    # b = -x log(1+x^2)^2 makes +inf an entrance only barely (the integral
+    # of 1/|b| converges like 1/log x): the windows' increments shrink too
+    # slowly for the judge to decide within its window limit
+    v = U.endpoint_condition(_whole_line("-x*log(1+x^2)^2"), 0.0, 1.0, INF)
+    assert v.is_inconclusive and v.windows_used == 40
+    assert v.evidence.startswith("window limit reached after 40 windows")
+
+
+def test_walk_stopped_toward_a_regular_endpoint_is_inconclusive():
+    # b has a pole at 0.9999, between the validation ladder's points: the
+    # march cannot resolve the second window, [0.5625, 1], at its finest step
+    op = make_operator_1d("0.5", "1/(x-0.9999)", "0", (0.0, 1.0))
+    v = U.endpoint_condition(op, 0.5, 1.0, 1.0)
+    assert v.is_inconclusive and v.windows_used == 2
+    assert "toward a regular endpoint" in v.evidence
+
+
+def test_lambda_disagreement_is_inconclusive(monkeypatch):
+    # theory makes the verdict independent of lambda: a disagreement is
+    # reported, not resolved
+    def stub(op, c, lam, endpoint):
+        if lam == 1.0:
+            return IntegralVerdict.diverges("stub")
+        return IntegralVerdict.converges(1.0, 0.0, "stub")
+    monkeypatch.setattr(U, "endpoint_condition", stub)
+    v = U.uniqueness_1d(ou(), (1.0, 2.0))
+    assert v.kind == U.INCONCLUSIVE
+    assert v.diagnostics[0].startswith(
+        "warning: verdicts disagree across lambda values")
 
 
 def test_verdict_serialization_carries_lambdas():
