@@ -173,7 +173,7 @@ def resolve_config(raw):
             raise ConfigError("/operator/interval", "lower bound must be below upper")
         cfg["operator"]["interval"] = [lo, hi]
         var = cfg["operator"].setdefault("var", "x")
-        if not (isinstance(var, str) and var.isidentifier()
+        if not (isinstance(var, str) and ex.is_name(var)
                 and var not in ex.FUNCTION_NAMES):
             raise ConfigError("/operator/var", "expected a variable name")
 

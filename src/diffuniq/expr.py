@@ -87,6 +87,11 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)"
                     r"|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^(),]))?")
 
 
+def is_name(text):
+    """Whether ``text`` reads as one whole name token."""
+    return _TOKEN.match(text)["ident"] == text
+
+
 def _tokenize(text):
     """(kind, value, position) triples, kind in {num, ident, op}, then
     ("end", None, len(text))."""

@@ -9,12 +9,14 @@ of it.  ``feynman_kac`` runs the kernel block by block.
 Path i draws its increments from a counter-based stream keyed by (seed, i):
 Philox with key ``seed`` started at counter word 2 = i, the state that
 ``Philox(key=seed).jumped(i)`` reaches, since a jump adds 2^128 to the
-256-bit counter.  A block builds one Philox and sets it to path i's counter
-before path i's draws.  Estimates are therefore reproducible and independent
-of how paths are batched.  A block draws each path's normals one chunk of up
-to ``_CHUNK`` steps at a time, ``_TILE`` paths into a path-major tile, and
-copies each tile into a step-major table, so every step reads its normals as
-one contiguous row.  A coefficient with no free variable
+256-bit counter.  A run of at most ``_CHUNK`` steps builds one Philox per
+block and sets it to path i's counter before path i's draws; a longer run
+builds path i's Philox at that counter and keeps it from chunk to chunk.
+Estimates are therefore reproducible and independent of how paths are
+batched.  A block draws each path's normals one chunk of up to ``_CHUNK``
+steps at a time, ``_TILE`` paths into a path-major tile, and copies each
+tile into a step-major table, so every step reads its normals as one
+contiguous row.  A coefficient with no free variable
 (``Coefficient.constant``) is stepped as one float, the value each entry of
 its array form would hold.
 """
@@ -73,17 +75,26 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
     hi = min(op.y0 + GUARD_BAND * max(1.0, abs(op.y0)), r_explode)
     v = op.V.constant
     kill = None if v is None else 0.5 * (v + v) * dt  # constant V's increment
-    # one generator for the block, set to path i's counter before its draws
-    # (from a start state of plain ints, which the setter reads fastest);
-    # past one chunk each path's state is kept between its fills
-    bitgen = np.random.Philox(key=int(seed))
-    rng = np.random.Generator(bitgen)
-    start = bitgen.state
-    start["state"] = {key: words.tolist()
-                      for key, words in start["state"].items()}
-    start["buffer"] = start["buffer"].tolist()
-    counter = start["state"]["counter"]
-    states = [None] * n
+    if n_steps > _CHUNK:  # each path keeps its own generator between fills
+        paths = [np.random.Generator(np.random.Philox(
+            key=int(seed), counter=(first + j) << 128)) for j in range(n)]
+
+        def fill(j, row):
+            paths[j].standard_normal(out=row)
+    else:  # one generator, set to each path's counter before its draws
+        bitgen = np.random.Philox(key=int(seed))
+        rng = np.random.Generator(bitgen)
+        # a start state of plain ints, which the setter reads fastest
+        start = bitgen.state
+        start["state"] = {key: words.tolist()
+                          for key, words in start["state"].items()}
+        start["buffer"] = start["buffer"].tolist()
+        counter = start["state"]["counter"]
+
+        def fill(j, row):
+            counter[2] = first + j
+            bitgen.state = start
+            rng.standard_normal(out=row)
     # the chunk's normals, step-major: step k reads row k % _CHUNK whole.
     # A generator fills only contiguous arrays, so a path's chunk is drawn
     # into a row of the path-major tile, which is copied in transposed
@@ -102,14 +113,7 @@ def _em_block(op, x0, n_steps, dt, seed, first, n, r_explode):
             for j0 in range(0, n, len(tile)):
                 rows = tile[:n - j0]
                 for j, row in enumerate(rows, start=j0):
-                    if k == 0:
-                        counter[2] = first + j
-                        bitgen.state = start
-                    else:
-                        bitgen.state = states[j]
-                    rng.standard_normal(out=row)
-                    if n_steps - k > _CHUNK:
-                        states[j] = bitgen.state
+                    fill(j, row)
                 xi[:, j0:j0 + len(rows)] = rows.T
         # coefficient arrays are fresh, so the drift's can hold drift * dt
         step = op.b.array(x)

@@ -3,11 +3,14 @@ endpoints, and the scale check on the operator's input.
 
 One walk sums every windowed integral over geometrically expanding windows
 by Gauss-Legendre in log space and gathers asymptotic evidence; it never
-claims an exact infinity.  Toward a regular endpoint, where the integral is
-known to be finite, its windows close at the endpoint instead.  Its limits
-are the module constants below.  The scale check integrates b/a on both
-sides of the base point with the same 32-point rule, halving each piece of
-a gap until it is resolved.
+claims an exact infinity.  A walk whose increments decay geometrically
+converges once its geometric tail is within tolerance, or sooner once
+Wynn's epsilon table of its partial sums has settled on a limit (Shanks,
+J. Math. Phys. 34, 1955; Wynn, MTAC 10, 1956).  Toward a regular endpoint,
+where the integral is known to be finite, its windows close at the
+endpoint instead.  Its limits are the module constants below.  The scale
+check integrates b/a on both sides of the base point with the same
+32-point rule, halving each piece of a gap until it is resolved.
 """
 
 from __future__ import annotations
@@ -109,6 +112,28 @@ def _log_slope(values):
     return sum((i - 2) * (y - mean) for i, y in enumerate(logs)) / 10.0
 
 
+def _epsilon_diagonal(previous, s):
+    """The ascending diagonal of Wynn's epsilon table that the partial sum
+    ``s`` adds after the diagonal ``previous``: entry j is eps_j, eps_0
+    being ``s`` itself and eps_-1 = 0, by
+
+        eps_{j+1}^(n) = eps_{j-1}^(n+1) + 1 / (eps_j^(n+1) - eps_j^(n)).
+
+    The even entries estimate the limit (Shanks' transforms).  The diagonal
+    ends early where a column's two entries agree exactly or an entry
+    leaves the floats."""
+    diagonal = [s]
+    for j, old in enumerate(previous):
+        delta = diagonal[j] - old
+        if delta == 0.0:
+            break
+        entry = (previous[j - 1] if j else 0.0) + 1.0 / delta
+        if not math.isfinite(entry):
+            break
+        diagonal.append(entry)
+    return diagonal
+
+
 class _WindowJudge:
     """Sequential verdict logic over window increments.
 
@@ -117,14 +142,23 @@ class _WindowJudge:
       (ii) increments non-decreasing across 3 consecutive windows;
       (iii) least-squares slope of log(increment) vs window index over the
             last 5 windows above the threshold.
-    Convergence: increments decaying by a fixed ratio for 5 running windows
-    and the geometric tail estimate within tolerance.
+    Convergence needs the ratio condition, increments decaying by a fixed
+    ratio for 5 running windows, and then either
+      - the geometric tail estimate inc r / (1 - r) within tolerance: the
+        value is the total, the error the tail plus the quadrature error; or
+      - Wynn's epsilon table of the partial sums settled, its last two
+        estimates of the limit (each from the last even column of its
+        diagonal) agreeing to tolerance: the value is the latest estimate,
+        the error their disagreement plus the geometric tail plus the
+        quadrature error.
     """
 
     def __init__(self):
         self.increments = []
         self.total = 0.0
         self.quad_err = 0.0
+        self.diagonal = []  # the epsilon table's latest diagonal
+        self.estimate = None  # its estimate of the limit
 
     def feed(self, inc, quad_err):
         """Register a window increment and its quadrature error; returns a
@@ -133,6 +167,9 @@ class _WindowJudge:
         self.total += inc
         self.quad_err += quad_err
         k = len(self.increments)
+        self.diagonal = _epsilon_diagonal(self.diagonal, self.total)
+        previous = self.estimate
+        self.estimate = self.diagonal[(len(self.diagonal) - 1) & ~1]
 
         if k >= 3:
             a3, a2, a1 = self.increments[-3:]
@@ -158,11 +195,18 @@ class _WindowJudge:
             if r <= DECAY_RATIO:
                 tail = self.increments[-1] * r / (1.0 - r) if r > 0.0 else 0.0
                 tol = REL_TOL * abs(self.total) + ABS_TOL
+                decayed = (f"increments decayed with ratio <= {DECAY_RATIO} "
+                           "for 5 windows; ")
                 if tail <= tol:
                     return IntegralVerdict.converges(
                         self.total, tail + self.quad_err,
-                        f"increments decayed with ratio <= {DECAY_RATIO} "
-                        f"for 5 windows; geometric tail {tail:.3g}", windows=k)
+                        f"{decayed}geometric tail {tail:.3g}", windows=k)
+                change = abs(self.estimate - previous)
+                if change <= REL_TOL * abs(self.estimate) + ABS_TOL:
+                    return IntegralVerdict.converges(
+                        self.estimate, change + tail + self.quad_err,
+                        f"{decayed}Wynn ε limit settled to {change:.3g}, "
+                        f"geometric tail {tail:.3g}", windows=k)
         return None
 
     def inconclusive(self, reason="window limit reached"):

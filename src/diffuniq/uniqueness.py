@@ -84,11 +84,24 @@ _RADAU_A = np.array([
 # to MARCH_TOL (absolute, relative above 1) at every node, m doubling up to
 # MAX_SUBSTEPS; m halves for the next window where they agree to
 # MARCH_TOL / STEP_DOWN, 2^6 being the local-error ratio of halving an
-# order-5 step; steps are built and solved BATCH_STEPS at a time
+# order-5 step; a window whose discrepancy shrinks by less than STALL_GAIN
+# over two doublings of m has stalled; steps are built and solved
+# BATCH_STEPS at a time
 MARCH_TOL = 1e-9
 STEP_DOWN = 64
+STALL_GAIN = 4.0
 MAX_SUBSTEPS = 1024
 BATCH_STEPS = 1024
+
+
+def _stalled(before, after):
+    """Whether two doublings of m took the discrepancy from ``before`` to
+    ``after`` with a gain below STALL_GAIN.  NaN, where only one pass lost
+    positivity, is a discrepancy larger than any other: a doubling that
+    ends on it gains nothing, and one that leaves it gains."""
+    if math.isnan(after):
+        return True
+    return not math.isnan(before) and after * STALL_GAIN > before
 
 
 def _failed(reason):
@@ -127,7 +140,9 @@ class _Propagator:
         ``x_to``, with m equal steps per gap and error control by the 2m
         march; returns the states at ``xs``, shape (3, len(xs)).  m doubles
         until the passes agree to MARCH_TOL, and halves for the next window
-        when they agree to MARCH_TOL / STEP_DOWN."""
+        when they agree to MARCH_TOL / STEP_DOWN.  The window stops
+        unresolved once m reaches MAX_SUBSTEPS, or once two doublings in a
+        row have shrunk the discrepancy by less than STALL_GAIN in all."""
         k = self.knots
         if k.size:  # np.isin costs about 20 us a call even with no knots
             k = k[((k - self.x) * (x_to - k) > 0.0) & ~np.isin(k, xs)]
@@ -135,14 +150,22 @@ class _Propagator:
         order = np.argsort(stops if x_to > self.x else -stops, kind="stable")
         pts = np.concatenate(([self.x], stops[order], [x_to]))
         coarse, fine = self._pass(pts, (self.m, 2 * self.m))
-        while not (gap := self._discrepancy(coarse, fine)) <= MARCH_TOL:
+        gaps = [self._discrepancy(coarse, fine)]  # one per m tried
+        while not (gap := gaps[-1]) <= MARCH_TOL:
             if self.m >= MAX_SUBSTEPS:
                 raise qd.WindowStop(
                     f"march did not resolve the solution to {MARCH_TOL:g} "
                     f"with {2 * MAX_SUBSTEPS} steps per node gap in "
                     f"[{self.x:.6g}, {x_to:.6g}]")
+            if len(gaps) >= 3 and _stalled(gaps[-3], gap):
+                raise qd.WindowStop(
+                    f"march did not resolve the solution to {MARCH_TOL:g} "
+                    f"in [{self.x:.6g}, {x_to:.6g}]: refinement stalled at "
+                    f"{2 * self.m} steps per node gap, the discrepancy "
+                    f"{gap:.2g} against {gaps[-3]:.2g} two doublings before")
             self.m *= 2
             coarse, (fine,) = fine, self._pass(pts, (2 * self.m,))
+            gaps.append(self._discrepancy(coarse, fine))
         if self.m > 1 and gap <= MARCH_TOL / STEP_DOWN:
             self.m //= 2
         self.x, self.y = x_to, fine[:, -1]

@@ -343,6 +343,20 @@ def test_nd_drift_not_finite_exits_3(tmp_path, capsys):
         "error: drift not finite at r=28.565741776078152, direction [")
 
 
+@pytest.mark.parametrize("var", ["x·y", "x\u0301"],
+                         ids=["middle-dot", "combining-accent"])
+def test_variable_name_is_read_by_the_tokenizer(tmp_path, capsys, var):
+    # str.isidentifier accepts both names, but the tokenizer ends the name
+    # before the dot or the accent, so no expression could use them: the
+    # config error is at /operator/var, not at the first expression
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(ou_config(operator={**_OU, "var": var,
+                                                   "b": f"-{var}"})))
+    assert cli.main(["classify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: /operator/var: expected a variable name")
+
+
 @pytest.mark.parametrize("config, pointer", [
     (ou_config(operator={**_OU, "a": "abc"}), "/operator/a"),
     (ou_config(operator={**_OU, "V": "x +"}), "/operator/V"),

@@ -136,6 +136,18 @@ def test_token_errors(text, message, position):
     assert e.value.position == position
 
 
+@pytest.mark.parametrize("text, name", [
+    ("x", True), ("_r2", True), ("Ⅻ", True), ("x²", True), ("exp", True),
+    ("x·y", False), ("x\u0301", False), (" x", False), ("x ", False),
+    ("2x", False), ("", False)])
+def test_is_name_is_one_name_token(text, name):
+    # the tokenizer's own rule: the text is one whole name token
+    assert E.is_name(text) == name
+    if name:
+        assert E._tokenize(text) == [("ident", text, 0),
+                                     ("end", None, len(text))]
+
+
 def test_odd_power_negative_base():
     assert ev("x^3", -2.0) == -8.0
 

@@ -144,6 +144,68 @@ def test_verdict_serialization():
     assert isinstance(d["evidence"], str)
 
 
+# Wynn's epsilon table -------------------------------------------------------
+
+def _epsilon_table(sums):
+    """The diagonals of the epsilon table of ``sums``, one per sum."""
+    diagonals, diagonal = [], []
+    for s in sums:
+        diagonal = Q._epsilon_diagonal(diagonal, s)
+        diagonals.append(diagonal)
+    return diagonals
+
+
+def test_epsilon_first_even_column_is_exact_on_a_geometric_series():
+    # the partial sums of sum 2^-k: Shanks' e_1 (the column eps_2) is the
+    # limit of a geometric sequence from any three consecutive sums
+    sums = np.cumsum(0.5 ** np.arange(12)).tolist()
+    column = [d[2] for d in _epsilon_table(sums)[2:]]
+    assert len(column) == 10
+    assert all(abs(e - 2.0) <= 4 * math.ulp(2.0) for e in column)
+
+
+def test_epsilon_alternating_series_for_log_2():
+    # 1 - 1/2 + 1/3 - ...: the 17th partial sum is 0.028 from ln 2, the last
+    # even entry of its diagonal within 1e-12
+    sums = np.cumsum([(-1.0) ** k / (k + 1) for k in range(17)]).tolist()
+    diagonal = _epsilon_table(sums)[-1]
+    assert abs(sums[-1] - math.log(2.0)) > 0.02
+    assert abs(diagonal[(len(diagonal) - 1) & ~1] - math.log(2.0)) <= 1e-12
+
+
+def test_epsilon_diagonal_ends_where_a_column_settles():
+    # a sequence that reaches its limit exactly has no second difference to
+    # divide by: the diagonal stops at the column that agrees
+    diagonal = _epsilon_table([1.0, 1.5, 1.5])[-1]
+    assert diagonal == [1.5]
+
+
+@pytest.mark.parametrize("f, endpoint, anchor, exact", [
+    (lambda y: 1.0 / y**2, math.inf, 1.0, 1.0),
+    (lambda y: np.exp(-y * y), math.inf, 0.0, math.sqrt(math.pi) / 2.0),
+    (lambda y: 1.0 / np.sqrt(y), 0.0, 1.0, 2.0),
+    (lambda y: np.exp(-y), math.inf, 0.0, 1.0),
+    (lambda y: (1.0 + y * y) ** -1.5, math.inf, 0.0, 1.0),
+], ids=["inverse-square", "gaussian-tail", "inverse-sqrt", "exponential",
+        "inverse-cube"])
+def test_converged_err_covers_the_closed_form(f, endpoint, anchor, exact):
+    # whichever rule stops the walk, its err bounds the true error
+    v = improper(f, endpoint, anchor)
+    assert v.is_converges and abs(v.value - exact) <= v.err
+
+
+def test_wynn_stop_names_its_rule_and_widens_err():
+    # the integral of (1 + y^2)^-1.5 over doubling windows falls by about 4
+    # a window: the epsilon estimates settle while the geometric tail is
+    # still far above REL_TOL, and the err holds that tail
+    v = improper(lambda y: (1.0 + y * y) ** -1.5, math.inf, 0.0)
+    assert v.is_converges and v.windows_used == 9
+    assert "Wynn ε limit settled" in v.evidence
+    tail = float(v.evidence.rpartition("geometric tail ")[2])
+    assert v.err >= tail > Q.REL_TOL * v.value
+    assert abs(v.value - 1.0) <= 1e-10
+
+
 # log_scale -----------------------------------------------------------------
 
 def test_log_scale_brownian_identities():

@@ -163,6 +163,34 @@ def test_walk_stopped_toward_a_regular_endpoint_is_inconclusive():
     assert "toward a regular endpoint" in v.evidence
 
 
+@pytest.mark.parametrize("record, window", [
+    # the pole of b at 0.9999 (1,192,518 rhs_evals when m ran to 1,024)
+    (lambda: U.endpoint_condition(
+        make_operator_1d("0.5", "1/(x-0.9999)", "0", (0.0, 1.0)), 0.5, 1.0,
+        1.0), "[0.5625, 1]"),
+    # the cusp of b at 0.3 (1,191,645 rhs_evals)
+    (lambda: U.endpoint_condition(_whole_line("-x+abs(x-0.3)^0.5"), 0.0, 1.0,
+                                  INF), "[0, 1]"),
+], ids=["pole", "cusp"])
+def test_stalled_refinement_ends_the_window(record, window):
+    # two doublings of m that do not shrink the passes' discrepancy 4-fold
+    # end the window: the record names it, at a few percent of the cost of
+    # refining to MAX_SUBSTEPS
+    v = record()
+    assert v.is_inconclusive
+    assert f"march did not resolve the solution to 1e-09 in {window}: " \
+           "refinement stalled at " in v.evidence
+    assert v.rhs_evals < 0.05 * 1_191_645
+
+
+def test_stall_rule():
+    # a gain of 4 over two doublings is progress; NaN, where only one pass
+    # lost positivity, is larger than any discrepancy
+    assert not U._stalled(1e-3, 2.5e-4) and U._stalled(1e-3, 2.6e-4)
+    assert U._stalled(1e-3, math.nan) and U._stalled(math.nan, math.nan)
+    assert not U._stalled(math.nan, 1e-3)
+
+
 def test_lambda_disagreement_is_inconclusive(monkeypatch):
     # theory makes the verdict independent of lambda: a disagreement is
     # reported, not resolved
@@ -224,6 +252,41 @@ def test_converged_values_unchanged_by_scaling(a, b, interval, lam,
     assert v.value == pytest.approx(value, rel=1e-8)
 
 
+def _bessel3_to_origin(lam):
+    """The integral of rho u from 1 toward 0 for a = 1/2, b = 1/x on
+    (0, inf): alpha = x^2, u = (C1 sinh kx + C2 cosh kx) / x with
+    k = sqrt(2 lam) and u(1) = 1, u'(1) = 0, and (alpha u')(0+) = -C2, so
+    the integral is C2 / lam."""
+    k = math.sqrt(2.0 * lam)
+    return (math.cosh(k) - math.sinh(k) / k) / lam
+
+
+_BESSEL3 = ("0.5", "1/x", "0", (0.0, INF))
+
+
+@pytest.mark.parametrize("record, want", [
+    (lambda: U.entrance_test(make_operator_1d(*_BESSEL3), 1.0, 0.0),
+     2.0 / 15.0),
+    *[(lambda lam=lam: U.endpoint_condition(make_operator_1d(*_BESSEL3), 1.0,
+                                            lam, 0.0), _bessel3_to_origin(lam))
+      for lam in (0.5, 1.0, 2.0)],
+    # the unscaled march's values of test_converged_values_unchanged_by_scaling
+    (lambda: U.endpoint_condition(_whole_line("-x^3"), 0.0, 0.5, INF),
+     3.206323177583562),
+    (lambda: U.endpoint_condition(_whole_line("-x^3"), 0.0, 2.0, INF),
+     9.320263613771845),
+], ids=["bessel3-entrance-J0", "bessel3-origin-lam=0.5",
+        "bessel3-origin-lam=1", "bessel3-origin-lam=2", "cubic-lam=0.5",
+        "cubic-lam=2"])
+def test_wynn_err_covers_the_known_value(record, want):
+    # walks stopped at a settled Wynn epsilon estimate: the err (the
+    # estimates' disagreement, the geometric tail and the quadrature error)
+    # bounds the distance to the closed form or the reference value
+    v = record()
+    assert v.is_converges and "Wynn ε limit settled" in v.evidence
+    assert abs(v.value - want) <= v.err
+
+
 def _sampled_radial():
     # sampled radial bound of a 3D drift: a table with a kink at each of its
     # 160 radii, which the march lands on
@@ -236,8 +299,9 @@ def _whole_line(b, V="0"):
 
 
 _RISING = "window increments non-decreasing across 3 consecutive windows"
-_DECAYED = ("increments decayed with ratio <= 0.75 for 5 windows; "
-            "geometric tail ")
+_RATIO = "increments decayed with ratio <= 0.75 for 5 windows; "
+_DECAYED = _RATIO + "geometric tail "
+_WYNN = _RATIO + "Wynn ε limit settled to "
 
 # name: (record, (kind, value.hex(), err.hex(), windows_used, rhs_evals,
 # evidence)), recorded with the coarse and fine passes built separately
@@ -247,8 +311,8 @@ _MARCH_PINS = {
         ("Diverges", None, None, 3, 2619, _RISING)),
     "cubic-upper": (
         lambda: U.endpoint_condition(_whole_line("-x^3"), 0.0, 1.0, INF),
-        ("Converges", "0x1.2a1b64098b7b3p+2", "0x1.2a1c8b7e4cc72p-25",
-         13, 15132, _DECAYED + "3.47e-08")),
+        ("Converges", "0x1.2a1b642eaaa32p+2", "0x1.2981750d805f6p-17",
+         9, 11640, _WYNN + "9.15e-09, geometric tail 8.86e-06")),
     "x6-upper": (
         lambda: U.endpoint_condition(_whole_line("-x^3", "x^6"), 0.0, 1.0,
                                      INF),
@@ -262,8 +326,8 @@ _MARCH_PINS = {
     "bessel3-entrance-lower": (
         lambda: U.entrance_test(
             make_operator_1d("0.5", "1/x", "0", (0.0, INF)), 1.0, 0.0),
-        ("Converges", "0x1.111110fbbbc81p-3", "0x1.5591920d7396fp-31",
-         15, 13095, _DECAYED + "6.21e-10")),
+        ("Converges", "0x1.1111111110f2dp-3", "0x1.7993685a6125bp-17",
+         8, 6984, _WYNN + "8.33e-17, geometric tail 1.13e-05")),
     "x7-entrance-cap": (
         lambda: U.entrance_test(_whole_line("x^7"), 0.0, INF),
         ("Diverges", None, None, 2, 5238,
@@ -271,8 +335,8 @@ _MARCH_PINS = {
          "to x=3 is e^1629.62; a lower bound, the integrand being positive)")),
     "radial-lower": (
         lambda: U.endpoint_condition(_sampled_radial(), 1.0, 1.0, 0.0),
-        ("Converges", "0x1.57ab725e35ac5p+0", "0x1.609d5c2e416c6p-28",
-         14, 13023, _DECAYED + "5e-09")),
+        ("Converges", "0x1.57ab727403052p+0", "0x1.572bdecb5c993p-16",
+         8, 7623, _WYNN + "9.19e-09, geometric tail 2.04e-05")),
     "radial-upper": (
         lambda: U.endpoint_condition(_sampled_radial(), 1.0, 1.0, INF),
         ("Diverges", None, None, 3, 4125, _RISING)),
@@ -374,14 +438,15 @@ def test_stepped_down_window_refines_again(passes_per_window, monkeypatch):
 # (lambda, lower value, lower windows_used, upper windows_used) of the
 # sampled radial records, the values from a march that straddled the kinks
 _SAMPLED_RADIAL = [
-    (0.5, "0x1.37aceb474bef4p+0", 13, 4),
-    (1.0, "0x1.57ab725e0a3b4p+0", 14, 3),
-    (2.0, "0x1.9ebed1ea7b1f3p+0", 14, 3),
+    (0.5, "0x1.37aceb6f70cbfp+0", 8, 4),
+    (1.0, "0x1.57ab7273d794cp+0", 8, 3),
+    (2.0, "0x1.9ebed21e542eap+0", 9, 3),
 ]
 
 
 @pytest.mark.parametrize("lam, value, lower_windows, upper_windows",
-                         _SAMPLED_RADIAL)
+                         _SAMPLED_RADIAL,
+                         ids=[f"lam={row[0]:g}" for row in _SAMPLED_RADIAL])
 def test_sampled_radial_march_lands_on_the_table_radii(
         lam, value, lower_windows, upper_windows):
     # a step that straddles a radius of the table loses Radau's order and
@@ -595,19 +660,19 @@ def _nd_origin():
 _NOT_REGULAR = {
     "bessel3-origin": (
         lambda: make_operator_1d("0.5", "1/x", "0", (0.0, INF)), 1.0, 0.0,
-        ("Converges", "0x1.9ea93479dc855p-1", "0x1.9eec3855fba75p-29",
-         14, 12222, _DECAYED + "3.02e-09")),
+        ("Converges", "0x1.9ea9349427fc3p-1", "0x1.ac7f60c84d711p-17",
+         8, 6984, _WYNN + "8.8e-11, geometric tail 1.28e-05")),
     "nd-comparison-origin": (
         _nd_origin, 1.0, 0.0,
-        ("Converges", "0x1.4170f90857ee9p+0", "0x1.416eea078110cp-28",
-         14, 12222, _DECAYED + "4.68e-09")),
+        ("Converges", "0x1.4170f91ca26fcp+0", "0x1.410fde14623aep-16",
+         8, 6984, _WYNN + "5.33e-09, geometric tail 1.91e-05")),
     "a=x-at-0": (
         lambda: make_operator_1d("x", "0", "0", (0.0, 1.0)), 0.5, 0.0,
         ("Diverges", None, None, 3, 2619, _RISING)),
     "b-undefined-at-0": (
         lambda: make_operator_1d("1", "-1/sqrt(x)", "0", (0.0, 1.0)), 0.5, 0.0,
-        ("Converges", "0x1.c5f4fc4985957p-1", "0x1.1f27f164d799bp-27",
-         28, 24444, _DECAYED + "8.36e-09")),
+        ("Converges", "0x1.c5f4fc78c645cp-1", "0x1.2f2cabc3b4a1bp-10",
+         11, 9603, _WYNN + "5.09e-09, geometric tail 0.00116")),
 }
 
 
