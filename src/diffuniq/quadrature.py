@@ -2,15 +2,18 @@
 endpoints, and the scale check on the operator's input.
 
 One walk sums every windowed integral over geometrically expanding windows
-by Gauss-Legendre in log space and gathers asymptotic evidence; it never
-claims an exact infinity.  A walk whose increments decay geometrically
-converges once its geometric tail is within tolerance, or sooner once
-Wynn's epsilon table of its partial sums has settled on a limit (Shanks,
-J. Math. Phys. 34, 1955; Wynn, MTAC 10, 1956).  Toward a regular endpoint,
-where the integral is known to be finite, its windows close at the
-endpoint instead.  Its limits are the module constants below.  The scale
-check integrates b/a on both sides of the base point with the same
-32-point rule, halving each piece of a gap until it is resolved.
+in log space and gathers asymptotic evidence; it never claims an exact
+infinity.  Each window takes one nested rule on 65 nodes: the 65-point
+Gauss-Kronrod sum is its value, and the distance to the 32-point
+Gauss-Legendre sum on the same nodes its error.  A walk whose increments
+decay geometrically converges once its geometric tail is within
+tolerance, or sooner once Wynn's epsilon table of its partial sums has
+settled on a limit (Shanks, J. Math. Phys. 34, 1955; Wynn, MTAC 10, 1956).
+Toward a regular endpoint, where the integral is known to be finite, its
+windows close at the endpoint instead.  Its limits are the module
+constants below.  The scale check integrates b/a on both sides of the
+base point with the same 32-point Gauss-Legendre rule, halving each piece
+of a gap until it is resolved.
 """
 
 from __future__ import annotations
@@ -220,57 +223,148 @@ class WindowStop(Exception):
     message as its reason."""
 
 
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_LOG_GL_WEIGHTS = np.log(GL_WEIGHTS)
+# The window rule: the 32-point Gauss-Legendre rule G32 nested in its
+# 65-point Kronrod extension K65, which reuses G32's nodes.
+# K65 integrates polynomials of degree 97 exactly, G32 those of degree 63.
+GAUSS_POINTS = 32
+# a window's quadrature error is the distance between its K65 and G32 sums,
+# and at least this share of the K65 sum: where the two agree to a few
+# ulps, the sums' rounding is the larger error (QUADPACK's floor of 50
+# machine epsilons; Piessens et al., QUADPACK, 1983)
+ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 
 
-def _gauss_nodes(a, b):
-    """The 32 Gauss-Legendre nodes on [a, b]."""
-    return 0.5 * (a + b) + 0.5 * (b - a) * GL_NODES
+def _kronrod_jacobi(n):
+    """The squared off-diagonal b_0 .. b_2n (b_0 the weight's mass 2) of the
+    Jacobi-Kronrod matrix of the n-point Gauss-Legendre rule, n even: the
+    (2n+1)-point Jacobi matrix whose Gauss rule is the Kronrod rule (Laurie,
+    "Calculation of Gauss-Kronrod quadrature rules", Math. Comp. 66,
+    1997).  Its first ceil(3n/2) + 1 entries are Legendre's own,
+    k^2 / (4k^2 - 1); Laurie's mixed moments s and t give the rest.  The
+    Legendre weight is symmetric, so every diagonal entry is 0 and drops
+    out of his recurrence."""
+    b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, 2 * n + 1)]
+    b[(3 * n + 1) // 2 + 1:] = [0.0] * (2 * n - (3 * n + 1) // 2)
+    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s = [0.0] + s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b
 
 
-def _log_gauss(log_vals, a, b):
-    """Log of the 32-point Gauss-Legendre sum over [a, b] of the integrand
-    whose logs at the nodes are ``log_vals``; a NaN stops the walk."""
-    logs = _LOG_GL_WEIGHTS + log_vals
-    if np.isnan(logs).any():
-        raise WindowStop("log-integrand undefined (NaN or a non-positive "
-                         f"state) in [{a:.6g}, {b:.6g}]")
-    log_sum = float(np.logaddexp.reduce(logs))
-    half = 0.5 * (b - a)
-    if half == 0.0:  # b - a = 5e-324, the least subnormal, halves to 0
-        return math.log(b - a) - math.log(2.0) + log_sum
-    return math.log(half) + log_sum
+def _kronrod_recurrence(x, r, n):
+    """At the points ``x``, the three-term recurrence of the Jacobi-Kronrod
+    matrix with off-diagonal ``r`` (r_0 = sqrt 2, and r_2n+1 = 1, which
+    leaves the last polynomial unnormalised): the polynomial of degree
+    2n + 1 whose zeros are the 2n + 1 nodes, its derivative, and the sums of
+    p_k^2 over k < n and over k <= 2n, where p_k are the orthonormal
+    polynomials r_k+1 p_k+1 = x p_k - r_k p_k-1 from p_0 = 1 / r_0.  The
+    first n of them are Legendre's, so the sums' reciprocals are the
+    Christoffel numbers of G32 and of K65: the weights at the nodes."""
+    p0, p1 = np.zeros_like(x), np.full_like(x, 1.0 / r[0])
+    d0, d1 = np.zeros_like(x), np.zeros_like(x)
+    squares = np.zeros_like(x)
+    for k in range(2 * n + 1):
+        squares += p1 * p1
+        if k == n - 1:
+            gauss = squares.copy()
+        p0, p1, d0, d1 = (p1, (x * p1 - r[k] * p0) / r[k + 1],
+                          d1, (p1 + x * d1 - r[k] * d0) / r[k + 1])
+    return p1, d1, gauss, squares
+
+
+def _nested_rule(n):
+    """The 2n + 1 nodes on [-1, 1] in increasing order, the n Gauss nodes
+    at the odd places and their n + 1 Kronrod nodes, one between each two
+    neighbours and each end, at the even ones; the K weights at all of them
+    and the G weights at the Gauss nodes.  n even.
+
+    Every node is a zero of the Jacobi-Kronrod polynomial of degree 2n + 1,
+    found by Newton's iteration from the Gauss nodes' asymptotic angles
+    pi (i - 1/4) / (n + 1/2) and the angles halfway between them.  Only
+    the nodes below 0 are iterated: 0 is a node, and the rest are their
+    mirror images, so the rule is symmetric by construction.  No
+    eigenvalue solver is called."""
+    r = [math.sqrt(v) for v in _kronrod_jacobi(n)] + [1.0]
+    gauss = np.pi * (np.arange(1.0, n // 2 + 1) - 0.25) / (n + 0.5)
+    angles = np.empty(n)
+    angles[1::2] = gauss
+    angles[0::2] = 0.5 * (np.concatenate(([0.0], gauss[:-1])) + gauss)
+    x = -np.cos(angles)
+    while True:
+        p, dp, _, _ = _kronrod_recurrence(x, r, n)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-13:  # converging quadratically
+            break
+    half = np.append(x, 0.0)
+    _, _, gauss_squares, kronrod_squares = _kronrod_recurrence(half, r, n)
+    k_weights = 1.0 / kronrod_squares
+    g_weights = 1.0 / gauss_squares[1::2]
+    return (np.concatenate((half, -x[::-1])),
+            np.concatenate((k_weights, k_weights[-2::-1])),
+            np.concatenate((g_weights, g_weights[::-1])))
+
+
+NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS = _nested_rule(GAUSS_POINTS)
+GAUSS_NODES = NODES[1::2]
+_LOG_KRONROD_WEIGHTS = np.log(KRONROD_WEIGHTS)
+_LOG_GAUSS_WEIGHTS = np.log(GAUSS_WEIGHTS)
+
+
+def _mapped(nodes, a, b):
+    """``nodes`` on [-1, 1] mapped to [a, b]."""
+    return 0.5 * (a + b) + 0.5 * (b - a) * nodes
 
 
 def _window_nodes(lo, hi):
-    """The window's bounds in increasing order, its midpoint, and its 96
-    Gauss-Legendre nodes: 32 on each half, then 32 on the whole window."""
+    """The window's bounds in increasing order and its 65 nodes ``NODES``
+    mapped to it."""
     a, b = min(lo, hi), max(lo, hi)
-    mid = 0.5 * (a + b)
-    xs = np.concatenate((_gauss_nodes(a, mid), _gauss_nodes(mid, b),
-                         _gauss_nodes(a, b)))
-    return a, mid, b, xs
+    return a, b, _mapped(NODES, a, b)
 
 
-def _log_halves(log_f, a, mid, b):
-    """Log of the two-half sum over [a, b] from the window's 96 logs."""
-    return float(np.logaddexp(_log_gauss(log_f[:32], a, mid),
-                              _log_gauss(log_f[32:64], mid, b)))
+def _log_sums(log_f, a, b):
+    """Logs of the K65 and the G32 sum over [a, b] of the integrand whose
+    logs at the window's nodes are ``log_f``; a NaN stops the walk."""
+    logs = _LOG_KRONROD_WEIGHTS + log_f
+    if np.isnan(logs).any():
+        raise WindowStop("log-integrand undefined (NaN or a non-positive "
+                         f"state) in [{a:.6g}, {b:.6g}]")
+    log_g = float(np.logaddexp.reduce(_LOG_GAUSS_WEIGHTS + log_f[1::2]))
+    log_k = float(np.logaddexp.reduce(logs))
+    half = 0.5 * (b - a)
+    # b - a = 5e-324, the least subnormal, halves to 0
+    log_half = math.log(half) if half else math.log(b - a) - math.log(2.0)
+    return log_half + log_k, log_half + log_g
 
 
 def windowed_verdict(endpoint, anchor, open_window, regular=None):
     """Three-valued verdict for an integral from ``anchor`` toward ``endpoint``.
 
     ``open_window(lo, hi, xs)`` is called per window in marching order (so
-    ``lo > hi`` when marching down) with the window's 96 Gauss-Legendre
-    nodes ``xs``: 32 on each half, then 32 on the whole window.  It returns
-    the log of the integrand at ``xs``, or raises :class:`WindowStop`.  The
-    window's increment, summed in log space over its two halves, ends the
-    walk ``Diverges`` once the running total passes the cap (a lower bound,
-    the integrand being positive), else goes to the judge with the
-    one-panel sum's distance as error estimate.  A NaN log-integrand ends
-    it ``Inconclusive``.
+    ``lo > hi`` when marching down) with the window's 65 nodes ``xs``, the
+    32 Gauss-Legendre nodes and their 33 Kronrod nodes in increasing order.
+    It returns the log of the integrand at ``xs``, or raises
+    :class:`WindowStop`.  The window's increment, its K65 sum in log space,
+    ends the walk ``Diverges`` once the running total passes the cap (a
+    lower bound, the integrand being positive), else goes to the judge with
+    the distance of the G32 sum as error estimate.  A NaN log-integrand
+    ends it ``Inconclusive``.
 
     ``regular``, the evidence that the endpoint is regular, means the
     integral is finite: :func:`_walk_to_endpoint` sums it instead, on
@@ -287,22 +381,21 @@ def windowed_verdict(endpoint, anchor, open_window, regular=None):
     judge = _WindowJudge()
     log_total = -math.inf
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
-        a, mid, b, xs = _window_nodes(lo, hi)
+        a, b, xs = _window_nodes(lo, hi)
         try:
-            log_f = open_window(lo, hi, xs)
-            log_fine = _log_halves(log_f, a, mid, b)
-            log_total = float(np.logaddexp(log_total, log_fine))
+            log_k, log_g = _log_sums(open_window(lo, hi, xs), a, b)
+            log_total = float(np.logaddexp(log_total, log_k))
             if log_total > math.log(CUM_CAP):
                 return IntegralVerdict.diverges(
                     f"cumulative integral exceeded {CUM_CAP:g} after {k} "
                     f"windows (log-space sum to x={hi:.6g} is "
                     f"e^{log_total:.6g}; a lower bound, the integrand being "
                     "positive)", windows=k)
-            fine = math.exp(log_fine)
-            err = abs(fine - math.exp(_log_gauss(log_f[64:], a, b)))
+            inc = math.exp(log_k)
+            err = max(abs(inc - math.exp(log_g)), ROUNDING_FLOOR * inc)
         except WindowStop as stop:
             return judge.inconclusive(str(stop))
-        verdict = judge.feed(fine, err)
+        verdict = judge.feed(inc, err)
         if verdict is not None:
             return verdict
     return judge.inconclusive()
@@ -319,7 +412,7 @@ def _walk_to_endpoint(endpoint, anchor, open_window, regular):
     """``Converges`` on an integral known to be finite, with its value.
     Two windows cover the gap: the first REGULAR_FIRST_WINDOW of it, then
     the rest, closing at the endpoint itself.  A window is accepted when its
-    two-half and one-panel sums agree to REL_TOL; otherwise it is split at
+    K65 and G32 sums agree to REL_TOL; otherwise it is split at
     its midpoint and its first half is opened again, so ``open_window`` must
     take a ``lo`` it has passed.  After N_WINDOWS_FINITE windows, or on a
     window too narrow to split, the window is accepted and its disagreement
@@ -336,16 +429,13 @@ def _walk_to_endpoint(endpoint, anchor, open_window, regular):
     while ends:
         hi = ends[-1]
         k += 1
-        a, mid, b, xs = _window_nodes(lo, hi)
+        a, b, xs = _window_nodes(lo, hi)
+        mid = 0.5 * (a + b)
         halvable = a < mid < b
         try:
-            log_f = open_window(lo, hi, xs)
-            log_coarse = _log_gauss(log_f[64:], a, b)
-            if halvable:
-                log_fine = _log_halves(log_f, a, mid, b)
-                rel = abs(math.expm1(log_coarse - log_fine))
-            else:  # one float step wide: no estimate, all of it is error
-                log_fine, rel = log_coarse, 1.0
+            log_k, log_g = _log_sums(open_window(lo, hi, xs), a, b)
+            rel = (max(abs(math.expm1(log_g - log_k)), ROUNDING_FLOOR)
+                   if halvable else 1.0)  # one float step: all of it error
         except WindowStop as stop:
             return IntegralVerdict.inconclusive(
                 f"{stop} after {k} windows, toward a regular endpoint",
@@ -355,9 +445,9 @@ def _walk_to_endpoint(endpoint, anchor, open_window, regular):
             continue
         ends.pop()
         lo = hi
-        log_total = float(np.logaddexp(log_total, log_fine))
+        log_total = float(np.logaddexp(log_total, log_k))
         if rel > 0.0:
-            log_err = float(np.logaddexp(log_err, log_fine + math.log(rel)))
+            log_err = float(np.logaddexp(log_err, log_k + math.log(rel)))
     evidence = f"{regular}; integral marched to the endpoint in {k} windows"
     if log_total > _LOG_MAX:
         return IntegralVerdict.converges(
@@ -385,9 +475,10 @@ _SCALE_PIECES = 64
 
 def _ratio_sums(op, lo, hi):
     """The 32-point Gauss-Legendre sums of b/a over each [lo, hi]."""
-    xs = _gauss_nodes(lo[:, None], hi[:, None])
+    xs = _mapped(GAUSS_NODES, lo[:, None], hi[:, None])
     with np.errstate(all="ignore"):
-        return 0.5 * (hi - lo) * ((op.b.array(xs) / op.a.array(xs)) @ GL_WEIGHTS)
+        ratio = op.b.array(xs) / op.a.array(xs)
+        return 0.5 * (hi - lo) * (ratio @ GAUSS_WEIGHTS)
 
 
 def _ratio_integrals(op, lo, hi):

@@ -25,14 +25,15 @@ numpy, and only the chaining of z is sequential.  The march lands on every
 quadrature node and on every knot of the coefficients (a point where one is
 not smooth, such as a radius of a sampled radial bound), so that no step
 straddles a kink and loses the method's order.  It takes m equal steps per
-gap between landing points and accepts once the m and 2m marches agree:
+gap between landing points and accepts once the m and 2m marches agree
+(on a window without knots, 66 gaps: 594 stage points for m = 1 and 2):
 m doubles until they do, and halves for the next window where they agree
 with room to spare, so one hard window does not set the step for the rest
 of the walk.
 
 Both integral tests share that march and one helper (``_windowed_march``),
-which checks the base point and the endpoint, marches through the
-Gauss-Legendre nodes of each window of ``quadrature.windowed_verdict`` and
+which checks the base point and the endpoint, marches through the 65
+Gauss-Kronrod nodes of each window of ``quadrature.windowed_verdict`` and
 hands that walk the log-integrand there; the walk sums it in log space and
 owns the cumulative cap.  At a regular endpoint
 (``operator.regular_endpoint``) the integral is finite, and the walk

@@ -70,6 +70,45 @@ def test_huge_base_point_classifies(tmp_path):
     assert json.loads(out.read_text())["verdict"]["kind"] == "Inconclusive"
 
 
+# the nested window rule -----------------------------------------------------
+
+def test_kronrod_nodes_interlace_the_gauss_nodes():
+    # K, G, K, ..., G, K: one Kronrod node between each two neighbouring
+    # Gauss nodes and between each end and its nearest Gauss node
+    assert Q.NODES.shape == (65,)
+    assert np.array_equal(Q.GAUSS_NODES, Q.NODES[1::2])
+    assert -1.0 < Q.NODES[0] and Q.NODES[-1] < 1.0
+    assert np.all(np.diff(Q.NODES) > 0.0)
+
+
+def test_nested_rule_is_symmetric_with_positive_weights():
+    assert np.array_equal(Q.NODES, -Q.NODES[::-1])
+    assert np.array_equal(Q.KRONROD_WEIGHTS, Q.KRONROD_WEIGHTS[::-1])
+    assert np.array_equal(Q.GAUSS_WEIGHTS, Q.GAUSS_WEIGHTS[::-1])
+    assert np.all(Q.KRONROD_WEIGHTS > 0.0) and np.all(Q.GAUSS_WEIGHTS > 0.0)
+
+
+@pytest.mark.parametrize("nodes, weights, degree", [
+    (Q.NODES, Q.KRONROD_WEIGHTS, 97),
+    (Q.GAUSS_NODES, Q.GAUSS_WEIGHTS, 63),
+], ids=["K65", "G32"])
+def test_nested_rule_integrates_monomials_exactly(nodes, weights, degree):
+    for k in range(degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(weights @ nodes ** k - exact) <= 1e-15, k
+
+
+def test_nested_rule_needs_no_eigenvalue_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rule called an eigenvalue solver")
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    nodes, k_weights, g_weights = Q._nested_rule(Q.GAUSS_POINTS)
+    assert np.array_equal(nodes, Q.NODES)
+    assert np.array_equal(k_weights, Q.KRONROD_WEIGHTS)
+    assert np.array_equal(g_weights, Q.GAUSS_WEIGHTS)
+
+
 # spec'd example trio -------------------------------------------------------
 
 def improper(f, endpoint, anchor):
